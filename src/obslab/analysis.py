@@ -24,7 +24,6 @@ produce exact zeros rather than interpolation residue.
 
 from __future__ import annotations
 
-import concurrent.futures
 import math
 from dataclasses import dataclass
 
@@ -491,7 +490,6 @@ def stratify(
     field: ScalarField,
     fb: FreeBoundarySet,
     config: ClassifierConfig = ClassifierConfig(),
-    threads: int = 1,
 ) -> tuple[list[Classification], dict]:
     """Classify every free-boundary point and tally the census.
 
@@ -503,15 +501,7 @@ def stratify(
     if not points:
         return [], empty_census()
     weiss_cache = WeissEvaluator(field, config.angular_samples)
-
-    def job(p):
-        return classify_point(field, p, config, _weiss=weiss_cache)
-
-    if threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(job, points))
-    else:
-        results = [job(p) for p in points]
+    results = [classify_point(field, p, config, _weiss=weiss_cache) for p in points]
     return results, census(results)
 
 
@@ -603,17 +593,6 @@ def frequency_lambda(
         defined=True,
         sphere_norms=norms,
     )
-
-
-def weiss_limit_gap(
-    field: ScalarField, x0, radii, angular_samples: int = DEFAULT_ANGULAR_SAMPLES
-) -> float:
-    """|W(r_min) - c_n|: distance of the smallest-radius Weiss value from
-    the singular constant; the classifier's tie-break signal."""
-    grid = field.grid
-    radii = _validate_radii(grid, radii)
-    value = weiss_energy(field, x0, float(radii[0]), angular_samples)
-    return abs(value - weiss_constant(grid.dimension))
 
 
 def probe_forms(dimension: int, seed: int = 0, random_count: int = 2) -> list[QuadraticForm]:

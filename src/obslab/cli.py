@@ -3,20 +3,18 @@
 Verbs::
 
     obslab solve    --config cfg.json [--out DIR]           solve + write field
-    obslab diagnose --config cfg.json [--out DIR] [--seed N] [--threads N]
+    obslab diagnose --config cfg.json [--out DIR] [--seed N]
     obslab classify --config cfg.json ...                   classification only
     obslab report   REPORT.json [REPORT.json ...]           merge + pass/fail matrix
 
 Exit codes: 0 ok, 1 usage/config error, 2 non-convergence, 3 acceptance
-failure. ``--threads`` falls back to the env var OBSLAB_THREADS, then 1.
-Identical config + seed produce byte-identical CSV/JSON/PGM outputs.
+failure. Identical config + seed produce byte-identical CSV/JSON/PGM outputs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -65,8 +63,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--out", default=None, help="output directory (overrides config)")
         p.add_argument("--seed", type=int, default=None, help="probe-form seed (overrides config)")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker threads for per-point diagnostics (default: OBSLAB_THREADS or 1)")
 
     add_common(sub.add_parser("solve", help="solve the configured problem"))
     add_common(sub.add_parser("diagnose", help="run the configured diagnostics"))
@@ -74,18 +70,6 @@ def _build_parser() -> argparse.ArgumentParser:
     rep = sub.add_parser("report", help="merge reports into a pass/fail matrix")
     rep.add_argument("reports", nargs="*", help="report JSON files")
     return parser
-
-
-def _resolve_threads(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("OBSLAB_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ConfigError(f"OBSLAB_THREADS must be an integer, got {env!r}") from exc
-    return 1
 
 
 def _load(args) -> tuple[RunConfig, Path, int]:
@@ -101,31 +85,19 @@ def _cmd_solve(args) -> int:
     try:
         result = solve(problem, config.solver)
     except IterationLimitError as exc:
-        io.write_csv(
-            out_dir / "residuals.csv",
-            ["iteration", "residual"],
-            [(k + 1, float(r)) for k, r in enumerate(exc.residual_history)],
-        )
+        _write_residuals(out_dir, exc.residual_history)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     io.write_field(out_dir / "solution.field", result.solution)
-    io.write_csv(
-        out_dir / "residuals.csv",
-        ["iteration", "residual"],
-        [(k + 1, float(r)) for k, r in enumerate(result.residual_history)],
-    )
-    io.write_json(
-        out_dir / "solve_summary.json",
-        {
-            "iterations": result.iterations,
-            "final_residual": float(result.residual_history[-1]),
-            "final_energy": result.final_energy,
-            "method": config.solver.method,
-            "tolerance": config.solver.tol,
-        },
-    )
+    _write_residuals(out_dir, result.residual_history)
+    io.write_json(out_dir / "solve_summary.json", _solve_summary(config, result))
     print(f"solved in {result.iterations} iterations; outputs in {out_dir}")
     return EXIT_OK
+
+
+def _write_residuals(out_dir: Path, history) -> None:
+    rows = [(k + 1, float(r)) for k, r in enumerate(history)]
+    io.write_csv(out_dir / "residuals.csv", ["iteration", "residual"], rows)
 
 
 def _obtain_field(config: RunConfig, out_dir: Path):
@@ -140,15 +112,18 @@ def _obtain_field(config: RunConfig, out_dir: Path):
         return build_field(config), None
     problem = build_problem(config)
     result = solve(problem, config.solver)
-    summary = {
+    io.write_field(out_dir / "solution.field", result.solution)
+    return result.solution, _solve_summary(config, result)
+
+
+def _solve_summary(config: RunConfig, result) -> dict:
+    return {
         "iterations": result.iterations,
         "final_residual": float(result.residual_history[-1]),
         "final_energy": result.final_energy,
         "method": config.solver.method,
         "tolerance": config.solver.tol,
     }
-    io.write_field(out_dir / "solution.field", result.solution)
-    return result.solution, summary
 
 
 def _admissible_radii(field: ScalarField, point, radii) -> list[float]:
@@ -162,7 +137,6 @@ def _admissible_radii(field: ScalarField, point, radii) -> list[float]:
 
 def _cmd_diagnose(args, selection_override) -> int:
     config, out_dir, seed = _load(args)
-    threads = _resolve_threads(args)
     field, solver_summary = _obtain_field(config, out_dir)
     diag = config.diagnostics
     selection = selection_override if selection_override is not None else diag.selection
@@ -200,7 +174,7 @@ def _cmd_diagnose(args, selection_override) -> int:
         _run_weiss(field, fb, diag, out_dir, report)
     classifications = None
     if "classify" in selection:
-        classifications = _run_classify(field, fb, diag, contact, out_dir, report, threads)
+        classifications = _run_classify(field, fb, diag, contact, out_dir, report)
     if "monneau" in selection:
         _run_monneau(field, fb, diag, seed, out_dir, report, classifications)
     if "frequency" in selection:
@@ -293,7 +267,7 @@ def _profile_entry(point, profile) -> dict:
     }
 
 
-def _run_classify(field, fb, diag, contact, out_dir, report, threads):
+def _run_classify(field, fb, diag, contact, out_dir, report):
     cfg = analysis.ClassifierConfig(
         blowup_radius=diag.blowup_radius,
         eigen_tol=diag.eigen_tol,
@@ -301,7 +275,7 @@ def _run_classify(field, fb, diag, contact, out_dir, report, threads):
         weiss_margin=diag.weiss_margin,
         angular_samples=diag.angular_samples,
     )
-    classifications, cens = analysis.stratify(field, fb, cfg, threads=threads)
+    classifications, cens = analysis.stratify(field, fb, cfg)
     rows = []
     entries = []
     for c in classifications:

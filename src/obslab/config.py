@@ -41,7 +41,7 @@ Fixture specs: ``{"fixture": "one_d"|"radial", "a": ...}``,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 import json
 
 import numpy as np

@@ -6,8 +6,7 @@ node-based scalar fields on an axis-aligned box in dimension 1, 2 or 3,
 second-order finite-difference stencils, multilinear interpolation, and
 quadrature over balls and spheres centered at interior points.
 
-All operations are pure: fields are immutable snapshots and may be shared
-freely across threads.
+All operations are pure: fields are immutable snapshots.
 """
 
 from __future__ import annotations
@@ -107,20 +106,6 @@ class GridSpec:
         mesh = self.meshgrid()
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
-    def position(self, index: tuple[int, ...]) -> np.ndarray:
-        return np.array(
-            [self.lower[a] + index[a] * self.spacings[a] for a in range(self.dimension)]
-        )
-
-    def contains_point(self, point: np.ndarray, margin: float = 0.0) -> bool:
-        point = np.asarray(point, dtype=float)
-        if point.shape != (self.dimension,):
-            raise GridError(f"point must have shape ({self.dimension},), got {point.shape}")
-        return all(
-            self.lower[a] + margin <= point[a] <= self.upper[a] - margin
-            for a in range(self.dimension)
-        )
-
     def interior_slices(self) -> tuple[slice, ...]:
         return (slice(1, -1),) * self.dimension
 
@@ -165,9 +150,6 @@ class ScalarField:
     def interior(self) -> np.ndarray:
         """View of the interior nodes."""
         return self.values[self.grid.interior_slices()]
-
-    def with_values(self, values: np.ndarray) -> "ScalarField":
-        return ScalarField(self.grid, values)
 
 
 def field_from_function(grid: GridSpec, fn) -> ScalarField:
@@ -221,6 +203,30 @@ def _window_distances(grid: GridSpec, ball: BallSpec) -> tuple[tuple[slice, ...]
     return window, dist
 
 
+def neighbor_sum(u: np.ndarray, where: tuple[slice, ...]) -> np.ndarray:
+    """Sum of the 2n axis neighbours of the nodes ``u[where]``.
+
+    ``where`` holds one slice per axis, possibly strided, selecting interior
+    nodes only. Terms are added axis by axis, ``u[x - e_a] + u[x + e_a]``
+    first, so every caller sees the same rounding.
+    """
+    total = None
+    for a, s in enumerate(where):
+        start, stop, step = s.indices(u.shape[a])
+        lo = where[:a] + (slice(start - 1, stop - 1, step),) + where[a + 1 :]
+        hi = where[:a] + (slice(start + 1, stop + 1, step),) + where[a + 1 :]
+        term = u[lo] + u[hi]
+        total = term if total is None else total + term
+    return total
+
+
+def interior_laplacian(u: np.ndarray, h: float) -> np.ndarray:
+    """The Laplacian stencil of a nodal array with spacing ``h``, at its
+    interior nodes (shape ``m - 2`` per axis)."""
+    core = (slice(1, -1),) * u.ndim
+    return (neighbor_sum(u, core) - 2.0 * u.ndim * u[core]) / (h * h)
+
+
 def discrete_laplacian(field: ScalarField) -> ScalarField:
     """Second-order central Laplacian; boundary ring is NaN (undefined).
 
@@ -228,18 +234,8 @@ def discrete_laplacian(field: ScalarField) -> ScalarField:
     and is exact on quadratics.
     """
     grid = field.grid
-    u = field.values
-    h2 = grid.h * grid.h
     out = np.full(grid.shape, np.nan)
-    core = grid.interior_slices()
-    acc = np.zeros_like(u[core])
-    nd = grid.dimension
-    for a in range(nd):
-        lo = tuple(slice(0, -2) if b == a else slice(1, -1) for b in range(nd))
-        hi = tuple(slice(2, None) if b == a else slice(1, -1) for b in range(nd))
-        acc += u[lo] + u[hi]
-    acc -= 2.0 * nd * u[core]
-    out[core] = acc / h2
+    out[grid.interior_slices()] = interior_laplacian(field.values, grid.h)
     return ScalarField(grid, out)
 
 

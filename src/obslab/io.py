@@ -77,11 +77,10 @@ def write_csv(path, header: list[str], rows) -> None:
 
 
 def _format_cell(cell):
-    if isinstance(cell, float):
-        return repr(cell)
-    if isinstance(cell, (np.floating,)):
+    # np.float64 subclasses float, and its repr is "np.float64(x)" under numpy 2
+    if isinstance(cell, (float, np.floating)):
         return repr(float(cell))
-    if isinstance(cell, (np.integer,)):
+    if isinstance(cell, np.integer):
         return int(cell)
     return cell
 

@@ -1,34 +1,34 @@
 """Projected iterative solvers for the discrete obstacle problem.
 
-Two problem forms are supported on a :class:`~obslab.grid.GridSpec`:
+One problem spec on a :class:`~obslab.grid.GridSpec` covers both forms of
+the constrained Dirichlet minimization: minimize
+``sum h^n (|grad_h v|^2 / 2 + source * v)`` over fields with fixed boundary
+values and ``v >= obstacle``. Interior stationarity is the discrete
+complementarity system ``min(v - obstacle, source - lap_h v) = 0``.
 
-* general form: minimize the discrete Dirichlet energy
-  ``sum h^n |grad_h v|^2 / 2`` over fields with fixed boundary values and
-  ``v >= phi``;
-* normalized form: minimize ``sum h^n (|grad_h u|^2 / 2 + u)`` over
-  ``u >= 0`` with fixed nonnegative boundary values; the linear term makes
-  the interior KKT system the discrete version of
-  ``Delta u = 1 on {u > 0}, u >= 0``.
+* general form: ``v >= phi`` with ``source = 0``;
+* normalized form: ``obstacle = 0, source = 1`` and nonnegative boundary
+  values, the discrete version of ``Delta u = 1 on {u > 0}, u >= 0``.
 
 Both are convex quadratic programs over a box constraint, solved either by
 projected SOR (node-wise Gauss-Seidel minimization followed by projection,
-red-black ordering) or by projected gradient (full-field step then
-projection, with Nesterov momentum and adaptive restart). Inputs are nodal
-samples; smoothness classes of the continuum data have no discrete meaning
-here and are not represented.
+red-black ordering over strided sub-lattices) or by projected gradient
+(full-field step then projection, with Nesterov momentum and adaptive
+restart). Inputs are nodal samples; smoothness classes of the continuum
+data have no discrete meaning here and are not represented.
 
-The stopping rule is the standard complementarity residual in max-norm:
-``max |min(u - constraint, kkt)|`` over interior nodes, where ``kkt`` is
-``1 - lap_h u`` (normalized) or ``-lap_h u`` (general).
+The stopping rule is the complementarity residual in max-norm,
+``max |min(u - obstacle, source - lap_h u)|`` over interior nodes.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .grid import GridError, GridSpec, ScalarField, discrete_laplacian
+from .grid import GridError, GridSpec, ScalarField, interior_laplacian, neighbor_sum
 
 
 class SolverError(RuntimeError):
@@ -44,81 +44,49 @@ class IterationLimitError(SolverError):
 
 
 @dataclass(frozen=True)
-class GeneralObstacle:
-    """Minimize the Dirichlet energy above an obstacle field.
+class ObstacleProblemSpec:
+    """Minimize the discrete energy with linear term ``source`` over fields
+    equal to ``boundary`` on the boundary ring and ``>= obstacle``.
 
-    ``boundary`` is a full-shape nodal array of which only the boundary
-    ring is read; it must dominate the obstacle there.
+    ``boundary`` and ``obstacle`` are full-shape nodal arrays, stored as
+    read-only copies; only the ring of ``boundary`` is read, and it must
+    dominate the obstacle there.
     """
 
-    obstacle: ScalarField
-    boundary: np.ndarray
-
-    linear_coefficient = 0.0
-
-    def constraint_values(self) -> np.ndarray:
-        return self.obstacle.values
-
-
-@dataclass(frozen=True)
-class Normalized:
-    """The reduced problem: Delta u = 1 on {u > 0}, u >= 0, u = g on the ring."""
-
-    boundary: np.ndarray
-
-    linear_coefficient = 1.0
-
-    def constraint_values(self) -> np.ndarray:
-        return None  # zero constraint, realized lazily against the grid shape
-
-
-@dataclass(frozen=True)
-class ObstacleProblemSpec:
     grid: GridSpec
-    form: GeneralObstacle | Normalized
+    boundary: np.ndarray
+    obstacle: np.ndarray
+    source: float
 
     def __post_init__(self) -> None:
-        boundary = np.asarray(self.form.boundary, dtype=float)
-        if boundary.shape != self.grid.shape:
-            raise GridError(
-                f"boundary array shape {boundary.shape} != grid shape {self.grid.shape}"
-            )
-        if not np.isfinite(boundary).all():
-            raise GridError("boundary data contains non-finite values")
+        for name in ("boundary", "obstacle"):
+            values = np.array(getattr(self, name), dtype=float)
+            if values.shape != self.grid.shape:
+                raise GridError(
+                    f"{name} array shape {values.shape} != grid shape {self.grid.shape}"
+                )
+            if not np.isfinite(values).all():
+                raise GridError(f"{name} data contains non-finite values")
+            values.setflags(write=False)
+            object.__setattr__(self, name, values)
+        object.__setattr__(self, "source", float(self.source))
         ring = _boundary_mask(self.grid.shape)
-        if isinstance(self.form, Normalized):
-            if (boundary[ring] < 0.0).any():
-                raise GridError("normalized form requires g >= 0 on boundary nodes")
-        else:
-            obstacle = self.form.obstacle
-            if obstacle.grid != self.grid:
-                raise GridError("obstacle field is not on the problem grid")
-            obstacle.require_finite("obstacle")
-            if (boundary[ring] < obstacle.values[ring] - 1e-14).any():
-                raise GridError("boundary data must satisfy f >= phi on boundary nodes")
-
-    @property
-    def is_normalized(self) -> bool:
-        return isinstance(self.form, Normalized)
-
-    def constraint(self) -> np.ndarray:
-        values = self.form.constraint_values()
-        if values is None:
-            return np.zeros(self.grid.shape)
-        return values
-
-    def boundary_values(self) -> np.ndarray:
-        return np.asarray(self.form.boundary, dtype=float)
+        if (self.boundary[ring] < self.obstacle[ring] - 1e-14).any():
+            raise GridError("boundary data must satisfy f >= phi on boundary nodes")
 
 
 def normalized_problem(grid: GridSpec, boundary: np.ndarray) -> ObstacleProblemSpec:
-    return ObstacleProblemSpec(grid, Normalized(boundary=boundary))
+    """``Delta u = 1 on {u > 0}, u >= 0, u = g`` on the ring (``g >= 0``)."""
+    return ObstacleProblemSpec(grid, boundary, np.zeros(grid.shape), 1.0)
 
 
 def general_problem(
     grid: GridSpec, obstacle: ScalarField, boundary: np.ndarray
 ) -> ObstacleProblemSpec:
-    return ObstacleProblemSpec(grid, GeneralObstacle(obstacle=obstacle, boundary=boundary))
+    """The Dirichlet energy minimized above ``obstacle``, ``v = f`` on the ring."""
+    if obstacle.grid != grid:
+        raise GridError("obstacle field is not on the problem grid")
+    return ObstacleProblemSpec(grid, boundary, obstacle.values, 0.0)
 
 
 PSOR = "psor"
@@ -159,61 +127,50 @@ def _boundary_mask(shape: tuple[int, ...]) -> np.ndarray:
     return mask
 
 
-def _neighbor_sum_interior(u: np.ndarray) -> np.ndarray:
-    nd = u.ndim
-    acc = None
-    for a in range(nd):
-        lo = tuple(slice(0, -2) if b == a else slice(1, -1) for b in range(nd))
-        hi = tuple(slice(2, None) if b == a else slice(1, -1) for b in range(nd))
-        term = u[lo] + u[hi]
-        acc = term if acc is None else acc + term
-    return acc
+def _red_black(shape: tuple[int, ...]) -> tuple[list, list]:
+    """Strided interior sub-lattices of each colour, red (even index sum)
+    first. No two nodes of one colour are neighbours, so updating a colour
+    one sub-lattice at a time equals updating it all at once."""
+    colors: tuple[list, list] = ([], [])
+    for offsets in itertools.product((1, 2), repeat=len(shape)):
+        if all(o < m - 1 for o, m in zip(offsets, shape)):
+            where = tuple(slice(o, m - 1, 2) for o, m in zip(offsets, shape))
+            colors[sum(offsets) % 2].append(where)
+    return colors
 
 
-def _interior_parity(shape: tuple[int, ...]) -> np.ndarray:
-    grids = np.meshgrid(*(np.arange(1, m - 1) for m in shape), indexing="ij")
-    return sum(grids) % 2 == 0
-
-
-def _projected_residual_interior(
-    u: np.ndarray, psi_core: np.ndarray, source: float, h2: float
-) -> float:
-    nd = u.ndim
-    core = u[(slice(1, -1),) * nd]
-    lap = (_neighbor_sum_interior(u) - 2.0 * nd * core) / h2
-    kkt = source - lap
-    gap = core - psi_core
-    return float(np.max(np.abs(np.minimum(gap, kkt))))
+def _residual(u: np.ndarray, obstacle: np.ndarray, source: float, h: float) -> float:
+    """``max |min(u - obstacle, source - lap_h u)|`` over interior nodes."""
+    core = (slice(1, -1),) * u.ndim
+    kkt = source - interior_laplacian(u, h)
+    return float(np.max(np.abs(np.minimum(u[core] - obstacle[core], kkt))))
 
 
 def default_initial_guess(problem: ObstacleProblemSpec) -> ScalarField:
     """Admissible start: a few plain Gauss-Seidel sweeps toward the harmonic
-    extension of the boundary data, clamped to the constraint."""
+    extension of the boundary data, clamped to the obstacle."""
     grid = problem.grid
-    boundary = problem.boundary_values()
+    boundary = problem.boundary
     ring = _boundary_mask(grid.shape)
     u = np.full(grid.shape, float(np.mean(boundary[ring])))
     u[ring] = boundary[ring]
-    core = (slice(1, -1),) * grid.dimension
     nd = grid.dimension
-    parity = _interior_parity(grid.shape)
+    colors = _red_black(grid.shape)
     for _ in range(10):
-        for color in (parity, ~parity):
-            gs = _neighbor_sum_interior(u) / (2.0 * nd)
-            u[core] = np.where(color, gs, u[core])
-    psi = problem.constraint()
-    u = np.maximum(u, psi)
+        for color in colors:
+            for where in color:
+                u[where] = neighbor_sum(u, where) / (2.0 * nd)
+    u = np.maximum(u, problem.obstacle)
     u[ring] = boundary[ring]
     return ScalarField(grid, u)
 
 
 def constraint_initial_guess(problem: ObstacleProblemSpec) -> ScalarField:
-    """Admissible start equal to the constraint in the interior."""
-    grid = problem.grid
-    u = problem.constraint().copy()
-    ring = _boundary_mask(grid.shape)
-    u[ring] = problem.boundary_values()[ring]
-    return ScalarField(grid, u)
+    """Admissible start equal to the obstacle in the interior."""
+    u = problem.obstacle.copy()
+    ring = _boundary_mask(problem.grid.shape)
+    u[ring] = problem.boundary[ring]
+    return ScalarField(problem.grid, u)
 
 
 def solve(
@@ -228,14 +185,8 @@ def solve(
     if ``config.max_iterations`` sweeps do not get there.
     """
     grid = problem.grid
-    nd = grid.dimension
-    h2 = grid.h * grid.h
-    source = problem.form.linear_coefficient
-    psi = problem.constraint()
-    core = (slice(1, -1),) * nd
-    psi_core = psi[core]
+    core = grid.interior_slices()
     ring = _boundary_mask(grid.shape)
-    boundary = problem.boundary_values()
 
     if initial_guess is None:
         u = default_initial_guess(problem).values.copy()
@@ -243,20 +194,14 @@ def solve(
         if initial_guess.grid != grid:
             raise GridError("initial guess is not on the problem grid")
         u = initial_guess.values.copy()
-        u[ring] = boundary[ring]
-        u[core] = np.maximum(u[core], psi_core)
+        u[ring] = problem.boundary[ring]
+        u[core] = np.maximum(u[core], problem.obstacle[core])
 
     residuals: list[float] = []
     energies: list[float] = [] if config.record_energy else None
 
-    if config.method == PSOR:
-        iterations = _psor_loop(
-            u, psi_core, source, h2, nd, config, residuals, energies, problem
-        )
-    else:
-        iterations = _projected_gradient_loop(
-            u, psi_core, source, h2, nd, config, residuals, energies, problem
-        )
+    loop = _psor_loop if config.method == PSOR else _projected_gradient_loop
+    iterations = loop(u, problem, config, residuals, energies)
 
     history = np.array(residuals)
     solution = ScalarField(grid, u).require_finite("solution")
@@ -277,17 +222,20 @@ def solve(
     return result
 
 
-def _psor_loop(u, psi_core, source, h2, nd, config, residuals, energies, problem) -> int:
-    core = (slice(1, -1),) * nd
-    parity = _interior_parity(u.shape)
+def _psor_loop(u, problem, config, residuals, energies) -> int:
+    nd = u.ndim
+    h = problem.grid.h
+    h2 = h * h
+    obstacle, source = problem.obstacle, problem.source
+    colors = _red_black(u.shape)
     omega = config.omega
     c0 = source * h2 / (2.0 * nd)
     for sweep in range(1, config.max_iterations + 1):
-        for color in (parity, ~parity):
-            gs = _neighbor_sum_interior(u) / (2.0 * nd) - c0
-            cand = np.maximum((1.0 - omega) * u[core] + omega * gs, psi_core)
-            u[core] = np.where(color, cand, u[core])
-        res = _projected_residual_interior(u, psi_core, source, h2)
+        for color in colors:
+            for where in color:
+                gs = neighbor_sum(u, where) / (2.0 * nd) - c0
+                u[where] = np.maximum((1.0 - omega) * u[where] + omega * gs, obstacle[where])
+        res = _residual(u, obstacle, source, h)
         residuals.append(res)
         if energies is not None:
             energies.append(dirichlet_energy(ScalarField(problem.grid, u), problem))
@@ -296,17 +244,20 @@ def _psor_loop(u, psi_core, source, h2, nd, config, residuals, energies, problem
     return config.max_iterations
 
 
-def _projected_gradient_loop(
-    u, psi_core, source, h2, nd, config, residuals, energies, problem
-) -> int:
+def _projected_gradient_loop(u, problem, config, residuals, energies) -> int:
+    nd = u.ndim
+    h = problem.grid.h
+    h2 = h * h
+    obstacle, source = problem.obstacle, problem.source
     core = (slice(1, -1),) * nd
+    psi_core = obstacle[core]
     step = h2 / (4.0 * nd)  # 1 / lambda_max bound of the scaled Hessian
     x = u[core].copy()
-    x_prev = x.copy()
     y = u  # full array whose interior holds the extrapolated point
+    probe = u.copy()  # full array whose interior holds the current iterate
     t = 1.0
     for iteration in range(1, config.max_iterations + 1):
-        lap = (_neighbor_sum_interior(y) - 2.0 * nd * y[core]) / h2
+        lap = interior_laplacian(y, h)
         x_new = np.maximum(y[core] + step * (lap - source), psi_core)
         # adaptive restart on the gradient-mapping sign
         if np.vdot(y[core] - x_new, x_new - x) > 0.0:
@@ -316,18 +267,16 @@ def _projected_gradient_loop(
             t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
             y[core] = x_new + ((t - 1.0) / t_next) * (x_new - x)
             t = t_next
-        x_prev, x = x, x_new
-        u_probe = u.copy()
-        u_probe[core] = x
-        res = _projected_residual_interior(u_probe, psi_core, source, h2)
+        x = x_new
+        probe[core] = x
+        res = _residual(probe, obstacle, source, h)
         residuals.append(res)
         if energies is not None:
-            energies.append(dirichlet_energy(ScalarField(problem.grid, u_probe), problem))
+            energies.append(dirichlet_energy(ScalarField(problem.grid, probe), problem))
         if res <= config.tol:
-            u[core] = x
-            return iteration
+            break
     u[core] = x
-    return config.max_iterations
+    return iteration
 
 
 def _trapezoid_weights(m: int) -> np.ndarray:
@@ -363,27 +312,22 @@ def dirichlet_energy(field: ScalarField, problem: ObstacleProblemSpec) -> float:
             shape[b] = -1
             w = w * wb.reshape(shape)
         total += float(np.sum(w * diff * diff)) * hn / 2.0
-    if problem.form.linear_coefficient != 0.0:
+    if problem.source != 0.0:
         w = np.ones(())
         for b in range(nd):
             shape = [1] * nd
             shape[b] = -1
             w = w * axis_weights[b].reshape(shape)
-        total += problem.form.linear_coefficient * float(np.sum(w * u)) * hn
+        total += problem.source * float(np.sum(w * u)) * hn
     return total
 
 
 def complementarity_residual(field: ScalarField, problem: ObstacleProblemSpec) -> float:
-    """Max-norm of ``min(u - constraint, kkt)`` over interior nodes.
+    """Max-norm of ``min(u - obstacle, source - lap_h u)`` over interior nodes.
 
     Zero iff discrete complementarity holds: admissibility, the one-sided
     equation, and their pointwise product vanishing.
     """
     if field.grid != problem.grid:
         raise GridError("field is not on the problem grid")
-    grid = field.grid
-    core = (slice(1, -1),) * grid.dimension
-    lap = discrete_laplacian(field).values[core]
-    kkt = problem.form.linear_coefficient - lap
-    gap = field.values[core] - problem.constraint()[core]
-    return float(np.max(np.abs(np.minimum(gap, kkt))))
+    return _residual(field.values, problem.obstacle, problem.source, field.grid.h)

@@ -1,3 +1,4 @@
+import csv
 import json
 from pathlib import Path
 
@@ -45,6 +46,48 @@ def radial_config(out_dir, selection, nodes=65, radii=(0.1, 0.15, 0.2, 0.25)):
         "output": {"directory": str(out_dir)},
         "seed": 7,
     }
+
+
+def isotropic_3d_config(out_dir):
+    third = 1.0 / 3.0
+    return {
+        "version": 1,
+        "problem": {
+            "form": "normalized",
+            "dimension": 3,
+            "lower": -1.0,
+            "upper": 1.0,
+            "nodes_per_axis": 21,
+            "boundary": {
+                "fixture": "polynomial",
+                "matrix": [[third, 0.0, 0.0], [0.0, third, 0.0], [0.0, 0.0, third]],
+            },
+        },
+        "diagnostics": {
+            "selection": ["growth", "weiss", "monneau", "classify", "frequency"],
+            "radii": [0.4, 0.5],
+            "angular_samples": 16,
+        },
+        "output": {"directory": str(out_dir)},
+        "seed": 3,
+    }
+
+
+ALL_DIAGNOSTICS = ["growth", "weiss", "monneau", "classify", "frequency"]
+CSV_FILES = (
+    "growth.csv",
+    "weiss_profiles.csv",
+    "monneau_profiles.csv",
+    "classifications.csv",
+    "frequency.csv",
+)
+TEXT_COLUMNS = {"verdict", "nondegenerate", "bounded", "defined"}
+
+
+def read_csv(path):
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    return rows[0], rows[1:]
 
 
 class TestSolveCommand:
@@ -153,22 +196,6 @@ class TestDiagnoseCommand:
         assert "census" in report["diagnostics"]
         assert "growth" not in report["diagnostics"]
 
-    def test_threads_flag_same_results(self, tmp_path):
-        out1, out2 = tmp_path / "t1", tmp_path / "t2"
-        cfg1 = write_config(tmp_path / "c1.json", radial_config(out1, ["classify"]))
-        cfg2 = write_config(tmp_path / "c2.json", radial_config(out2, ["classify"]))
-        assert main(["diagnose", "--config", cfg1, "--threads", "1"]) == 0
-        assert main(["diagnose", "--config", cfg2, "--threads", "4"]) == 0
-        assert (out1 / "classifications.csv").read_bytes() == (
-            out2 / "classifications.csv"
-        ).read_bytes()
-
-    def test_env_threads_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("OBSLAB_THREADS", "2")
-        out = tmp_path / "out"
-        cfg = write_config(tmp_path / "c.json", radial_config(out, ["classify"]))
-        assert main(["diagnose", "--config", cfg]) == 0
-
     def test_determinism_byte_identical(self, tmp_path):
         outputs = []
         for tag in ("a", "b"):
@@ -184,6 +211,33 @@ class TestDiagnoseCommand:
         assert names == sorted(p.name for p in b.iterdir())
         for name in names:
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+class TestCsvArtifacts:
+    @pytest.mark.parametrize(
+        "make_config",
+        [lambda out: radial_config(out, ALL_DIAGNOSTICS), isotropic_3d_config],
+        ids=["radial_2d", "isotropic_3d"],
+    )
+    def test_csv_parses_back_to_report_numbers(self, tmp_path, make_config):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "c.json", make_config(out))
+        assert main(["diagnose", "--config", cfg]) == 0
+        checked = 0
+        for name in CSV_FILES:
+            header, rows = read_csv(out / name)
+            numeric = [i for i, col in enumerate(header) if col not in TEXT_COLUMNS]
+            for row in rows:
+                for i in numeric:
+                    for item in filter(None, row[i].split(";")):
+                        float(item)  # raises on e.g. "np.float64(0.5)"
+                        checked += 1
+        assert checked > 0
+        report = json.loads((out / "report.json").read_text())
+        expected = [r for entry in report["diagnostics"]["growth"] for r in entry["ratios"]]
+        header, rows = read_csv(out / "growth.csv")
+        ratios = [float(row[header.index("ratio")]) for row in rows]
+        assert expected and ratios == expected
 
 
 class TestReportCommand:

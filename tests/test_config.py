@@ -96,7 +96,8 @@ class TestBuild:
     def test_normalized_problem(self):
         cfg = parse_config(base_payload())
         problem = build_problem(cfg)
-        assert problem.is_normalized
+        assert problem.source == 1.0
+        assert (problem.obstacle == 0.0).all()
         assert problem.grid.nodes_per_axis == (65,)
 
     def test_general_problem(self):
@@ -105,7 +106,8 @@ class TestBuild:
         payload["problem"]["boundary"] = {"constant": 0.0}
         payload["problem"]["obstacle"] = {"constant": -1.0}
         problem = build_problem(parse_config(payload))
-        assert not problem.is_normalized
+        assert problem.source == 0.0
+        assert (problem.obstacle == -1.0).all()
 
     def test_fixture_field(self):
         payload = base_payload()

@@ -3,11 +3,19 @@ import pytest
 from numpy.testing import assert_allclose
 
 from obslab.fixtures import one_d, radial
-from obslab.grid import GridError, GridSpec, ScalarField, centered_box, field_from_function
+from obslab.grid import (
+    GridError,
+    GridSpec,
+    ScalarField,
+    centered_box,
+    discrete_laplacian,
+    field_from_function,
+)
 from obslab.solver import (
     PROJECTED_GRADIENT,
     PSOR,
     IterationLimitError,
+    ObstacleProblemSpec,
     SolverConfig,
     SolverError,
     complementarity_residual,
@@ -79,7 +87,7 @@ class TestSolveNormalized:
         result = solve(problem, SolverConfig(tol=TOL))
         values = result.solution.values
         assert (values >= 0.0).all()  # projection is exact
-        boundary = problem.boundary_values()
+        boundary = problem.boundary
         assert values[0] == boundary[0] and values[-1] == boundary[-1]
         assert complementarity_residual(result.solution, problem) <= 10 * TOL
 
@@ -224,3 +232,126 @@ class TestResidualHistory:
         result = solve(problem, SolverConfig(tol=TOL))
         assert result.residual_history[-1] <= TOL
         assert result.iterations == len(result.residual_history)
+
+
+def small_problem(dimension, nodes, form):
+    """A small problem whose solution has a nonempty contact set."""
+    grid = centered_box(dimension, 1.0, nodes)
+    if form == "normalized":
+        return normalized_problem(grid, np.full(grid.shape, 0.1))
+    dome = field_from_function(grid, lambda p: 0.3 - np.sum(p * p, axis=1))
+    return general_problem(grid, dome, np.zeros(grid.shape))
+
+
+def masked_neighbor_sum(u):
+    nd = u.ndim
+    acc = None
+    for a in range(nd):
+        lo = tuple(slice(0, -2) if b == a else slice(1, -1) for b in range(nd))
+        hi = tuple(slice(2, None) if b == a else slice(1, -1) for b in range(nd))
+        term = u[lo] + u[hi]
+        acc = term if acc is None else acc + term
+    return acc
+
+
+def masked_red_black(shape):
+    index = np.meshgrid(*(np.arange(1, m - 1) for m in shape), indexing="ij")
+    red = sum(index) % 2 == 0
+    return red, ~red
+
+
+def masked_initial_guess(problem):
+    """Reference start: ten plain Gauss-Seidel red-black sweeps, each colour
+    selected from a full-interior update by a parity mask."""
+    nd = problem.grid.dimension
+    core = (slice(1, -1),) * nd
+    ring = np.ones(problem.grid.shape, dtype=bool)
+    ring[core] = False
+    u = np.full(problem.grid.shape, float(np.mean(problem.boundary[ring])))
+    u[ring] = problem.boundary[ring]
+    for _ in range(10):
+        for color in masked_red_black(u.shape):
+            u[core] = np.where(color, masked_neighbor_sum(u) / (2.0 * nd), u[core])
+    u = np.maximum(u, problem.obstacle)
+    u[ring] = problem.boundary[ring]
+    return u
+
+
+def masked_psor(problem, u, omega, tol):
+    """Reference projected SOR: full-interior candidate, parity-masked select.
+    Returns the residual history; ``u`` is updated in place."""
+    nd = u.ndim
+    h2 = problem.grid.h**2
+    core = (slice(1, -1),) * nd
+    c0 = problem.source * h2 / (2.0 * nd)
+    history = []
+    while not history or history[-1] > tol:
+        for color in masked_red_black(u.shape):
+            gs = masked_neighbor_sum(u) / (2.0 * nd) - c0
+            cand = np.maximum((1.0 - omega) * u[core] + omega * gs, problem.obstacle[core])
+            u[core] = np.where(color, cand, u[core])
+        lap = discrete_laplacian(ScalarField(problem.grid, u)).interior()
+        gap = u[core] - problem.obstacle[core]
+        history.append(float(np.max(np.abs(np.minimum(gap, problem.source - lap)))))
+    return history
+
+
+SMALL_CASES = [
+    (dimension, nodes, form)
+    for dimension, sizes in ((1, (17, 18)), (2, (17, 16)), (3, (9, 10)))
+    for nodes in sizes
+    for form in ("normalized", "general")
+]
+
+
+class TestStridedSweep:
+    @pytest.mark.parametrize("dimension, nodes, form", SMALL_CASES)
+    def test_initial_guess_equals_masked_reference(self, dimension, nodes, form):
+        problem = small_problem(dimension, nodes, form)
+        expected = masked_initial_guess(problem)
+        assert np.array_equal(default_initial_guess(problem).values, expected)
+
+    @pytest.mark.parametrize("dimension, nodes, form", SMALL_CASES)
+    def test_psor_equals_masked_reference(self, dimension, nodes, form):
+        problem = small_problem(dimension, nodes, form)
+        start = default_initial_guess(problem)
+        result = solve(problem, SolverConfig(tol=1e-10), start)
+        u = start.values.copy()
+        history = masked_psor(problem, u, omega=1.8, tol=1e-10)
+        assert np.array_equal(result.solution.values, u)
+        assert np.array_equal(result.residual_history, history)
+        core = problem.grid.interior_slices()
+        assert (u[core] == problem.obstacle[core]).any()  # the projection was active
+
+
+class TestSharedResidual:
+    @pytest.mark.parametrize("dimension, nodes, form", SMALL_CASES)
+    def test_equals_laplacian_formula(self, dimension, nodes, form):
+        problem = small_problem(dimension, nodes, form)
+        rng = np.random.default_rng(dimension * 100 + nodes)
+        field = ScalarField(problem.grid, rng.uniform(-0.2, 0.5, problem.grid.shape))
+        core = problem.grid.interior_slices()
+        lap = discrete_laplacian(field).interior()
+        gap = field.interior() - problem.obstacle[core]
+        expected = float(np.max(np.abs(np.minimum(gap, problem.source - lap))))
+        assert complementarity_residual(field, problem) == expected
+
+
+class TestSpecFields:
+    def test_arrays_are_read_only_copies(self):
+        grid = centered_box(1, 1.0, 9)
+        boundary = np.zeros(grid.shape)
+        problem = ObstacleProblemSpec(grid, boundary, np.zeros(grid.shape), 1.0)
+        boundary[0] = -1.0
+        assert problem.boundary[0] == 0.0
+        with pytest.raises(ValueError):
+            problem.obstacle[0] = 1.0
+
+    def test_shape_and_finiteness_checked(self):
+        grid = centered_box(1, 1.0, 9)
+        with pytest.raises(GridError):
+            ObstacleProblemSpec(grid, np.zeros(8), np.zeros(grid.shape), 1.0)
+        obstacle = np.zeros(grid.shape)
+        obstacle[4] = np.nan
+        with pytest.raises(GridError):
+            ObstacleProblemSpec(grid, np.zeros(grid.shape), obstacle, 0.0)
