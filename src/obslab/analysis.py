@@ -54,8 +54,10 @@ WEISS_CONSTANTS = {1: 1.0 / 3.0, 2: math.pi / 8.0, 3: C3_CALIBRATED}
 
 DEFAULT_ANGULAR_SAMPLES = 64
 DEFAULT_EIGEN_TOL = 0.05
-DEFAULT_RESIDUAL_MARGIN = 0.05
-DEFAULT_WEISS_MARGIN = 0.1
+# Nodes per axis of the fixed [-1, 1]^n grid that blow-ups are sampled on,
+# and the number of start directions of the half-space fit.
+REF_NODES = 33
+DIRECTION_STARTS = 64
 DEGENERACY_FLOOR_FACTOR = 100.0
 
 NONDECREASING = "nondecreasing"
@@ -94,7 +96,6 @@ def default_profile_delta(dimension: int, h: float, r_min: float) -> float:
 class Profile:
     """Sampled r -> value series with a monotonicity verdict."""
 
-    quantity: str  # "weiss" | "monneau" | "sphere_norm"
     radii: np.ndarray
     values: np.ndarray
     delta: float
@@ -108,12 +109,17 @@ class Profile:
         return self.verdict == NONDECREASING
 
 
-def _monotone_verdict(radii: np.ndarray, values: np.ndarray, delta: float):
+def _profile(grid: GridSpec, radii, values, delta, advisory: bool = False) -> Profile:
+    """The series with its verdict: Violated when a step drops by more than
+    delta (None: ``default_profile_delta`` at the smallest radius)."""
+    if delta is None:
+        delta = default_profile_delta(grid.dimension, grid.h, radii[0])
     drops = values[:-1] - values[1:]
     if len(drops) == 0 or drops.max() <= delta:
-        return NONDECREASING, None, None
+        return Profile(radii, values, float(delta), NONDECREASING, advisory=advisory)
     k = int(np.argmax(drops))
-    return VIOLATED, float(radii[k + 1]), float(drops[k])
+    at, amount = float(radii[k + 1]), float(drops[k])
+    return Profile(radii, values, float(delta), VIOLATED, at, amount, advisory)
 
 
 def _validate_radii(grid: GridSpec, radii, minimum_factor: float = 4.0) -> np.ndarray:
@@ -169,20 +175,9 @@ def weiss_profile(
     """W across radii with a NonDecreasing/Violated verdict."""
     grid = field.grid
     radii = _validate_radii(grid, radii)
-    if delta is None:
-        delta = default_profile_delta(grid.dimension, grid.h, radii[0])
     ev = _evaluator if _evaluator is not None else WeissEvaluator(field, angular_samples)
     values = np.array([ev(x0, r) for r in radii])
-    verdict, at, amount = _monotone_verdict(radii, values, delta)
-    return Profile(
-        quantity="weiss",
-        radii=radii,
-        values=values,
-        delta=float(delta),
-        verdict=verdict,
-        violation_radius=at,
-        violation_amount=amount,
-    )
+    return _profile(grid, radii, values, delta)
 
 
 def _difference_squared_field(field: ScalarField, x0, form: QuadraticForm) -> ScalarField:
@@ -225,8 +220,6 @@ def monneau_profile(
     field.require_finite("monneau input")
     grid = field.grid
     radii = _validate_radii(grid, radii)
-    if delta is None:
-        delta = default_profile_delta(grid.dimension, grid.h, radii[0])
     wsq = _difference_squared_field(field, x0, form)
     values = np.array(
         [
@@ -235,20 +228,10 @@ def monneau_profile(
             for r in radii
         ]
     )
-    verdict, at, amount = _monotone_verdict(radii, values, delta)
-    return Profile(
-        quantity="monneau",
-        radii=radii,
-        values=values,
-        delta=float(delta),
-        verdict=verdict,
-        violation_radius=at,
-        violation_amount=amount,
-        advisory=not at_singular_point,
-    )
+    return _profile(grid, radii, values, delta, advisory=not at_singular_point)
 
 
-def rescale_blowup(field: ScalarField, x0, r: float, ref_nodes: int = 33) -> ScalarField:
+def rescale_blowup(field: ScalarField, x0, r: float) -> ScalarField:
     """u_{x0,r}(x) = u(x0 + r x) / r^2 on a fixed grid over [-1, 1]^n,
     NaN outside the closed unit ball."""
     field.require_finite("blow-up input")
@@ -256,7 +239,7 @@ def rescale_blowup(field: ScalarField, x0, r: float, ref_nodes: int = 33) -> Sca
     if r < 8.0 * grid.h:
         raise ResolutionError(f"blow-up radius {r} < 8h = {8 * grid.h}")
     require_ball_in_box(grid, BallSpec(tuple(x0), float(r)))
-    ref_grid = centered_box(grid.dimension, 1.0, ref_nodes)
+    ref_grid = centered_box(grid.dimension, 1.0, REF_NODES)
     pts = ref_grid.node_positions()
     inside = np.linalg.norm(pts, axis=1) <= 1.0
     values = np.full(len(pts), np.nan)
@@ -267,12 +250,13 @@ def rescale_blowup(field: ScalarField, x0, r: float, ref_nodes: int = 33) -> Sca
 
 @dataclass(frozen=True)
 class ClassifierConfig:
+    """Classifier settings; ``angular_samples`` also sets the sphere
+    quadrature of the Weiss, Monneau and frequency diagnostics."""
+
     blowup_radius: float | None = None  # None -> smallest reliable, 8h
-    ref_nodes: int = 33
-    direction_starts: int = 64
     eigen_tol: float = DEFAULT_EIGEN_TOL
-    residual_margin: float = DEFAULT_RESIDUAL_MARGIN
-    weiss_margin: float = DEFAULT_WEISS_MARGIN
+    residual_margin: float = 0.05
+    weiss_margin: float = 0.1
     angular_samples: int = DEFAULT_ANGULAR_SAMPLES
 
 
@@ -410,7 +394,7 @@ def classify_point(
     x0 = tuple(float(c) for c in x0)
     r = config.blowup_radius if config.blowup_radius is not None else 8.0 * grid.h
     try:
-        rescaled = rescale_blowup(field, x0, r, config.ref_nodes)
+        rescaled = rescale_blowup(field, x0, r)
     except (ResolutionError, GridError) as exc:
         return Classification(
             point=x0,
@@ -434,7 +418,7 @@ def classify_point(
             reason="rescaled field vanishes identically",
         )
 
-    direction, reg_residual = _fit_regular(points, values, config.direction_starts)
+    direction, reg_residual = _fit_regular(points, values, DIRECTION_STARTS)
     form, sing_residual = _fit_singular(points, values)
     reg_residual /= scale
     sing_residual /= scale
@@ -619,12 +603,13 @@ def contact_strip_halfwidth(
     x0,
     form: QuadraticForm,
     r: float,
+    eigen_tol: float = DEFAULT_EIGEN_TOL,
 ) -> float | None:
     """Empirical strip half-width of the contact set near a singular point.
 
-    Max distance (relative to r) of contact nodes in B_r(x0) from the
-    kernel hyperplane(s) of the fitted blow-up matrix; no decay rate in r
-    is asserted. None when no contact node lies in the ball.
+    Max distance (relative to r) of contact nodes in B_r(x0) from the kernel
+    of the fitted blow-up matrix, cut at ``eigen_tol`` as the stratum is; no
+    decay rate in r is asserted. None when no contact node lies in the ball.
     """
     pts = grid.node_positions()[contact_mask.ravel()] - np.asarray(x0, dtype=float)[None, :]
     dist = np.linalg.norm(pts, axis=1)
@@ -632,7 +617,7 @@ def contact_strip_halfwidth(
     if len(pts) == 0:
         return None
     eigvals, eigvecs = np.linalg.eigh(form.matrix)
-    positive = eigvals >= DEFAULT_EIGEN_TOL
+    positive = eigvals >= eigen_tol
     if not positive.any():
         return 0.0
     basis = eigvecs[:, positive]  # directions transverse to the kernel

@@ -14,9 +14,12 @@ failure. Identical config + seed produce byte-identical CSV/JSON/PGM outputs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import analysis, freeboundary, io
 from .config import ConfigError, RunConfig, build_field, build_problem, load_config
@@ -48,11 +51,8 @@ def main(argv=None) -> int:
             return _cmd_report(args)
         raise AssertionError(f"unhandled command {args.command}")
     except (ConfigError, GridError, SolverError, OSError) as exc:
-        if isinstance(exc, IterationLimitError):
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_NO_CONVERGENCE
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return EXIT_NO_CONVERGENCE if isinstance(exc, IterationLimitError) else EXIT_CONFIG
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -147,13 +147,7 @@ def _cmd_diagnose(args, selection_override) -> int:
     report: dict = {
         "report_version": REPORT_VERSION,
         "seed": seed,
-        "grid": {
-            "dimension": grid.dimension,
-            "nodes_per_axis": list(grid.nodes_per_axis),
-            "lower": list(grid.lower),
-            "upper": list(grid.upper),
-            "h": grid.h,
-        },
+        "grid": _entry(grid, dimension=grid.dimension, h=grid.h),
         "solver": solver_summary,
         "contact": {
             "kappa": contact.kappa,
@@ -164,21 +158,18 @@ def _cmd_diagnose(args, selection_override) -> int:
         "diagnostics": {},
         "checks": {},
     }
-    checks = report["checks"]
     if solver_summary is not None:
-        checks["solver_converged"] = solver_summary["final_residual"] <= config.solver.tol
+        report["checks"]["solver_converged"] = solver_summary["final_residual"] <= config.solver.tol
 
-    if "growth" in selection:
-        _run_growth(field, fb, diag, out_dir, report)
-    if "weiss" in selection:
-        _run_weiss(field, fb, diag, out_dir, report)
-    classifications = None
-    if "classify" in selection:
-        classifications = _run_classify(field, fb, diag, contact, out_dir, report)
-    if "monneau" in selection:
-        _run_monneau(field, fb, diag, seed, out_dir, report, classifications)
-    if "frequency" in selection:
-        _run_frequency(field, diag, out_dir, report, classifications)
+    radii = {p: _admissible_radii(field, p, diag.radii) for p in map(tuple, fb.points.tolist())}
+    run = _Run(field, contact, fb, diag.classifier, seed, radii)
+    point_columns = [f"x{a}" for a in range(grid.dimension)]
+    for name, filename, columns, diagnostic in DIAGNOSTICS:
+        if name in selection:
+            blocks, rows, checks = diagnostic(run)
+            io.write_csv(out_dir / filename, [*point_columns, *columns.split()], rows)
+            report["diagnostics"].update(blocks)
+            report["checks"].update(checks)
 
     if config.rasters and grid.dimension == 2:
         io.write_pgm(out_dir / "field.pgm", field.values)
@@ -189,226 +180,151 @@ def _cmd_diagnose(args, selection_override) -> int:
     return EXIT_OK
 
 
-def _run_growth(field, fb, diag, out_dir, report) -> None:
-    rows = []
-    entries = []
-    all_nondeg = True
-    all_bounded = True
-    for point in fb.points:
-        radii = _admissible_radii(field, point, diag.radii)
-        if not radii:
-            continue
-        rep = freeboundary.growth_report(field, point, radii)
-        all_nondeg &= rep.nondegenerate
-        all_bounded &= rep.bounded
-        entries.append(
-            {
-                "point": list(rep.point),
-                "radii": [float(r) for r in rep.radii],
-                "ratios": [float(v) for v in rep.ratios],
-                "upper_constant": rep.upper_constant,
-                "lower_constant": rep.lower_constant,
-                "nondegenerate": rep.nondegenerate,
-                "bounded": rep.bounded,
-                "slack": rep.slack,
-            }
-        )
-        for r, ratio in zip(rep.radii, rep.ratios):
-            rows.append((*rep.point, float(r), float(ratio), rep.nondegenerate, rep.bounded))
-    io.write_csv(
-        out_dir / "growth.csv",
-        [*_point_columns(field), "radius", "ratio", "nondegenerate", "bounded"],
-        rows,
-    )
-    report["diagnostics"]["growth"] = entries
-    report["checks"]["growth_nondegenerate_all"] = bool(all_nondeg)
-    report["checks"]["growth_bounded_all"] = bool(all_bounded)
+@dataclasses.dataclass
+class _Run:
+    """What the diagnostics of one diagnose run share."""
+
+    field: ScalarField
+    contact: freeboundary.ContactSet
+    fb: freeboundary.FreeBoundarySet
+    settings: analysis.ClassifierConfig
+    seed: int
+    radii: dict  # free-boundary point -> its admissible radii
+    classifications: list | None = None  # set by classify, read by monneau and frequency
+
+    def admissible(self, least: int, points=None):
+        """(point, radii) for each of ``points`` (default: the free boundary)
+        whose balls fit at least ``least`` of the configured radii."""
+        for point in self.radii if points is None else points:
+            if len(self.radii[point]) >= least:
+                yield point, self.radii[point]
+
+    def singular_forms(self) -> dict:
+        """Fitted blow-up form per singular point; empty unless classify ran."""
+        singular = [c for c in self.classifications or () if c.verdict == analysis.SINGULAR]
+        return {c.point: c.form for c in singular}
 
 
-def _point_columns(field) -> list[str]:
-    return [f"x{a}" for a in range(field.grid.dimension)]
+def _entry(result, **extra) -> dict:
+    """A report entry: every field of a dataclass as a JSON value (a fitted
+    ``form`` as its ``matrix``), followed by ``extra``."""
+    entry = {}
+    for f in dataclasses.fields(result):
+        key, value = f.name, getattr(result, f.name)
+        if key == "form":
+            key, value = "matrix", None if value is None else value.matrix
+        entry[key] = np.asarray(value).tolist() if isinstance(value, (tuple, np.ndarray)) else value
+    return {**entry, **extra}
 
 
-def _run_weiss(field, fb, diag, out_dir, report) -> None:
-    evaluator = analysis.WeissEvaluator(field, diag.angular_samples)
-    rows = []
-    entries = []
-    all_mono = True
-    for point in fb.points:
-        radii = _admissible_radii(field, point, diag.radii)
-        if len(radii) < 2:
-            continue
-        profile = analysis.weiss_profile(
-            field, point, radii, angular_samples=diag.angular_samples, _evaluator=evaluator
-        )
-        all_mono &= profile.nondecreasing
-        entries.append(_profile_entry(point, profile))
-        for r, v in zip(profile.radii, profile.values):
-            rows.append((*point, float(r), float(v), profile.delta, profile.verdict))
-    io.write_csv(
-        out_dir / "weiss_profiles.csv",
-        [*_point_columns(field), "radius", "weiss", "delta", "verdict"],
-        rows,
-    )
-    report["diagnostics"]["weiss"] = entries
-    report["checks"]["weiss_nondecreasing_all"] = bool(all_mono)
+def _profile_rows(point, profile, *key) -> list[tuple]:
+    pairs = zip(profile.radii, profile.values)
+    return [(*point, *key, r, v, profile.delta, profile.verdict) for r, v in pairs]
 
 
-def _profile_entry(point, profile) -> dict:
-    return {
-        "point": [float(c) for c in point],
-        "radii": [float(r) for r in profile.radii],
-        "values": [float(v) for v in profile.values],
-        "delta": profile.delta,
-        "verdict": profile.verdict,
-        "violation_radius": profile.violation_radius,
-        "violation_amount": profile.violation_amount,
-        "advisory": profile.advisory,
+def _joined(values) -> str:
+    """A vector or matrix as one CSV cell: row-major, ';'-separated."""
+    return "" if values is None else ";".join(repr(v) for v in np.ravel(values).tolist())
+
+
+def _nondecreasing_all(entries) -> bool:
+    return all(e["advisory"] or e["verdict"] == analysis.NONDECREASING for e in entries)
+
+
+def _growth(run: _Run):
+    entries, rows = [], []
+    for point, radii in run.admissible(1):
+        rep = freeboundary.growth_report(run.field, point, radii)
+        entries.append(_entry(rep))
+        pairs = zip(rep.radii, rep.ratios)
+        rows += [(*point, r, ratio, rep.nondegenerate, rep.bounded) for r, ratio in pairs]
+    checks = {
+        "growth_nondegenerate_all": all(e["nondegenerate"] for e in entries),
+        "growth_bounded_all": all(e["bounded"] for e in entries),
     }
+    return {"growth": entries}, rows, checks
 
 
-def _run_classify(field, fb, diag, contact, out_dir, report):
-    cfg = analysis.ClassifierConfig(
-        blowup_radius=diag.blowup_radius,
-        eigen_tol=diag.eigen_tol,
-        residual_margin=diag.residual_margin,
-        weiss_margin=diag.weiss_margin,
-        angular_samples=diag.angular_samples,
-    )
-    classifications, cens = analysis.stratify(field, fb, cfg)
-    rows = []
-    entries = []
-    for c in classifications:
-        direction = list(c.direction) if c.direction is not None else None
-        matrix = c.form.matrix.tolist() if c.form is not None else None
+def _weiss(run: _Run):
+    samples = run.settings.angular_samples
+    evaluator = analysis.WeissEvaluator(run.field, samples)
+    entries, rows = [], []
+    for point, radii in run.admissible(2):
+        profile = analysis.weiss_profile(
+            run.field, point, radii, angular_samples=samples, _evaluator=evaluator
+        )
+        entries.append(_entry(profile, point=list(point)))
+        rows += _profile_rows(point, profile)
+    return {"weiss": entries}, rows, {"weiss_nondecreasing_all": _nondecreasing_all(entries)}
+
+
+def _classify(run: _Run):
+    run.classifications, census = analysis.stratify(run.field, run.fb, run.settings)
+    mask, grid, eigen_tol = run.contact.mask, run.field.grid, run.settings.eigen_tol
+    entries, rows = [], []
+    for c in run.classifications:
         strip = None
         if c.verdict == analysis.SINGULAR and c.blowup_radius is not None:
             strip = analysis.contact_strip_halfwidth(
-                contact.mask, field.grid, c.point, c.form, 4.0 * c.blowup_radius
+                mask, grid, c.point, c.form, 4.0 * c.blowup_radius, eigen_tol
             )
-        entries.append(
-            {
-                "point": list(c.point),
-                "verdict": c.verdict,
-                "weiss_value": c.weiss_value,
-                "blowup_radius": c.blowup_radius,
-                "fit_residual": c.fit_residual,
-                "direction": direction,
-                "matrix": matrix,
-                "stratum": c.stratum,
-                "reason": c.reason,
-                "contact_strip_halfwidth": strip,
-            }
-        )
-        rows.append(
-            (
-                *c.point,
-                c.verdict,
-                _opt(c.weiss_value),
-                _opt(c.fit_residual),
-                "" if direction is None else ";".join(repr(v) for v in direction),
-                "" if matrix is None else ";".join(repr(v) for row in matrix for v in row),
-                "" if c.stratum is None else c.stratum,
-            )
-        )
-    io.write_csv(
-        out_dir / "classifications.csv",
-        [*_point_columns(field), "verdict", "weiss", "fit_residual", "direction", "matrix", "stratum"],
-        rows,
-    )
-    report["diagnostics"]["classification"] = entries
-    report["diagnostics"]["census"] = cens
-    report["checks"]["classification_all_determined"] = cens["undetermined"] == 0
-    return classifications
+        entry = _entry(c, contact_strip_halfwidth=strip)
+        entries.append(entry)
+        joined = [_joined(entry["direction"]), _joined(entry["matrix"])]
+        rows.append((*c.point, c.verdict, c.weiss_value, c.fit_residual, *joined, c.stratum))
+    blocks = {"classification": entries, "census": census}
+    return blocks, rows, {"classification_all_determined": census["undetermined"] == 0}
 
 
-def _opt(v):
-    return "" if v is None else float(v)
-
-
-def _run_monneau(field, fb, diag, seed, out_dir, report, classifications) -> None:
+def _monneau(run: _Run):
     """Monneau profiles against the probe set, at singular points when the
     classifier ran (advisory at generic free-boundary points otherwise)."""
-    grid = field.grid
-    probes = analysis.probe_forms(grid.dimension, seed)
-    if classifications is not None:
-        targets = [
-            (c.point, True) for c in classifications if c.verdict == analysis.SINGULAR
-        ]
-    else:
-        targets = [(tuple(float(v) for v in p), False) for p in fb.points]
-    rows = []
-    entries = []
-    all_mono = True
-    for point, singular in targets:
-        radii = _admissible_radii(field, point, diag.radii)
-        if len(radii) < 2:
-            continue
+    probes = analysis.probe_forms(run.field.grid.dimension, run.seed)
+    singular = run.classifications is not None
+    samples = run.settings.angular_samples
+    entries, rows = [], []
+    for point, radii in run.admissible(2, run.singular_forms() if singular else None):
         for k, probe in enumerate(probes):
             profile = analysis.monneau_profile(
-                field,
-                point,
-                probe,
-                radii,
-                angular_samples=diag.angular_samples,
-                at_singular_point=singular,
-            )
-            if not profile.advisory:
-                all_mono &= profile.nondecreasing
-            entry = _profile_entry(point, profile)
-            entry["probe"] = probe.matrix.tolist()
-            entry["probe_index"] = k
-            entries.append(entry)
-            for r, v in zip(profile.radii, profile.values):
-                rows.append((*point, k, float(r), float(v), profile.delta, profile.verdict))
-    io.write_csv(
-        out_dir / "monneau_profiles.csv",
-        [*_point_columns(field), "probe", "radius", "monneau", "delta", "verdict"],
-        rows,
-    )
-    report["diagnostics"]["monneau"] = entries
-    report["checks"]["monneau_nondecreasing_all"] = bool(all_mono)
-
-
-def _run_frequency(field, diag, out_dir, report, classifications) -> None:
-    """Sphere-norm decay exponents at singular points, against their own
-    fitted blow-up forms."""
-    rows = []
-    entries = []
-    if classifications is not None:
-        for c in classifications:
-            if c.verdict != analysis.SINGULAR:
-                continue
-            radii = _admissible_radii(field, c.point, diag.radii)
-            if len(radii) < 2:
-                continue
-            est = analysis.frequency_lambda(
-                field, c.point, c.form, radii, angular_samples=diag.angular_samples
+                run.field, point, probe, radii, angular_samples=samples, at_singular_point=singular
             )
             entries.append(
-                {
-                    "point": list(c.point),
-                    "defined": est.defined,
-                    "lambda_star": est.lambda_star,
-                    "r_squared": est.r_squared,
-                    "radii": [float(r) for r in est.radii],
-                    "sphere_norms": [float(v) for v in est.sphere_norms],
-                }
+                _entry(profile, point=list(point), probe=probe.matrix.tolist(), probe_index=k)
             )
-            rows.append(
-                (
-                    *c.point,
-                    est.defined,
-                    _opt(est.lambda_star),
-                    _opt(est.r_squared),
-                )
-            )
-    io.write_csv(
-        out_dir / "frequency.csv",
-        [*_point_columns(field), "defined", "lambda_star", "r_squared"],
-        rows,
-    )
-    report["diagnostics"]["frequency"] = entries
+            rows += _profile_rows(point, profile, k)
+    return {"monneau": entries}, rows, {"monneau_nondecreasing_all": _nondecreasing_all(entries)}
+
+
+def _frequency(run: _Run):
+    """Sphere-norm decay exponents at singular points, against their own
+    fitted blow-up forms."""
+    forms = run.singular_forms()
+    samples = run.settings.angular_samples
+    entries, rows = [], []
+    for point, radii in run.admissible(2, forms):
+        est = analysis.frequency_lambda(
+            run.field, point, forms[point], radii, angular_samples=samples
+        )
+        entries.append(_entry(est, point=list(point)))
+        rows.append((*point, est.defined, est.lambda_star, est.r_squared))
+    return {"frequency": entries}, rows, {}
+
+
+# The diagnostics in run order: selection name, CSV file, CSV columns after
+# the point coordinates, and the function returning (report blocks, CSV rows,
+# checks). Monneau and frequency read the classifications that classify sets.
+DIAGNOSTICS = (
+    ("growth", "growth.csv", "radius ratio nondegenerate bounded", _growth),
+    ("weiss", "weiss_profiles.csv", "radius weiss delta verdict", _weiss),
+    (
+        "classify",
+        "classifications.csv",
+        "verdict weiss fit_residual direction matrix stratum",
+        _classify,
+    ),
+    ("monneau", "monneau_profiles.csv", "probe radius monneau delta verdict", _monneau),
+    ("frequency", "frequency.csv", "defined lambda_star r_squared", _frequency),
+)
 
 
 def _cmd_report(args) -> int:

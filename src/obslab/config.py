@@ -1,7 +1,7 @@
 """Run configuration: versioned JSON schema, strictly validated.
 
 Unknown keys are rejected at every level so that a config reruns
-identically or fails loudly. A full example:
+identically or fails loudly. An example:
 
 .. code-block:: json
 
@@ -19,13 +19,7 @@ identically or fails loudly. A full example:
                  "tolerance": 1e-8, "max_iterations": 200000},
       "diagnostics": {
         "selection": ["growth", "weiss", "monneau", "classify", "frequency"],
-        "radii": [0.1, 0.15, 0.2, 0.25, 0.3],
-        "contact_kappa": 2.0,
-        "eigen_tol": 0.05,
-        "residual_margin": 0.05,
-        "weiss_margin": 0.1,
-        "blowup_radius": null,
-        "angular_samples": 64
+        "radii": [0.1, 0.15, 0.2, 0.25, 0.3]
       },
       "output": {"directory": "out", "rasters": true},
       "seed": 0
@@ -36,7 +30,10 @@ identically or fails loudly. A full example:
 Fixture specs: ``{"fixture": "one_d"|"radial", "a": ...}``,
 ``{"fixture": "halfspace", "direction": [...]}``,
 ``{"fixture": "polynomial", "matrix": [[...], ...]}``, or
-``{"constant": value}``.
+``{"constant": value}``. The optional ``diagnostics`` keys ``contact_kappa``,
+``blowup_radius``, ``eigen_tol``, ``residual_margin``, ``weiss_margin`` and
+``angular_samples`` default to ``freeboundary.DEFAULT_KAPPA`` and the fields
+of ``analysis.ClassifierConfig``.
 """
 
 from __future__ import annotations
@@ -47,6 +44,8 @@ import json
 import numpy as np
 
 from . import fixtures
+from .analysis import ClassifierConfig
+from .freeboundary import DEFAULT_KAPPA
 from .grid import GridSpec, ScalarField
 from .solver import (
     ObstacleProblemSpec,
@@ -97,12 +96,8 @@ class ProblemConfig:
 class DiagnosticsConfig:
     selection: tuple[str, ...]
     radii: tuple[float, ...]
-    contact_kappa: float = 2.0
-    eigen_tol: float = 0.05
-    residual_margin: float = 0.05
-    weiss_margin: float = 0.1
-    blowup_radius: float | None = None
-    angular_samples: int = 64
+    contact_kappa: float = DEFAULT_KAPPA
+    classifier: ClassifierConfig = ClassifierConfig()
     solution_file: str | None = None
 
 
@@ -234,12 +229,13 @@ def _parse_solver(section: dict) -> SolverConfig:
         required=(),
         optional=("method", "omega", "tolerance", "max_iterations"),
     )
+    default = SolverConfig()
     try:
         return SolverConfig(
-            method=section.get("method", "psor"),
-            omega=float(section.get("omega", 1.8)),
-            tol=float(section.get("tolerance", 1e-8)),
-            max_iterations=int(section.get("max_iterations", 200_000)),
+            method=section.get("method", default.method),
+            omega=float(section.get("omega", default.omega)),
+            tol=float(section.get("tolerance", default.tol)),
+            max_iterations=int(section.get("max_iterations", default.max_iterations)),
         )
     except Exception as exc:
         raise ConfigError(f"invalid solver config: {exc}") from exc
@@ -271,22 +267,23 @@ def _parse_diagnostics(section: dict) -> DiagnosticsConfig:
         raise ConfigError("diagnostics.radii is required when diagnostics are selected")
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise ConfigError("diagnostics.radii must be strictly increasing")
-    kappa = float(section.get("contact_kappa", 2.0))
+    kappa = float(section.get("contact_kappa", DEFAULT_KAPPA))
     if kappa <= 0:
         raise ConfigError("diagnostics.contact_kappa must be positive")
-    eigen_tol = float(section.get("eigen_tol", 0.05))
+    default = ClassifierConfig()
+    eigen_tol = float(section.get("eigen_tol", default.eigen_tol))
     if not 0 < eigen_tol < 1:
         raise ConfigError("diagnostics.eigen_tol must lie in (0, 1)")
-    residual_margin = float(section.get("residual_margin", 0.05))
-    weiss_margin = float(section.get("weiss_margin", 0.1))
+    residual_margin = float(section.get("residual_margin", default.residual_margin))
+    weiss_margin = float(section.get("weiss_margin", default.weiss_margin))
     if residual_margin < 0 or weiss_margin < 0:
         raise ConfigError("margins must be nonnegative")
-    blowup = section.get("blowup_radius")
+    blowup = section.get("blowup_radius", default.blowup_radius)
     if blowup is not None:
         blowup = float(blowup)
         if blowup <= 0:
             raise ConfigError("diagnostics.blowup_radius must be positive")
-    angular = int(section.get("angular_samples", 64))
+    angular = int(section.get("angular_samples", default.angular_samples))
     if angular < 16:
         raise ConfigError("diagnostics.angular_samples must be >= 16")
     solution_file = section.get("solution_file")
@@ -296,11 +293,13 @@ def _parse_diagnostics(section: dict) -> DiagnosticsConfig:
         selection=selection,
         radii=radii,
         contact_kappa=kappa,
-        eigen_tol=eigen_tol,
-        residual_margin=residual_margin,
-        weiss_margin=weiss_margin,
-        blowup_radius=blowup,
-        angular_samples=angular,
+        classifier=ClassifierConfig(
+            blowup_radius=blowup,
+            eigen_tol=eigen_tol,
+            residual_margin=residual_margin,
+            weiss_margin=weiss_margin,
+            angular_samples=angular,
+        ),
         solution_file=solution_file,
     )
 

@@ -221,6 +221,27 @@ class TestClassifyPoint:
             assert c.stratum == stratum
             assert c.weiss_value >= 0.9 * weiss_constant(2)
 
+    def test_polynomial_forms_and_strata_3d(self):
+        grid = centered_box(3, 1.0, 33)
+        cases = (([1 / 3, 1 / 3, 1 / 3], 0), ([0.5, 0.5, 0.0], 1), ([1.0, 0.0, 0.0], 2))
+        for diag, stratum in cases:
+            form = QuadraticForm.diagonal(diag)
+            c = classify_point(polynomial(form).sample(grid), (0.0, 0.0, 0.0))
+            assert c.verdict == "singular"
+            assert c.stratum == stratum
+            assert c.form.frobenius_distance(form) <= 0.01
+            assert c.weiss_value >= 0.95 * weiss_constant(3)
+
+    def test_halfspace_directions_3d(self):
+        grid = centered_box(3, 1.0, 33)
+        for e in ([1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [1.0, 1.0, 1.0], [0.3, -0.5, 0.8]):
+            e = np.array(e) / np.linalg.norm(e)
+            c = classify_point(halfspace(e).sample(grid), (0.0, 0.0, 0.0))
+            assert c.verdict == "regular"
+            err = math.degrees(math.acos(min(1.0, np.dot(c.direction, e))))
+            assert err < 0.01
+            assert c.weiss_value / weiss_constant(3) == pytest.approx(0.5, abs=0.03)
+
     def test_refinement_consistency(self):
         e = np.array([math.cos(0.9), math.sin(0.9)])
         verdicts = []
@@ -355,6 +376,16 @@ class TestContactStrip:
         width = contact_strip_halfwidth(contact.mask, grid, (0.0, 0.0), form, 0.25)
         # contact nodes within |x1| <= 2h: relative strip width ~ 2h/r
         assert width is not None
+        assert width <= 3 * grid.h / 0.25
+
+    def test_strip_follows_configured_eigen_tol(self):
+        # eigenvalue 0.15 < eigen_tol 0.2: x1 is kernel (stratum 1), so only
+        # |x0| counts and the contact strip |x0| <= 2h is thin
+        grid = centered_box(2, 1.0, 257)
+        mask = np.abs(grid.meshgrid()[0]) <= 2 * grid.h
+        form = QuadraticForm.diagonal([0.85, 0.15])
+        assert form.kernel_dimension(0.2) == 1
+        width = contact_strip_halfwidth(mask, grid, (0.0, 0.0), form, 0.25, eigen_tol=0.2)
         assert width <= 3 * grid.h / 0.25
 
     def test_no_contact_in_ball(self):

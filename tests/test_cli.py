@@ -240,6 +240,78 @@ class TestCsvArtifacts:
         assert expected and ratios == expected
 
 
+PROFILE_KEYS = {
+    "point",
+    "radii",
+    "values",
+    "delta",
+    "verdict",
+    "violation_radius",
+    "violation_amount",
+    "advisory",
+}
+ENTRY_KEYS = {
+    "growth": {
+        "point",
+        "radii",
+        "ratios",
+        "upper_constant",
+        "lower_constant",
+        "nondegenerate",
+        "bounded",
+        "slack",
+    },
+    "weiss": PROFILE_KEYS,
+    "classification": {
+        "point",
+        "verdict",
+        "weiss_value",
+        "blowup_radius",
+        "fit_residual",
+        "direction",
+        "matrix",
+        "stratum",
+        "reason",
+        "contact_strip_halfwidth",
+    },
+    "monneau": PROFILE_KEYS | {"probe", "probe_index"},
+    "frequency": {"point", "defined", "lambda_star", "r_squared", "radii", "sphere_norms"},
+}
+
+
+class TestReportSchema:
+    @pytest.mark.parametrize(
+        "make_config",
+        [lambda out: radial_config(out, ALL_DIAGNOSTICS), isotropic_3d_config],
+        ids=["radial_2d", "isotropic_3d"],
+    )
+    def test_report_keys(self, tmp_path, make_config):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "c.json", make_config(out))
+        assert main(["diagnose", "--config", cfg]) == 0
+        report = json.loads((out / "report.json").read_text())
+        diagnostics = report["diagnostics"]
+        assert set(diagnostics) == set(ENTRY_KEYS) | {"census"}
+        for block, keys in ENTRY_KEYS.items():
+            for entry in diagnostics[block]:
+                assert set(entry) == keys, block
+        assert set(diagnostics["census"]) == {
+            "total",
+            "regular",
+            "singular",
+            "undetermined",
+            "singular_by_stratum",
+        }
+        assert set(report["checks"]) == {
+            "solver_converged",
+            "growth_nondegenerate_all",
+            "growth_bounded_all",
+            "weiss_nondecreasing_all",
+            "classification_all_determined",
+            "monneau_nondecreasing_all",
+        }
+
+
 class TestReportCommand:
     def _diagnose(self, tmp_path, tag):
         out = tmp_path / tag

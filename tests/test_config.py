@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from obslab.analysis import ClassifierConfig
 from obslab.config import (
     ConfigError,
     build_field,
@@ -9,6 +10,8 @@ from obslab.config import (
     load_config,
     parse_config,
 )
+from obslab.freeboundary import DEFAULT_KAPPA
+from obslab.solver import SolverConfig
 
 
 def base_payload():
@@ -44,6 +47,40 @@ class TestParse:
         assert cfg.diagnostics.selection == ()
         assert cfg.output_directory == "out"
         assert cfg.rasters is True
+
+    def test_minimal_config_takes_owner_defaults(self):
+        cfg = parse_config({"version": 1, "problem": base_payload()["problem"]})
+        assert cfg.solver == SolverConfig()
+        assert cfg.diagnostics.classifier == ClassifierConfig()
+        assert cfg.diagnostics.contact_kappa == DEFAULT_KAPPA
+
+    def test_classifier_settings_parse_once(self):
+        settings = {
+            "blowup_radius": 0.5,
+            "eigen_tol": 0.2,
+            "residual_margin": 0.1,
+            "weiss_margin": 0.3,
+            "angular_samples": 32,
+        }
+        payload = base_payload()
+        payload["diagnostics"].update(settings)
+        assert parse_config(payload).diagnostics.classifier == ClassifierConfig(**settings)
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("contact_kappa", 0.0, "contact_kappa must be positive"),
+            ("eigen_tol", 1.0, r"eigen_tol must lie in \(0, 1\)"),
+            ("weiss_margin", -0.1, "margins must be nonnegative"),
+            ("blowup_radius", -1.0, "blowup_radius must be positive"),
+            ("angular_samples", 8, "angular_samples must be >= 16"),
+        ],
+    )
+    def test_diagnostics_settings_validated(self, key, value, message):
+        payload = base_payload()
+        payload["diagnostics"][key] = value
+        with pytest.raises(ConfigError, match=message):
+            parse_config(payload)
 
     def test_unknown_top_level_key_rejected(self):
         payload = base_payload()
