@@ -30,8 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .freeboundary import FreeBoundarySet
-from .fixtures import QuadraticForm
+from .fixtures import DEFAULT_EIGEN_TOL, QuadraticForm
 from .grid import (
+    DEFAULT_ANGULAR_SAMPLES,
     BallSpec,
     GridError,
     GridSpec,
@@ -42,6 +43,7 @@ from .grid import (
     gradient,
     interpolate_many,
     require_ball_in_box,
+    require_radii,
     sphere_integral,
 )
 
@@ -52,8 +54,6 @@ C3_CALIBRATED = 0.4188028051347664
 C3_CALIBRATION_TOL = 5e-4
 WEISS_CONSTANTS = {1: 1.0 / 3.0, 2: math.pi / 8.0, 3: C3_CALIBRATED}
 
-DEFAULT_ANGULAR_SAMPLES = 64
-DEFAULT_EIGEN_TOL = 0.05
 # Nodes per axis of the fixed [-1, 1]^n grid that blow-ups are sampled on,
 # and the number of start directions of the half-space fit.
 REF_NODES = 33
@@ -122,19 +122,6 @@ def _profile(grid: GridSpec, radii, values, delta, advisory: bool = False) -> Pr
     return Profile(radii, values, float(delta), VIOLATED, at, amount, advisory)
 
 
-def _validate_radii(grid: GridSpec, radii, minimum_factor: float = 4.0) -> np.ndarray:
-    radii = np.asarray([float(r) for r in radii])
-    if len(radii) == 0:
-        raise GridError("need at least one radius")
-    if not (np.diff(radii) > 0).all():
-        raise GridError("radii must be strictly increasing")
-    if radii[0] < minimum_factor * grid.h:
-        raise ResolutionError(
-            f"radius {radii[0]} below {minimum_factor}h = {minimum_factor * grid.h}"
-        )
-    return radii
-
-
 class WeissEvaluator:
     """Precomputes the |grad u|^2 + 2u and u^2 integrand fields so that W
     can be evaluated cheaply at many (x0, r) pairs of the same field."""
@@ -174,18 +161,24 @@ def weiss_profile(
 ) -> Profile:
     """W across radii with a NonDecreasing/Violated verdict."""
     grid = field.grid
-    radii = _validate_radii(grid, radii)
+    radii = require_radii(grid, radii)
     ev = _evaluator if _evaluator is not None else WeissEvaluator(field, angular_samples)
     values = np.array([ev(x0, r) for r in radii])
     return _profile(grid, radii, values, delta)
 
 
-def _difference_squared_field(field: ScalarField, x0, form: QuadraticForm) -> ScalarField:
-    """(u - p(. - x0))^2 formed nodally."""
+def _sphere_series(
+    field: ScalarField, x0, form: QuadraticForm, radii, angular_samples: int
+) -> list[float]:
+    """int_{dB_r(x0)} (u - p(. - x0))^2 for each r in ``radii``, with
+    ``(u - p)^2`` formed nodally once."""
+    form.require_blowup_form()
+    field.require_finite("sphere-series input")
     grid = field.grid
     pts = grid.node_positions() - np.asarray(x0, dtype=float)[None, :]
     w = field.values - form.evaluate(pts).reshape(grid.shape)
-    return ScalarField(grid, w * w)
+    wsq = ScalarField(grid, w * w)
+    return [sphere_integral(wsq, BallSpec(tuple(x0), float(r)), angular_samples) for r in radii]
 
 
 def monneau(
@@ -196,13 +189,8 @@ def monneau(
     angular_samples: int = DEFAULT_ANGULAR_SAMPLES,
 ) -> float:
     """M(r, u, p) = r^-(n+3) int_{dB_r} (u - p)^2 with u translated to x0."""
-    form.require_blowup_form()
-    field.require_finite("monneau input")
-    grid = field.grid
-    wsq = _difference_squared_field(field, x0, form)
-    return sphere_integral(wsq, BallSpec(tuple(x0), float(r)), angular_samples) / r ** (
-        grid.dimension + 3
-    )
+    (integral,) = _sphere_series(field, x0, form, [r], angular_samples)
+    return integral / r ** (field.grid.dimension + 3)
 
 
 def monneau_profile(
@@ -216,18 +204,11 @@ def monneau_profile(
 ) -> Profile:
     """M across radii. The monotonicity statement assumes x0 is singular;
     at unclassified points the verdict is attached as advisory only."""
-    form.require_blowup_form()
-    field.require_finite("monneau input")
     grid = field.grid
-    radii = _validate_radii(grid, radii)
-    wsq = _difference_squared_field(field, x0, form)
-    values = np.array(
-        [
-            sphere_integral(wsq, BallSpec(tuple(x0), float(r)), angular_samples)
-            / r ** (grid.dimension + 3)
-            for r in radii
-        ]
-    )
+    radii = require_radii(grid, radii)
+    series = _sphere_series(field, x0, form, radii, angular_samples)
+    n = grid.dimension
+    values = np.array([s / r ** (n + 3) for s, r in zip(series, radii)])
     return _profile(grid, radii, values, delta, advisory=not at_singular_point)
 
 
@@ -314,7 +295,9 @@ def _golden_minimize(fn, lo: float, hi: float, iterations: int = 40) -> float:
 
 def _fit_regular(points: np.ndarray, values: np.ndarray, starts: int):
     """Least-squares direction for the half-space model via multi-start
-    search plus golden-section refinement on angles."""
+    search plus golden-section refinement of the direction's angles: one
+    pass in 2D, three passes alternating between polar and azimuthal angle
+    in 3D, each pass searching a quarter of the previous window."""
     n = points.shape[1]
 
     def residual(e: np.ndarray) -> float:
@@ -327,30 +310,22 @@ def _fit_regular(points: np.ndarray, values: np.ndarray, starts: int):
     e_best = candidates[best]
     if n == 1:
         return e_best, residual(e_best)
+    azimuth = math.atan2(e_best[1], e_best[0])
     if n == 2:
-        theta0 = math.atan2(e_best[1], e_best[0])
+        angles = np.array([azimuth])
         half = 2.0 * math.pi / starts
-        theta = _golden_minimize(
-            lambda t: residual(np.array([math.cos(t), math.sin(t)])), theta0 - half, theta0 + half
-        )
-        e = np.array([math.cos(theta), math.sin(theta)])
-        return e, residual(e)
-    # n == 3: alternate golden-section passes on the two spherical angles
-    theta0 = math.acos(np.clip(e_best[2], -1.0, 1.0))
-    phi0 = math.atan2(e_best[1], e_best[0])
-    half = math.pi * 2.0 / math.sqrt(starts)
-    angles = np.array([theta0, phi0])
-    for _ in range(3):
-        angles[0] = _golden_minimize(
-            lambda t: residual(_angles_to_unit(np.array([t, angles[1]]))),
-            angles[0] - half,
-            angles[0] + half,
-        )
-        angles[1] = _golden_minimize(
-            lambda p: residual(_angles_to_unit(np.array([angles[0], p]))),
-            angles[1] - half,
-            angles[1] + half,
-        )
+    else:
+        angles = np.array([math.acos(np.clip(e_best[2], -1.0, 1.0)), azimuth])
+        half = math.pi * 2.0 / math.sqrt(starts)
+    for _ in range(1 if n == 2 else 3):
+        for k in range(len(angles)):
+            trial = angles.copy()
+
+            def along(t: float) -> float:
+                trial[k] = t
+                return residual(_angles_to_unit(trial))
+
+            angles[k] = _golden_minimize(along, angles[k] - half, angles[k] + half)
         half /= 4.0
     e = _angles_to_unit(angles)
     return e, residual(e)
@@ -482,26 +457,13 @@ def stratify(
     evaluation order.
     """
     points = [tuple(float(c) for c in p) for p in fb.points]
-    if not points:
-        return [], empty_census()
     weiss_cache = WeissEvaluator(field, config.angular_samples)
     results = [classify_point(field, p, config, _weiss=weiss_cache) for p in points]
     return results, census(results)
 
 
-def empty_census() -> dict:
-    return {
-        "total": 0,
-        "regular": 0,
-        "singular": 0,
-        "undetermined": 0,
-        "singular_by_stratum": {},
-    }
-
-
 def census(classifications: list[Classification]) -> dict:
-    out = empty_census()
-    out["total"] = len(classifications)
+    out = {"total": len(classifications), "regular": 0, "singular": 0, "undetermined": 0}
     strata: dict[str, int] = {}
     for c in classifications:
         if c.verdict == REGULAR:
@@ -538,23 +500,12 @@ def frequency_lambda(
     when any sphere norm sits at the degeneracy floor, which is the w == 0
     case up to roundoff.
     """
-    form.require_blowup_form()
-    field.require_finite("frequency input")
     grid = field.grid
-    radii = _validate_radii(grid, radii)
-    wsq = _difference_squared_field(field, x0, form)
+    radii = require_radii(grid, radii)
+    series = _sphere_series(field, x0, form, radii, angular_samples)
     n = grid.dimension
     norms = np.array(
-        [
-            math.sqrt(
-                max(
-                    sphere_integral(wsq, BallSpec(tuple(x0), float(r)), angular_samples)
-                    * float(r) ** (1 - n),
-                    0.0,
-                )
-            )
-            for r in radii
-        ]
+        [math.sqrt(max(s * float(r) ** (1 - n), 0.0)) for s, r in zip(series, radii)]
     )
     scale = float(np.abs(field.values).max())
     floor = DEGENERACY_FLOOR_FACTOR * np.finfo(float).eps * max(scale, 1.0)

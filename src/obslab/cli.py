@@ -23,7 +23,7 @@ import numpy as np
 
 from . import analysis, freeboundary, io
 from .config import ConfigError, RunConfig, build_field, build_problem, load_config
-from .grid import GridError, ScalarField
+from .grid import GridError, ScalarField, admissible_radii
 from .solver import IterationLimitError, SolverError, solve
 
 EXIT_OK = 0
@@ -126,15 +126,6 @@ def _solve_summary(config: RunConfig, result) -> dict:
     }
 
 
-def _admissible_radii(field: ScalarField, point, radii) -> list[float]:
-    """Radii whose balls stay inside the box and above the 4h floor."""
-    grid = field.grid
-    margin = min(
-        min(point[a] - grid.lower[a], grid.upper[a] - point[a]) for a in range(grid.dimension)
-    )
-    return [r for r in radii if 4.0 * grid.h <= r <= margin]
-
-
 def _cmd_diagnose(args, selection_override) -> int:
     config, out_dir, seed = _load(args)
     field, solver_summary = _obtain_field(config, out_dir)
@@ -161,7 +152,7 @@ def _cmd_diagnose(args, selection_override) -> int:
     if solver_summary is not None:
         report["checks"]["solver_converged"] = solver_summary["final_residual"] <= config.solver.tol
 
-    radii = {p: _admissible_radii(field, p, diag.radii) for p in map(tuple, fb.points.tolist())}
+    radii = {p: admissible_radii(grid, p, diag.radii) for p in map(tuple, fb.points.tolist())}
     run = _Run(field, contact, fb, diag.classifier, seed, radii)
     point_columns = [f"x{a}" for a in range(grid.dimension)]
     for name, filename, columns, diagnostic in DIAGNOSTICS:

@@ -56,7 +56,8 @@ from .solver import (
 
 CONFIG_VERSION = 1
 
-DIAGNOSTIC_NAMES = ("growth", "weiss", "monneau", "classify", "frequency")
+# The diagnostics in the order a diagnose run performs them.
+DIAGNOSTIC_NAMES = ("growth", "weiss", "classify", "monneau", "frequency")
 
 
 class ConfigError(ValueError):
@@ -81,8 +82,8 @@ class ProblemConfig:
     lower: tuple[float, ...]
     upper: tuple[float, ...]
     nodes_per_axis: int
-    boundary: dict
-    obstacle: dict | None = None
+    boundary: fixtures.ReferenceSolution | float
+    obstacle: fixtures.ReferenceSolution | float | None = None
 
     def grid(self) -> GridSpec:
         return GridSpec(
@@ -171,12 +172,12 @@ def _parse_problem(section: dict) -> ProblemConfig:
     nodes = section["nodes_per_axis"]
     if not isinstance(nodes, int) or nodes < 3:
         raise ConfigError("problem.nodes_per_axis must be an integer >= 3")
-    boundary = _check_source(section["boundary"], "problem.boundary")
+    boundary = _parse_source(section["boundary"], "problem.boundary", dimension)
     obstacle = None
     if form == "general":
         if "obstacle" not in section:
             raise ConfigError("general form requires problem.obstacle")
-        obstacle = _check_source(section["obstacle"], "problem.obstacle")
+        obstacle = _parse_source(section["obstacle"], "problem.obstacle", dimension)
     elif "obstacle" in section:
         raise ConfigError(f"problem.obstacle is only valid for the general form, not {form!r}")
     return ProblemConfig(
@@ -198,28 +199,42 @@ def _as_vector(value, dimension: int, where: str):
     raise ConfigError(f"{where} must be a number or a list of {dimension} numbers")
 
 
-def _check_source(spec: dict, where: str) -> dict:
+# The parameter key of each fixture kind.
+_FIXTURE_PARAMETERS = dict(one_d="a", radial="a", halfspace="direction", polynomial="matrix")
+
+
+def _parse_source(spec: dict, where: str, dimension: int) -> fixtures.ReferenceSolution | float:
+    """A boundary or obstacle spec, checked and built: a constant as a
+    float, a fixture as its reference solution."""
     if not isinstance(spec, dict):
         raise ConfigError(f"{where} must be an object")
     if "constant" in spec:
         _require_keys(spec, where, required=("constant",))
         if not isinstance(spec["constant"], (int, float)):
             raise ConfigError(f"{where}.constant must be a number")
-        return spec
+        return float(spec["constant"])
     if "fixture" not in spec:
         raise ConfigError(f"{where} needs either 'fixture' or 'constant'")
     kind = spec["fixture"]
-    if kind in ("one_d", "radial"):
-        _require_keys(spec, where, required=("fixture", "a"))
-    elif kind == "halfspace":
-        _require_keys(spec, where, required=("fixture", "direction"))
-    elif kind == "polynomial":
-        _require_keys(spec, where, required=("fixture", "matrix"))
-    else:
-        raise ConfigError(
-            f"{where}.fixture must be one_d|radial|halfspace|polynomial, got {kind!r}"
-        )
-    return spec
+    if not isinstance(kind, str) or kind not in _FIXTURE_PARAMETERS:
+        raise ConfigError(f"{where}.fixture must be {'|'.join(_FIXTURE_PARAMETERS)}, got {kind!r}")
+    _require_keys(spec, where, required=("fixture", _FIXTURE_PARAMETERS[kind]))
+    try:
+        if kind in ("one_d", "radial"):
+            ref = (fixtures.one_d if kind == "one_d" else fixtures.radial)(float(spec["a"]))
+        elif kind == "halfspace":
+            direction = np.asarray(spec["direction"], dtype=float)
+            norm = np.linalg.norm(direction)
+            if norm == 0:
+                raise fixtures.FixtureError("halfspace direction must be nonzero")
+            ref = fixtures.halfspace(direction / norm)
+        else:
+            ref = fixtures.polynomial(fixtures.QuadraticForm.from_matrix(spec["matrix"]))
+        if ref.dimension != dimension:
+            raise fixtures.FixtureError(f"{kind} fixture is {ref.dimension}D, not {dimension}D")
+        return ref
+    except (TypeError, ValueError) as exc:  # a FixtureError, or a parameter that is no number
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _parse_solver(section: dict) -> SolverConfig:
@@ -304,40 +319,13 @@ def _parse_diagnostics(section: dict) -> DiagnosticsConfig:
     )
 
 
-def build_fixture(spec: dict, dimension: int) -> fixtures.ReferenceSolution:
-    kind = spec["fixture"]
-    if kind == "one_d":
-        if dimension != 1:
-            raise ConfigError("one_d fixture requires dimension 1")
-        return fixtures.one_d(float(spec["a"]))
-    if kind == "radial":
-        if dimension != 2:
-            raise ConfigError("radial fixture requires dimension 2")
-        return fixtures.radial(float(spec["a"]))
-    if kind == "halfspace":
-        direction = np.asarray(spec["direction"], dtype=float)
-        if direction.shape != (dimension,):
-            raise ConfigError(f"halfspace direction must have {dimension} components")
-        norm = np.linalg.norm(direction)
-        if norm == 0:
-            raise ConfigError("halfspace direction must be nonzero")
-        return fixtures.halfspace(direction / norm)
-    if kind == "polynomial":
-        matrix = np.asarray(spec["matrix"], dtype=float)
-        if matrix.shape != (dimension, dimension):
-            raise ConfigError(f"polynomial matrix must be {dimension}x{dimension}")
-        try:
-            return fixtures.polynomial(fixtures.QuadraticForm.from_matrix(matrix))
-        except fixtures.FixtureError as exc:
-            raise ConfigError(str(exc)) from exc
-    raise ConfigError(f"unknown fixture {kind!r}")
-
-
-def _source_values(spec: dict, grid: GridSpec) -> np.ndarray:
-    if "constant" in spec:
-        return np.full(grid.shape, float(spec["constant"]))
-    ref = build_fixture(spec, grid.dimension)
-    return ref.sample(grid).values
+def _source_values(source: fixtures.ReferenceSolution | float, grid: GridSpec) -> np.ndarray:
+    if isinstance(source, float):
+        return np.full(grid.shape, source)
+    try:
+        return source.sample(grid).values
+    except fixtures.FixtureError as exc:  # e.g. a contact region that leaves the box
+        raise ConfigError(str(exc)) from exc
 
 
 def build_field(config: RunConfig) -> ScalarField:

@@ -25,6 +25,8 @@ from .grid import GridSpec, ScalarField
 
 MEMBERSHIP_EIG_TOL = 1e-10
 MEMBERSHIP_TRACE_TOL = 1e-10
+# Eigenvalues below this (of a unit-trace form) count towards the kernel.
+DEFAULT_EIGEN_TOL = 0.05
 
 
 class FixtureError(ValueError):
@@ -94,7 +96,7 @@ class QuadraticForm:
         eigs /= total
         return QuadraticForm.from_matrix((vecs * eigs) @ vecs.T)
 
-    def kernel_dimension(self, eigen_tol: float = 0.05) -> int:
+    def kernel_dimension(self, eigen_tol: float = DEFAULT_EIGEN_TOL) -> int:
         """Number of eigenvalues below eigen_tol (relative to unit trace)."""
         return int(np.sum(self.eigenvalues() < eigen_tol))
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import BallSpec, GridError, GridSpec, ResolutionError, ScalarField, sup_on_ball
+from .grid import BallSpec, GridError, GridSpec, ScalarField, require_radii, sup_on_ball
 
 DEFAULT_KAPPA = 2.0
 DEFAULT_NONDEGENERACY_SLACK = 0.15
@@ -106,12 +106,6 @@ def extract_free_boundary(contact: ContactSet) -> FreeBoundarySet:
             has_false[tuple(dst)] |= ~nb
     on_interface = has_true & has_false
     indices = np.argwhere(on_interface)
-    if len(indices) == 0:
-        return FreeBoundarySet(
-            grid=contact.grid,
-            indices=np.zeros((0, nd), dtype=int),
-            points=np.zeros((0, nd)),
-        )
     axes = [contact.grid.axis(a) for a in range(nd)]
     points = np.stack([axes[a][indices[:, a]] for a in range(nd)], axis=-1)
     return FreeBoundarySet(grid=contact.grid, indices=indices, points=points)
@@ -123,7 +117,8 @@ def growth_report(
     radii,
     slack: float = DEFAULT_NONDEGENERACY_SLACK,
 ) -> GrowthReport:
-    """Quadratic growth ratios sup_{B_r(x0)} u / r^2 over the given radii.
+    """Quadratic growth ratios sup_{B_r(x0)} u / r^2 over the given radii
+    (as :func:`grid.require_radii` admits them).
 
     Flags non-degeneracy when the smallest ratio clears ``(1/(2n)) * (1 -
     slack)`` and bounded growth when the ratios are finite and stable
@@ -131,12 +126,7 @@ def growth_report(
     """
     field.require_finite("growth-report input")
     grid = field.grid
-    h = grid.h
-    radii = np.asarray(sorted(float(r) for r in radii))
-    if len(radii) == 0:
-        raise GridError("growth report needs at least one radius")
-    if radii[0] < 4.0 * h:
-        raise ResolutionError(f"growth radius {radii[0]} < 4h = {4 * h}")
+    radii = require_radii(grid, radii)
     ratios = np.empty(len(radii))
     for k, r in enumerate(radii):
         ratios[k] = sup_on_ball(field, BallSpec(tuple(x0), r)) / (r * r)

@@ -17,6 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 _SPACING_RTOL = 1e-12
+# Ball and sphere diagnostics need radii of at least this many node spacings.
+MIN_RADIUS_FACTOR = 4.0
+DEFAULT_ANGULAR_SAMPLES = 64
 
 
 class GridError(ValueError):
@@ -184,6 +187,29 @@ def require_ball_in_box(grid: GridSpec, ball: BallSpec) -> None:
             )
 
 
+def require_radii(grid: GridSpec, radii) -> np.ndarray:
+    """The radii as an array: non-empty, strictly increasing, the smallest
+    at least ``MIN_RADIUS_FACTOR * h``."""
+    radii = np.asarray([float(r) for r in radii])
+    if len(radii) == 0:
+        raise GridError("need at least one radius")
+    if not (np.diff(radii) > 0).all():
+        raise GridError("radii must be strictly increasing")
+    floor = MIN_RADIUS_FACTOR * grid.h
+    if radii[0] < floor:
+        raise ResolutionError(f"radius {radii[0]} below {MIN_RADIUS_FACTOR}h = {floor}")
+    return radii
+
+
+def admissible_radii(grid: GridSpec, point, radii) -> list[float]:
+    """The radii whose balls around ``point`` stay inside the box and that
+    are at least ``MIN_RADIUS_FACTOR * h``."""
+    margin = min(
+        min(point[a] - grid.lower[a], grid.upper[a] - point[a]) for a in range(grid.dimension)
+    )
+    return [r for r in radii if MIN_RADIUS_FACTOR * grid.h <= r <= margin]
+
+
 def _axis_window(grid: GridSpec, a: int, c: float, r: float) -> slice:
     """Indices of nodes within [c-r-h, c+r+h] along axis a."""
     h = grid.spacings[a]
@@ -321,7 +347,9 @@ def ball_integral(field: ScalarField, ball: BallSpec) -> float:
     return float(np.sum(weights * chunk) * h**grid.dimension)
 
 
-def sphere_integral(field: ScalarField, ball: BallSpec, angular_samples: int = 64) -> float:
+def sphere_integral(
+    field: ScalarField, ball: BallSpec, angular_samples: int = DEFAULT_ANGULAR_SAMPLES
+) -> float:
     """Surface quadrature over the sphere bounding ``ball``.
 
     1D: two-point sum; 2D: uniform trapezoid in angle; 3D: latitude-

@@ -279,9 +279,16 @@ def _projected_gradient_loop(u, problem, config, residuals, energies) -> int:
     return iteration
 
 
-def _trapezoid_weights(m: int) -> np.ndarray:
-    w = np.ones(m)
-    w[0] = w[-1] = 0.5
+def _trapezoid_weights(shape: tuple[int, ...], plain_axis: int | None = None) -> np.ndarray:
+    """Outer product of per-axis trapezoid weights, 1/2 at both ends and 1
+    inside (all 1 along ``plain_axis``). Products of halves and ones are
+    exact, so the order of the factors does not matter."""
+    w = np.ones(())
+    for b, m in enumerate(shape):
+        wb = np.ones(m)
+        if b != plain_axis:
+            wb[0] = wb[-1] = 0.5
+        w = np.multiply.outer(w, wb)
     return w
 
 
@@ -301,24 +308,13 @@ def dirichlet_energy(field: ScalarField, problem: ObstacleProblemSpec) -> float:
     nd = grid.dimension
     h = grid.h
     hn = h**nd
-    axis_weights = [_trapezoid_weights(m) for m in grid.shape]
     total = 0.0
     for a in range(nd):
         diff = np.diff(u, axis=a) / h
-        w = np.ones(())
-        for b in range(nd):
-            wb = np.ones(grid.shape[b] - 1) if b == a else axis_weights[b]
-            shape = [1] * nd
-            shape[b] = -1
-            w = w * wb.reshape(shape)
+        w = _trapezoid_weights(diff.shape, plain_axis=a)
         total += float(np.sum(w * diff * diff)) * hn / 2.0
     if problem.source != 0.0:
-        w = np.ones(())
-        for b in range(nd):
-            shape = [1] * nd
-            shape[b] = -1
-            w = w * axis_weights[b].reshape(shape)
-        total += problem.source * float(np.sum(w * u)) * hn
+        total += problem.source * float(np.sum(_trapezoid_weights(u.shape) * u)) * hn
     return total
 
 

@@ -24,8 +24,8 @@ from obslab.analysis import (
     weiss_profile,
 )
 from obslab.fixtures import QuadraticForm, halfspace, one_d, polynomial, radial
-from obslab.freeboundary import extract_contact_set, extract_free_boundary
-from obslab.grid import ResolutionError, ScalarField, centered_box
+from obslab.freeboundary import extract_contact_set, extract_free_boundary, growth_report
+from obslab.grid import GridError, ResolutionError, ScalarField, centered_box
 from obslab.solver import SolverConfig, normalized_problem, solve
 
 C2 = math.pi / 8.0
@@ -411,3 +411,33 @@ def test_census_totals():
         "undetermined": 1,
         "singular_by_stratum": {},
     }
+
+
+class TestRadiusRule:
+    """Every radius series passes through ``grid.require_radii``."""
+
+    GRID = centered_box(2, 1.0, 129)  # 4h = 0.0625: only the 2h series is too fine
+    PROFILES = {
+        "growth": growth_report,
+        "weiss": weiss_profile,
+        "monneau": lambda f, x0, radii: monneau_profile(f, x0, QuadraticForm.isotropic(2), radii),
+        "frequency": lambda f, x0, radii: frequency_lambda(
+            f, x0, QuadraticForm.isotropic(2), radii
+        ),
+    }
+
+    @pytest.mark.parametrize("profile", PROFILES)
+    @pytest.mark.parametrize(
+        "radii", [[], [0.2, 0.1], [0.1, 0.1]], ids=["empty", "unsorted", "repeated"]
+    )
+    def test_bad_series_rejected(self, profile, radii):
+        field = radial(0.4).sample(self.GRID)
+        with pytest.raises(GridError) as excinfo:
+            self.PROFILES[profile](field, (0.4, 0.0), radii)
+        assert not isinstance(excinfo.value, ResolutionError)
+
+    @pytest.mark.parametrize("profile", PROFILES)
+    def test_radius_below_floor_rejected(self, profile):
+        field = radial(0.4).sample(self.GRID)
+        with pytest.raises(ResolutionError):
+            self.PROFILES[profile](field, (0.4, 0.0), [2 * self.GRID.h])

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from obslab import cli, config
 from obslab.cli import main
 from obslab.io import read_field
 
@@ -172,6 +173,22 @@ class TestDiagnoseCommand:
         cfg = write_config(tmp_path / "c.json", payload)
         assert main(["diagnose", "--config", cfg]) == 1
 
+    @pytest.mark.parametrize(
+        "boundary",
+        [
+            {"fixture": "radial", "a": 1.5},  # contact disk leaves the box [-1, 1]^2
+            {"fixture": "radial", "a": -0.5},
+            {"fixture": "radial", "a": "x"},
+        ],
+        ids=["outside_box", "negative", "not_a_number"],
+    )
+    def test_bad_fixture_spec_exit_1(self, tmp_path, capsys, boundary):
+        payload = radial_config(tmp_path / "out", ["growth"])
+        payload["problem"]["boundary"] = boundary
+        cfg = write_config(tmp_path / "c.json", payload)
+        assert main(["diagnose", "--config", cfg]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_solution_file_reused(self, tmp_path):
         out1 = tmp_path / "o1"
         cfg1 = write_config(
@@ -211,6 +228,10 @@ class TestDiagnoseCommand:
         assert names == sorted(p.name for p in b.iterdir())
         for name in names:
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+def test_diagnostic_names_follow_run_order():
+    assert [row[0] for row in cli.DIAGNOSTICS] == list(config.DIAGNOSTIC_NAMES)
 
 
 class TestCsvArtifacts:
