@@ -42,6 +42,7 @@ from .grid import (
     centered_box,
     gradient,
     interpolate_many,
+    quadrature_window,
     require_ball_in_box,
     require_radii,
     sphere_integral,
@@ -55,8 +56,10 @@ C3_CALIBRATION_TOL = 5e-4
 WEISS_CONSTANTS = {1: 1.0 / 3.0, 2: math.pi / 8.0, 3: C3_CALIBRATED}
 
 # Nodes per axis of the fixed [-1, 1]^n grid that blow-ups are sampled on,
-# and the number of start directions of the half-space fit.
+# the smallest blow-up radius in node spacings, and the number of start
+# directions of the half-space fit.
 REF_NODES = 33
+BLOWUP_RADIUS_FACTOR = 8.0
 DIRECTION_STARTS = 64
 DEGENERACY_FLOOR_FACTOR = 100.0
 
@@ -171,14 +174,18 @@ def _sphere_series(
     field: ScalarField, x0, form: QuadraticForm, radii, angular_samples: int
 ) -> list[float]:
     """int_{dB_r(x0)} (u - p(. - x0))^2 for each r in ``radii``, with
-    ``(u - p)^2`` formed nodally once."""
+    ``(u - p)^2`` formed at the nodes of each sphere's window."""
     form.require_blowup_form()
     field.require_finite("sphere-series input")
-    grid = field.grid
-    pts = grid.node_positions() - np.asarray(x0, dtype=float)[None, :]
-    w = field.values - form.evaluate(pts).reshape(grid.shape)
-    wsq = ScalarField(grid, w * w)
-    return [sphere_integral(wsq, BallSpec(tuple(x0), float(r)), angular_samples) for r in radii]
+    series = []
+    for r in radii:
+        ball = BallSpec(tuple(x0), float(r))
+        window, u, weights = quadrature_window(field, ball, "sphere", angular_samples)
+        axes = [field.grid.axis(a)[s] - c for a, (s, c) in enumerate(zip(window, ball.center))]
+        pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+        w = u - form.evaluate(pts).reshape(u.shape)
+        series.append(float(np.sum(weights * (w * w))))
+    return series
 
 
 def monneau(
@@ -217,8 +224,9 @@ def rescale_blowup(field: ScalarField, x0, r: float) -> ScalarField:
     NaN outside the closed unit ball."""
     field.require_finite("blow-up input")
     grid = field.grid
-    if r < 8.0 * grid.h:
-        raise ResolutionError(f"blow-up radius {r} < 8h = {8 * grid.h}")
+    floor = BLOWUP_RADIUS_FACTOR * grid.h
+    if r < floor:
+        raise ResolutionError(f"blow-up radius {r} < {BLOWUP_RADIUS_FACTOR:g}h = {floor}")
     require_ball_in_box(grid, BallSpec(tuple(x0), float(r)))
     ref_grid = centered_box(grid.dimension, 1.0, REF_NODES)
     pts = ref_grid.node_positions()
@@ -234,7 +242,7 @@ class ClassifierConfig:
     """Classifier settings; ``angular_samples`` also sets the sphere
     quadrature of the Weiss, Monneau and frequency diagnostics."""
 
-    blowup_radius: float | None = None  # None -> smallest reliable, 8h
+    blowup_radius: float | None = None  # None -> BLOWUP_RADIUS_FACTOR * h
     eigen_tol: float = DEFAULT_EIGEN_TOL
     residual_margin: float = 0.05
     weiss_margin: float = 0.1
@@ -367,7 +375,7 @@ def classify_point(
     """
     grid = field.grid
     x0 = tuple(float(c) for c in x0)
-    r = config.blowup_radius if config.blowup_radius is not None else 8.0 * grid.h
+    r = BLOWUP_RADIUS_FACTOR * grid.h if config.blowup_radius is None else config.blowup_radius
     try:
         rescaled = rescale_blowup(field, x0, r)
     except (ResolutionError, GridError) as exc:

@@ -46,7 +46,7 @@ import numpy as np
 from . import fixtures
 from .analysis import ClassifierConfig
 from .freeboundary import DEFAULT_KAPPA
-from .grid import GridSpec, ScalarField
+from .grid import MIN_ANGULAR_SAMPLES, GridSpec, ScalarField
 from .solver import (
     ObstacleProblemSpec,
     SolverConfig,
@@ -256,6 +256,14 @@ def _parse_solver(section: dict) -> SolverConfig:
         raise ConfigError(f"invalid solver config: {exc}") from exc
 
 
+def _number(section: dict, key: str, default) -> float:
+    """diagnostics.<key>, or the default, as a float; JSON numbers only."""
+    value = section.get(key, default)
+    if type(value) not in (int, float):
+        raise ConfigError(f"diagnostics.{key} must be a number, got {value!r}")
+    return float(value)
+
+
 def _parse_diagnostics(section: dict) -> DiagnosticsConfig:
     _require_keys(
         section,
@@ -277,30 +285,33 @@ def _parse_diagnostics(section: dict) -> DiagnosticsConfig:
     for name in selection:
         if name not in DIAGNOSTIC_NAMES:
             raise ConfigError(f"unknown diagnostic {name!r}; valid: {DIAGNOSTIC_NAMES}")
-    radii = tuple(float(r) for r in section.get("radii", ()))
+    radii = section.get("radii", [])
+    if type(radii) is not list or any(type(r) not in (int, float) for r in radii):
+        raise ConfigError(f"diagnostics.radii must be a list of numbers, got {radii!r}")
+    radii = tuple(float(r) for r in radii)
     if selection and not radii:
         raise ConfigError("diagnostics.radii is required when diagnostics are selected")
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise ConfigError("diagnostics.radii must be strictly increasing")
-    kappa = float(section.get("contact_kappa", DEFAULT_KAPPA))
+    kappa = _number(section, "contact_kappa", DEFAULT_KAPPA)
     if kappa <= 0:
         raise ConfigError("diagnostics.contact_kappa must be positive")
     default = ClassifierConfig()
-    eigen_tol = float(section.get("eigen_tol", default.eigen_tol))
+    eigen_tol = _number(section, "eigen_tol", default.eigen_tol)
     if not 0 < eigen_tol < 1:
         raise ConfigError("diagnostics.eigen_tol must lie in (0, 1)")
-    residual_margin = float(section.get("residual_margin", default.residual_margin))
-    weiss_margin = float(section.get("weiss_margin", default.weiss_margin))
+    residual_margin = _number(section, "residual_margin", default.residual_margin)
+    weiss_margin = _number(section, "weiss_margin", default.weiss_margin)
     if residual_margin < 0 or weiss_margin < 0:
         raise ConfigError("margins must be nonnegative")
     blowup = section.get("blowup_radius", default.blowup_radius)
     if blowup is not None:
-        blowup = float(blowup)
+        blowup = _number(section, "blowup_radius", None)
         if blowup <= 0:
             raise ConfigError("diagnostics.blowup_radius must be positive")
-    angular = int(section.get("angular_samples", default.angular_samples))
-    if angular < 16:
-        raise ConfigError("diagnostics.angular_samples must be >= 16")
+    angular = section.get("angular_samples", default.angular_samples)
+    if type(angular) is not int or angular < MIN_ANGULAR_SAMPLES:
+        raise ConfigError(f"diagnostics.angular_samples must be >= {MIN_ANGULAR_SAMPLES} (an int)")
     solution_file = section.get("solution_file")
     if solution_file is not None and not isinstance(solution_file, str):
         raise ConfigError("diagnostics.solution_file must be a path string")
@@ -319,27 +330,29 @@ def _parse_diagnostics(section: dict) -> DiagnosticsConfig:
     )
 
 
-def _source_values(source: fixtures.ReferenceSolution | float, grid: GridSpec) -> np.ndarray:
+def _source_values(
+    source: fixtures.ReferenceSolution | float, grid: GridSpec, where: str
+) -> np.ndarray:
     if isinstance(source, float):
         return np.full(grid.shape, source)
     try:
         return source.sample(grid).values
     except fixtures.FixtureError as exc:  # e.g. a contact region that leaves the box
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def build_field(config: RunConfig) -> ScalarField:
     """The sampled fixture field, for form == 'fixture' runs."""
     grid = config.problem.grid()
-    return ScalarField(grid, _source_values(config.problem.boundary, grid))
+    return ScalarField(grid, _source_values(config.problem.boundary, grid, "problem.boundary"))
 
 
 def build_problem(config: RunConfig) -> ObstacleProblemSpec:
     if config.problem.form == "fixture":
         raise ConfigError("fixture-form configs carry a field, not a solvable problem")
     grid = config.problem.grid()
-    boundary = _source_values(config.problem.boundary, grid)
+    boundary = _source_values(config.problem.boundary, grid, "problem.boundary")
     if config.problem.form == "normalized":
         return normalized_problem(grid, boundary)
-    obstacle = ScalarField(grid, _source_values(config.problem.obstacle, grid))
+    obstacle = ScalarField(grid, _source_values(config.problem.obstacle, grid, "problem.obstacle"))
     return general_problem(grid, obstacle, boundary)

@@ -4,22 +4,26 @@ Everything downstream (solvers, free-boundary extraction, monotonicity
 profiles, blow-up classification) is built on the primitives in this module:
 node-based scalar fields on an axis-aligned box in dimension 1, 2 or 3,
 second-order finite-difference stencils, multilinear interpolation, and
-quadrature over balls and spheres centered at interior points.
+the ball, sphere and sup rules: each a weight array built once per radius
+and applied to a window of the field around the centre.
 
 All operations are pure: fields are immutable snapshots.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 _SPACING_RTOL = 1e-12
-# Ball and sphere diagnostics need radii of at least this many node spacings.
+# Smallest radius, in node spacings, of a diagnostic series and of any rule.
 MIN_RADIUS_FACTOR = 4.0
+MIN_RULE_RADIUS_FACTOR = 3.0
 DEFAULT_ANGULAR_SAMPLES = 64
+MIN_ANGULAR_SAMPLES = 16
 
 
 class GridError(ValueError):
@@ -210,25 +214,6 @@ def admissible_radii(grid: GridSpec, point, radii) -> list[float]:
     return [r for r in radii if MIN_RADIUS_FACTOR * grid.h <= r <= margin]
 
 
-def _axis_window(grid: GridSpec, a: int, c: float, r: float) -> slice:
-    """Indices of nodes within [c-r-h, c+r+h] along axis a."""
-    h = grid.spacings[a]
-    i0 = int(np.floor((c - r - grid.lower[a]) / h)) - 1
-    i1 = int(np.ceil((c + r - grid.lower[a]) / h)) + 2
-    return slice(max(i0, 0), min(i1, grid.nodes_per_axis[a]))
-
-
-def _window_distances(grid: GridSpec, ball: BallSpec) -> tuple[tuple[slice, ...], np.ndarray]:
-    """Bounding window around the ball and node distances to its center."""
-    window = tuple(
-        _axis_window(grid, a, ball.center[a], ball.radius) for a in range(grid.dimension)
-    )
-    axes = [grid.axis(a)[window[a]] - ball.center[a] for a in range(grid.dimension)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    dist = np.sqrt(sum(m * m for m in mesh))
-    return window, dist
-
-
 def neighbor_sum(u: np.ndarray, where: tuple[slice, ...]) -> np.ndarray:
     """Sum of the 2n axis neighbours of the nodes ``u[where]``.
 
@@ -269,29 +254,10 @@ def gradient(field: ScalarField) -> tuple[ScalarField, ...]:
     """Componentwise gradient: central differences at interior nodes,
     second-order one-sided at the boundary faces (exact on quadratics)."""
     grid = field.grid
-    u = field.values
-    nd = grid.dimension
-    out = []
-    for a in range(nd):
-        h = grid.spacings[a]
-        g = np.empty_like(u)
-        mid = tuple(slice(1, -1) if b == a else slice(None) for b in range(nd))
-        lo = tuple(slice(0, -2) if b == a else slice(None) for b in range(nd))
-        hi = tuple(slice(2, None) if b == a else slice(None) for b in range(nd))
-        g[mid] = (u[hi] - u[lo]) / (2.0 * h)
-
-        def face(i: int) -> tuple[slice | int, ...]:
-            return tuple(i if b == a else slice(None) for b in range(nd))
-
-        g[face(0)] = (-3.0 * u[face(0)] + 4.0 * u[face(1)] - u[face(2)]) / (2.0 * h)
-        g[face(-1)] = (3.0 * u[face(-1)] - 4.0 * u[face(-2)] + u[face(-3)]) / (2.0 * h)
-        out.append(ScalarField(grid, g))
-    return tuple(out)
-
-
-def interpolate(field: ScalarField, point: np.ndarray) -> float:
-    """Multilinear interpolation at a single point inside the box."""
-    return float(interpolate_many(field, np.asarray(point, dtype=float)[None, :])[0])
+    return tuple(
+        ScalarField(grid, np.gradient(field.values, grid.spacings[a], axis=a, edge_order=2))
+        for a in range(grid.dimension)
+    )
 
 
 def interpolate_many(field: ScalarField, points: np.ndarray) -> np.ndarray:
@@ -326,78 +292,101 @@ def interpolate_many(field: ScalarField, points: np.ndarray) -> np.ndarray:
     return result
 
 
-def ball_integral(field: ScalarField, ball: BallSpec) -> float:
-    """Node quadrature of the field over a ball.
+def _sphere_samples(n: int, r: float, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Unit directions and weights of the sphere rule. 1D: two-point sum;
+    2D: uniform trapezoid in angle; 3D: latitude-longitude product rule
+    with sine weights."""
+    if n == 1:
+        return np.array([[-1.0], [1.0]]), np.ones(2)
+    if m < MIN_ANGULAR_SAMPLES:
+        raise GridError(f"angular_samples must be >= {MIN_ANGULAR_SAMPLES}, got {m}")
+    phi = 2.0 * np.pi * np.arange(m) / m
+    if n == 2:
+        return np.stack([np.cos(phi), np.sin(phi)], axis=-1), np.full(m, 2.0 * np.pi * r / m)
+    theta = np.pi * (np.arange(m) + 0.5) / m  # polar, midpoint rule
+    tt, pp = np.meshgrid(theta, phi, indexing="ij")
+    direction = np.stack([np.sin(tt) * np.cos(pp), np.sin(tt) * np.sin(pp), np.cos(tt)], axis=-1)
+    weights = r * r * np.sin(tt) * (np.pi / m) * (2.0 * np.pi / m)
+    return direction.reshape(-1, 3), weights.ravel()
 
-    Nodes strictly inside get weight ``h^n``; cells straddling the sphere
-    get the fractional weight ``clip(1/2 + (r - d)/h, 0, 1) * h^n`` (exact
-    partial-cell measure in 1D). Relative error is O(h/r) worst case on
-    Lipschitz integrands, far smaller in practice.
+
+@functools.lru_cache(maxsize=32)
+def _rule(kind: str, h: float, r: float, offset: tuple[float, ...], samples: int) -> np.ndarray:
+    """Weights of a rule on the (2 reach + 1)^n box of nodes around the node
+    nearest the centre; ``offset`` is the centre minus that node, in
+    spacings. ``ball``: ``clip(1/2 + (r - d)/h, 0, 1) h^n`` at distance d
+    (the exact partial-cell measure in 1D); ``sup``: 1 on the closed ball;
+    ``sphere``: the multilinear corner weights of the sphere samples."""
+    n = len(offset)
+    reach = int(np.ceil(r / h)) + 1
+    if kind == "sphere":
+        directions, sample_weights = _sphere_samples(n, r, samples)
+        t = reach + np.array(offset) + directions * (r / h)
+        base = np.floor(t).astype(int)
+        frac = t - base
+        weights = np.zeros((2 * reach + 1,) * n)
+        for corner in itertools.product((0, 1), repeat=n):
+            w = sample_weights.copy()
+            for a, bit in enumerate(corner):
+                w *= frac[:, a] if bit else 1.0 - frac[:, a]
+            np.add.at(weights, tuple((base + corner).T), w)
+    else:
+        steps = [(np.arange(-reach, reach + 1) - o) * h for o in offset]
+        dist = np.sqrt(sum(m * m for m in np.meshgrid(*steps, indexing="ij")))
+        inside = (dist <= r).astype(float)
+        weights = {"sup": inside, "ball": np.clip(0.5 + (r - dist) / h, 0.0, 1.0) * h**n}[kind]
+    weights.setflags(write=False)
+    return weights
+
+
+def quadrature_window(
+    field: ScalarField, ball: BallSpec, kind: str, angular_samples: int = DEFAULT_ANGULAR_SAMPLES
+) -> tuple[tuple[slice, ...], np.ndarray, np.ndarray]:
+    """The window slices, field values and weights of the rule ``kind``
+    (``ball``, ``sphere`` or ``sup``) over ``ball``, clipped to the grid.
+
+    A centre within 1e-9 spacings of a node is taken as that node. Raises
+    for a ball outside the box, a radius below ``MIN_RULE_RADIUS_FACTOR *
+    h``, and NaN at a node of positive weight; NaN elsewhere reads 0.
     """
     grid = field.grid
     require_ball_in_box(grid, ball)
-    h = grid.h
-    if ball.radius < 3.0 * h:
-        raise ResolutionError(f"ball radius {ball.radius} < 3h = {3 * h}; quadrature unreliable")
-    window, dist = _window_distances(grid, ball)
-    weights = np.clip(0.5 + (ball.radius - dist) / h, 0.0, 1.0)
-    chunk = field.values[window]
-    if np.isnan(chunk[weights > 0.0]).any():
-        raise GridError("ball quadrature over undefined (NaN) field values")
-    return float(np.sum(weights * chunk) * h**grid.dimension)
+    h, r = grid.h, ball.radius
+    if r < MIN_RULE_RADIUS_FACTOR * h:
+        raise ResolutionError(f"radius {r} < {MIN_RULE_RADIUS_FACTOR:g}h: quadrature unreliable")
+    t = (np.array(ball.center) - grid.lower) / grid.spacings
+    node = np.round(t).astype(int)
+    offset = np.where(np.abs(t - node) < 1e-9, 0.0, t - node)
+    weights = _rule(kind, h, r, tuple(offset.tolist()), angular_samples if kind == "sphere" else 0)
+    reach = weights.shape[0] // 2
+    lo, hi = np.maximum(node - reach, 0), np.minimum(node + reach + 1, grid.shape)
+    window = tuple(map(slice, lo, hi))
+    weights = weights[tuple(map(slice, lo - node + reach, hi - node + reach))]
+    values = field.values[window]
+    if np.isnan(values).any():
+        if np.isnan(values[weights > 0.0]).any():
+            raise GridError(f"{kind} quadrature over undefined (NaN) field values")
+        values = np.nan_to_num(values, nan=0.0)
+    return window, values, weights
+
+
+def ball_integral(field: ScalarField, ball: BallSpec) -> float:
+    """Node quadrature of the field over a ball; relative error O(h/r) worst
+    case on Lipschitz integrands, far smaller in practice."""
+    _, values, weights = quadrature_window(field, ball, "ball")
+    return float(np.sum(weights * values))
 
 
 def sphere_integral(
     field: ScalarField, ball: BallSpec, angular_samples: int = DEFAULT_ANGULAR_SAMPLES
 ) -> float:
-    """Surface quadrature over the sphere bounding ``ball``.
-
-    1D: two-point sum; 2D: uniform trapezoid in angle; 3D: latitude-
-    longitude product rule with sine weights. Field values come from
-    :func:`interpolate_many`.
-    """
-    grid = field.grid
-    require_ball_in_box(grid, ball)
-    h = grid.h
-    r = ball.radius
-    if r < 3.0 * h:
-        raise ResolutionError(f"ball radius {r} < 3h = {3 * h}; quadrature unreliable")
-    nd = grid.dimension
-    center = np.array(ball.center)
-    if nd == 1:
-        pts = center[None, :] + np.array([[-r], [r]])
-        return float(np.sum(interpolate_many(field, pts)))
-    if angular_samples < 16:
-        raise GridError(f"angular_samples must be >= 16, got {angular_samples}")
-    if nd == 2:
-        theta = 2.0 * np.pi * np.arange(angular_samples) / angular_samples
-        pts = center[None, :] + r * np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-        vals = interpolate_many(field, pts)
-        return float(np.sum(vals) * (2.0 * np.pi * r / angular_samples))
-    m = angular_samples
-    theta = np.pi * (np.arange(m) + 0.5) / m  # polar, midpoint rule
-    phi = 2.0 * np.pi * np.arange(m) / m
-    tt, pp = np.meshgrid(theta, phi, indexing="ij")
-    direction = np.stack(
-        [np.sin(tt) * np.cos(pp), np.sin(tt) * np.sin(pp), np.cos(tt)], axis=-1
-    ).reshape(-1, 3)
-    pts = center[None, :] + r * direction
-    vals = interpolate_many(field, pts)
-    weights = (r * r * np.sin(tt) * (np.pi / m) * (2.0 * np.pi / m)).ravel()
-    return float(np.sum(vals * weights))
+    """Surface quadrature over the sphere bounding ``ball``, the field
+    interpolated multilinearly at the samples."""
+    _, values, weights = quadrature_window(field, ball, "sphere", angular_samples)
+    return float(np.sum(weights * values))
 
 
 def sup_on_ball(field: ScalarField, ball: BallSpec) -> float:
-    """Maximum nodal value inside the closed ball (interpolated center if
-    the ball contains no node)."""
-    grid = field.grid
-    require_ball_in_box(grid, ball)
-    window, dist = _window_distances(grid, ball)
-    inside = dist <= ball.radius
-    if not inside.any():
-        return interpolate(field, np.array(ball.center))
-    chunk = field.values[window]
-    vals = chunk[inside]
-    if np.isnan(vals).any():
-        raise GridError("sup over undefined (NaN) field values")
-    return float(np.max(vals))
+    """Maximum nodal value inside the closed ball."""
+    _, values, weights = quadrature_window(field, ball, "sup")
+    return float(np.max(values[weights > 0.0]))

@@ -187,7 +187,29 @@ class TestDiagnoseCommand:
         payload["problem"]["boundary"] = boundary
         cfg = write_config(tmp_path / "c.json", payload)
         assert main(["diagnose", "--config", cfg]) == 1
-        assert capsys.readouterr().err.startswith("error: ")
+        assert capsys.readouterr().err.startswith("error: problem.boundary: ")
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("contact_kappa", "abc"),
+            ("eigen_tol", "q"),
+            ("blowup_radius", "z"),
+            ("radii", ["a"]),
+            ("radii", 0.3),
+            ("angular_samples", "x"),
+            ("angular_samples", 16.9),
+        ],
+        ids=["kappa", "eigen_tol", "blowup", "radius_text", "radii_scalar", "samples", "samples_16.9"],
+    )
+    def test_bad_diagnostics_value_exit_1(self, tmp_path, capsys, key, value):
+        payload = radial_config(tmp_path / "out", ["growth"])
+        payload["diagnostics"][key] = value
+        cfg = write_config(tmp_path / "c.json", payload)
+        assert main(["diagnose", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: diagnostics.{key} ")
+        assert err.count("\n") == 1
 
     def test_solution_file_reused(self, tmp_path):
         out1 = tmp_path / "o1"

@@ -1,9 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from obslab import grid
 from obslab.grid import (
     BallSpec,
     GridError,
@@ -16,11 +18,14 @@ from obslab.grid import (
     discrete_laplacian,
     field_from_function,
     gradient,
-    interpolate,
     interpolate_many,
     sphere_integral,
     sup_on_ball,
 )
+
+
+def interpolate_one(field, point):
+    return float(interpolate_many(field, np.asarray(point, dtype=float)[None, :])[0])
 
 
 def quadratic_field(grid, matrix):
@@ -130,7 +135,7 @@ class TestInterpolate:
         g = centered_box(2, 1.0, 11)
         rng = np.random.default_rng(5)
         f = ScalarField(g, rng.standard_normal(g.shape))
-        assert interpolate(f, (g.axis(0)[3], g.axis(1)[7])) == pytest.approx(
+        assert interpolate_one(f, (g.axis(0)[3], g.axis(1)[7])) == pytest.approx(
             f.values[3, 7], abs=1e-14
         )
 
@@ -139,7 +144,7 @@ class TestInterpolate:
         g = centered_box(2, 1.0, 21)
         assert g.h == pytest.approx(0.1)
         f = quadratic_field(g, [[0.5, 0.0], [0.0, 0.5]])
-        value = interpolate(f, (0.05, 0.05))
+        value = interpolate_one(f, (0.05, 0.05))
         exact = 0.25 * (0.05**2 + 0.05**2)
         assert abs(value - exact) <= 2 * g.h**2
 
@@ -153,14 +158,14 @@ class TestInterpolate:
             t = (p - np.array(g.lower)) / g.h
             i0 = np.clip(np.floor(t).astype(int), 0, np.array(g.shape) - 2)
             cell = f.values[i0[0] : i0[0] + 2, i0[1] : i0[1] + 2]
-            v = interpolate(f, p)
+            v = interpolate_one(f, p)
             assert cell.min() - 1e-12 <= v <= cell.max() + 1e-12
 
     def test_outside_box_raises(self):
         g = centered_box(2, 1.0, 9)
         f = ScalarField(g, np.zeros(g.shape))
         with pytest.raises(OutOfDomainError):
-            interpolate(f, (1.5, 0.0))
+            interpolate_one(f, (1.5, 0.0))
 
 
 class TestBallIntegral:
@@ -304,3 +309,180 @@ class TestGradient:
         (gx,) = gradient(f)
         kink = np.argwhere(g.axis(0) == 0.0).item()
         assert abs(gx.values[kink]) <= g.h / 2.0
+
+
+# Reference formulas, computed per call: the ball and sup rules from node
+# distances on a bounding window, the sphere rule by interpolating at each
+# sample, and the gradient's stencils written out. The cached rule kernels
+# and np.gradient must reproduce them.
+def reference_window(grid, ball):
+    window = []
+    for a, c in enumerate(ball.center):
+        h = grid.spacings[a]
+        i0 = int(np.floor((c - ball.radius - grid.lower[a]) / h)) - 1
+        i1 = int(np.ceil((c + ball.radius - grid.lower[a]) / h)) + 2
+        window.append(slice(max(i0, 0), min(i1, grid.nodes_per_axis[a])))
+    axes = [grid.axis(a)[s] - c for a, (s, c) in enumerate(zip(window, ball.center))]
+    dist = np.sqrt(sum(m * m for m in np.meshgrid(*axes, indexing="ij")))
+    return tuple(window), dist
+
+
+def reference_ball_integral(field, ball):
+    window, dist = reference_window(field.grid, ball)
+    weights = np.clip(0.5 + (ball.radius - dist) / field.grid.h, 0.0, 1.0)
+    return float(np.sum(weights * field.values[window]) * field.grid.h**field.grid.dimension)
+
+
+def reference_sup_on_ball(field, ball):
+    window, dist = reference_window(field.grid, ball)
+    return float(np.max(field.values[window][dist <= ball.radius]))
+
+
+def reference_sphere_integral(field, ball, m):
+    center, r = np.array(ball.center), ball.radius
+    if field.grid.dimension == 1:
+        return float(np.sum(interpolate_many(field, center + np.array([[-r], [r]]))))
+    if field.grid.dimension == 2:
+        theta = 2.0 * np.pi * np.arange(m) / m
+        pts = center + r * np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+        return float(np.sum(interpolate_many(field, pts)) * (2.0 * np.pi * r / m))
+    theta = np.pi * (np.arange(m) + 0.5) / m
+    phi = 2.0 * np.pi * np.arange(m) / m
+    tt, pp = np.meshgrid(theta, phi, indexing="ij")
+    direction = np.stack([np.sin(tt) * np.cos(pp), np.sin(tt) * np.sin(pp), np.cos(tt)], axis=-1)
+    vals = interpolate_many(field, center + r * direction.reshape(-1, 3))
+    weights = (r * r * np.sin(tt) * (np.pi / m) * (2.0 * np.pi / m)).ravel()
+    return float(np.sum(vals * weights))
+
+
+def reference_gradient(field):
+    u, nd = field.values, field.grid.dimension
+    out = []
+    for a in range(nd):
+        h = field.grid.spacings[a]
+        g = np.empty_like(u)
+
+        def cut(s):
+            return tuple(s if b == a else slice(None) for b in range(nd))
+
+        g[cut(slice(1, -1))] = (u[cut(slice(2, None))] - u[cut(slice(0, -2))]) / (2.0 * h)
+        g[cut(0)] = (-3.0 * u[cut(0)] + 4.0 * u[cut(1)] - u[cut(2)]) / (2.0 * h)
+        g[cut(-1)] = (3.0 * u[cut(-1)] - 4.0 * u[cut(-2)] + u[cut(-3)]) / (2.0 * h)
+        out.append(g)
+    return out
+
+
+# Nodes per axis of [-1, 1]^n for each dimension.
+KERNEL_GRIDS = {1: 129, 2: 65, 3: 33}
+
+
+def kernel_field(n, seed=0):
+    g = centered_box(n, 1.0, KERNEL_GRIDS[n])
+    rng = np.random.default_rng(seed + n)
+    smooth = field_from_function(g, lambda p: np.sum(np.cos(1.3 * p + 0.2), axis=1))
+    return ScalarField(g, smooth.values + rng.uniform(0.0, 0.5, g.shape) + n)
+
+
+def assert_matches_reference(field, ball, samples=32):
+    for value, expected in (
+        (ball_integral(field, ball), reference_ball_integral(field, ball)),
+        (sup_on_ball(field, ball), reference_sup_on_ball(field, ball)),
+        (sphere_integral(field, ball, samples), reference_sphere_integral(field, ball, samples)),
+    ):
+        assert abs(value - expected) <= 1e-12 * abs(expected)
+
+
+class TestRuleKernels:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("radius_spacings", [3.0, 4.3, 6.0, 7.71])
+    def test_node_centres_match_reference(self, n, radius_spacings):
+        f = kernel_field(n)
+        h = f.grid.h
+        for index in (-5, 0, 7):
+            center = (f.grid.axis(0)[KERNEL_GRIDS[n] // 2 + index],) * n
+            assert_matches_reference(f, BallSpec(center, radius_spacings * h))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_off_node_centres_match_reference(self, n):
+        f = kernel_field(n)
+        rng = np.random.default_rng(17)
+        for _ in range(6):
+            r = rng.uniform(3.0, 8.0) * f.grid.h
+            center = tuple(rng.uniform(-1.0 + r, 1.0 - r, n))
+            assert_matches_reference(f, BallSpec(center, r))
+        # half a spacing off a node on every axis, and just beyond the snap
+        h = f.grid.h
+        assert_matches_reference(f, BallSpec((0.5 * h,) * n, 5.0 * h))
+        assert_matches_reference(f, BallSpec((1e-8 * h,) * n, 5.0 * h))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_ball_touching_a_face_matches_reference(self, n):
+        f = kernel_field(n)
+        r = 8.0 * f.grid.h
+        on_node = (1.0 - r,) + (0.0,) * (n - 1)
+        off_node = (1.0 - r,) + (0.013,) * (n - 1)
+        for center in (on_node, off_node, tuple(-c for c in off_node)):
+            assert_matches_reference(f, BallSpec(center, r))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_node_at_exactly_radius(self, n):
+        # r / h = 6: the nodes at +-6h along each axis lie on the sphere
+        g = centered_box(n, 1.0, KERNEL_GRIDS[n])
+        f = field_from_function(g, lambda p: p[:, 0] + 0.01 * np.sum(p * p, axis=1))
+        mid = KERNEL_GRIDS[n] // 2
+        ball = BallSpec((0.0,) * n, 6.0 * g.h)
+        assert sup_on_ball(f, ball) == f.values[(mid + 6,) + (mid,) * (n - 1)]
+        assert_matches_reference(f, ball)
+        assert_matches_reference(kernel_field(n), ball)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_samples_on_grid_lines(self, n):
+        # node centre, r / h = 8: the samples at angle 0 (and, in 2D, every
+        # quarter turn) fall on grid lines or nodes
+        f = kernel_field(n)
+        for samples in (16, 64):
+            assert_matches_reference(f, BallSpec((0.0,) * n, 8.0 * f.grid.h), samples)
+
+    def test_rule_built_once_per_radius(self):
+        f = kernel_field(2)
+        r = 5.5 * f.grid.h
+        sphere_integral(f, BallSpec((0.0, 0.0), r), 48)
+        before = grid._rule.cache_info()
+        for i in range(-4, 5):
+            center = (f.grid.axis(0)[32 + i], f.grid.axis(1)[30 - i])
+            sphere_integral(f, BallSpec(center, r), 48)
+        after = grid._rule.cache_info()
+        assert (after.misses, after.hits) == (before.misses, before.hits + 9)
+
+    def test_sup_below_rule_floor_raises(self):
+        g = centered_box(2, 1.0, 33)
+        f = ScalarField(g, np.ones(g.shape))
+        with pytest.raises(ResolutionError):
+            sup_on_ball(f, BallSpec((0.0, 0.0), 2.5 * g.h))
+
+    def test_nan_at_used_node_raises(self):
+        f = kernel_field(2)
+        values = f.values.copy()
+        values[32 + 8, 32] = np.nan  # the angle-0 sample of r = 8h sits on it
+        ball = BallSpec((0.0, 0.0), 8.0 * f.grid.h)
+        for call in (sphere_integral, ball_integral, sup_on_ball):
+            with pytest.raises(GridError, match="undefined"):
+                call(ScalarField(f.grid, values), ball)
+
+    def test_nan_at_unused_node_ignored(self):
+        # the window's corner node carries weight 0 in every rule
+        f = kernel_field(2)
+        ball = BallSpec((0.0, 0.0), 8.0 * f.grid.h)
+        with_nan, with_zero = f.values.copy(), f.values.copy()
+        with_nan[32 - 9, 32 - 9] = np.nan
+        with_zero[32 - 9, 32 - 9] = 0.0
+        nan_field, zero_field = ScalarField(f.grid, with_nan), ScalarField(f.grid, with_zero)
+        for call in (sphere_integral, ball_integral, sup_on_ball):
+            assert call(nan_field, ball) == call(zero_field, ball)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_gradient_matches_reference(n):
+    f = kernel_field(n)
+    for value, expected in zip(gradient(f), reference_gradient(f)):
+        assert_allclose(value.values, expected, rtol=1e-12, atol=1e-12)

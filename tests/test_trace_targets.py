@@ -1,0 +1,25 @@
+"""The benchmark tracer wraps obslab functions by name and skips a name that
+is missing, so its metric would read 0; every traced name must resolve."""
+
+import ast
+import importlib
+from pathlib import Path
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def trace_targets():
+    tree = ast.parse(TRACER.read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TARGETS"]:
+            return [(elt.elts[0].id, elt.elts[1].value) for elt in node.value.elts]
+    raise AssertionError("perfbench/tracer.py defines no TARGETS list")
+
+
+def test_every_trace_target_resolves():
+    targets = trace_targets()
+    assert targets
+    for module, attr in targets:
+        assert callable(getattr(importlib.import_module(f"obslab.{module}"), attr, None)), (
+            f"obslab.{module}.{attr} is traced but missing"
+        )
