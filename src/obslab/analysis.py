@@ -33,6 +33,7 @@ from .freeboundary import FreeBoundarySet
 from .fixtures import DEFAULT_EIGEN_TOL, QuadraticForm
 from .grid import (
     DEFAULT_ANGULAR_SAMPLES,
+    MIN_ANGULAR_SAMPLES,
     BallSpec,
     GridError,
     GridSpec,
@@ -247,6 +248,17 @@ class ClassifierConfig:
     residual_margin: float = 0.05
     weiss_margin: float = 0.1
     angular_samples: int = DEFAULT_ANGULAR_SAMPLES
+
+    def __post_init__(self) -> None:
+        if self.blowup_radius is not None and not self.blowup_radius > 0:
+            raise ValueError(f"blowup_radius must be positive, got {self.blowup_radius}")
+        if not 0 < self.eigen_tol < 1:
+            raise ValueError(f"eigen_tol must lie in (0, 1), got {self.eigen_tol}")
+        for name in ("residual_margin", "weiss_margin"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} is {getattr(self, name)}: margins must be nonnegative")
+        if self.angular_samples < MIN_ANGULAR_SAMPLES:
+            raise ValueError(f"angular_samples must be >= {MIN_ANGULAR_SAMPLES}")
 
 
 @dataclass(frozen=True)

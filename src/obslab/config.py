@@ -1,7 +1,10 @@
 """Run configuration: versioned JSON schema, strictly validated.
 
 Unknown keys are rejected at every level so that a config reruns
-identically or fails loudly. An example:
+identically or fails loudly. Every value is read by one type rule
+(:func:`_typed`). Each range rule belongs to the dataclass that holds the
+setting, or to ``grid``, and its message starts with the setting's key.
+An example:
 
 .. code-block:: json
 
@@ -38,7 +41,7 @@ of ``analysis.ClassifierConfig``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 import json
 
 import numpy as np
@@ -46,10 +49,11 @@ import numpy as np
 from . import fixtures
 from .analysis import ClassifierConfig
 from .freeboundary import DEFAULT_KAPPA
-from .grid import MIN_ANGULAR_SAMPLES, GridSpec, ScalarField
+from .grid import GridSpec, ScalarField, require_increasing
 from .solver import (
     ObstacleProblemSpec,
     SolverConfig,
+    SolverError,
     general_problem,
     normalized_problem,
 )
@@ -58,21 +62,11 @@ CONFIG_VERSION = 1
 
 # The diagnostics in the order a diagnose run performs them.
 DIAGNOSTIC_NAMES = ("growth", "weiss", "classify", "monneau", "frequency")
+FORMS = ("normalized", "general", "fixture")
 
 
 class ConfigError(ValueError):
     """Invalid or unknown configuration content."""
-
-
-def _require_keys(section: dict, where: str, required: tuple, optional: tuple = ()) -> None:
-    if not isinstance(section, dict):
-        raise ConfigError(f"{where} must be an object")
-    unknown = set(section) - set(required) - set(optional)
-    if unknown:
-        raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
-    missing = set(required) - set(section)
-    if missing:
-        raise ConfigError(f"missing key(s) {sorted(missing)} in {where}")
 
 
 @dataclass(frozen=True)
@@ -83,7 +77,19 @@ class ProblemConfig:
     upper: tuple[float, ...]
     nodes_per_axis: int
     boundary: fixtures.ReferenceSolution | float
-    obstacle: fixtures.ReferenceSolution | float | None = None
+    obstacle: fixtures.ReferenceSolution | float | None
+
+    def __post_init__(self) -> None:
+        if self.form not in FORMS:
+            raise ConfigError(f"form must be {'|'.join(FORMS)}, got {self.form!r}")
+        if self.dimension not in (1, 2, 3):
+            raise ConfigError(f"dimension must be 1, 2 or 3, got {self.dimension!r}")
+        for name in ("lower", "upper"):
+            if type(getattr(self, name)) is float:  # one number for every axis
+                object.__setattr__(self, name, (getattr(self, name),) * self.dimension)
+        if (self.obstacle is None) == (self.form == "general"):
+            raise ConfigError(f"obstacle is given for the general form only (form {self.form!r})")
+        self.grid()  # GridSpec owns the box and node-count rules
 
     def grid(self) -> GridSpec:
         return GridSpec(
@@ -97,9 +103,19 @@ class ProblemConfig:
 class DiagnosticsConfig:
     selection: tuple[str, ...]
     radii: tuple[float, ...]
-    contact_kappa: float = DEFAULT_KAPPA
-    classifier: ClassifierConfig = ClassifierConfig()
-    solution_file: str | None = None
+    contact_kappa: float
+    classifier: ClassifierConfig
+    solution_file: str | None
+
+    def __post_init__(self) -> None:
+        for name in self.selection:
+            if name not in DIAGNOSTIC_NAMES:
+                raise ConfigError(f"selection holds {name!r}, not one of {DIAGNOSTIC_NAMES}")
+        if self.selection and not self.radii:
+            raise ConfigError("radii is required when diagnostics are selected")
+        require_increasing(self.radii)
+        if not self.contact_kappa > 0:
+            raise ConfigError(f"contact_kappa must be positive, got {self.contact_kappa}")
 
 
 @dataclass(frozen=True)
@@ -107,9 +123,71 @@ class RunConfig:
     problem: ProblemConfig
     solver: SolverConfig
     diagnostics: DiagnosticsConfig
-    output_directory: str = "out"
-    rasters: bool = True
-    seed: int = 0
+    output_directory: str
+    rasters: bool
+    seed: int
+
+
+_TYPE_NAMES = {float: "number", int: "integer", bool: "boolean", str: "string", dict: "object"}
+
+
+def _type_name(kind) -> str:
+    """``number``, ``list of numbers``, ``list of lists of numbers``, ..."""
+    if isinstance(kind, tuple):
+        return " or ".join(map(_type_name, kind))
+    if isinstance(kind, list):
+        head, _, rest = _type_name(kind[0]).partition(" ")
+        return f"list of {head}s {rest}".rstrip()
+    return _TYPE_NAMES[kind]
+
+
+def _typed(value, kind):
+    """``value`` read as ``kind`` by the one type rule, or None if it does
+    not fit: a float is a JSON number (an integer becomes a float) and an
+    int a JSON integer, neither a boolean; other kinds match exactly.
+    ``[k]`` is a list of ``k``, read as a tuple; a tuple of kinds takes the
+    first that fits."""
+    if isinstance(kind, tuple):
+        for alternative in kind:
+            if (typed := _typed(value, alternative)) is not None:
+                return typed
+    elif isinstance(kind, list) and type(value) is list:
+        items = tuple(_typed(item, kind[0]) for item in value)
+        return None if None in items else items
+    elif type(value) is kind or (kind is float and type(value) is int):
+        return float(value) if kind is float else value
+    return None
+
+
+def _read(section: dict, where: str, kinds: dict) -> dict:
+    """Each key of ``kinds`` (key: ``(kind, default)``, ``...`` for none)
+    read from the JSON object ``section`` by :func:`_typed`, and no other
+    key; JSON null reads as an absent key whose default is None. ``where``
+    prefixes the key in messages."""
+    unknown = sorted(set(section) - set(kinds))
+    if unknown:
+        raise ConfigError(f"{where}{unknown[0]} is an unknown key; valid: {', '.join(kinds)}")
+    values = {}
+    for key, (kind, default) in kinds.items():
+        value = section.get(key)
+        if value is None and (key not in section or default is None):
+            if default is ...:
+                raise ConfigError(f"{where}{key} is required")
+            values[key] = default
+        elif (typed := _typed(value, kind)) is None:
+            raise ConfigError(f"{where}{key} must be a JSON {_type_name(kind)}, got {value!r}")
+        else:
+            values[key] = typed
+    return values
+
+
+def _owned(owner, where: str, *args, **settings):
+    """``owner(*args, **settings)``; the owner's range error, which starts
+    with the setting's key, raised as a ConfigError prefixed by ``where``."""
+    try:
+        return owner(*args, **settings)
+    except (ValueError, SolverError) as exc:
+        raise ConfigError(f"{where}{exc}") from exc
 
 
 def load_config(path) -> RunConfig:
@@ -122,237 +200,142 @@ def load_config(path) -> RunConfig:
 
 
 def parse_config(payload: dict) -> RunConfig:
-    _require_keys(
+    if type(payload) is not dict:
+        raise ConfigError(f"the config must be a JSON object, got {payload!r}")
+    top = _read(
         payload,
-        "config",
-        required=("version", "problem"),
-        optional=("solver", "diagnostics", "output", "seed"),
+        "",
+        dict(
+            version=(int, ...),
+            problem=(dict, ...),
+            solver=(dict, {}),
+            diagnostics=(dict, {}),
+            output=(dict, {}),
+            seed=(int, 0),
+        ),
     )
-    if payload["version"] != CONFIG_VERSION:
-        raise ConfigError(
-            f"unsupported config version {payload['version']!r}; expected {CONFIG_VERSION}"
-        )
-    problem = _parse_problem(payload["problem"])
-    solver = _parse_solver(payload.get("solver", {}))
-    diagnostics = _parse_diagnostics(payload.get("diagnostics", {}))
-    out = payload.get("output", {})
-    _require_keys(out, "output", required=(), optional=("directory", "rasters"))
-    directory = out.get("directory", "out")
-    rasters = out.get("rasters", True)
-    if not isinstance(rasters, bool):
-        raise ConfigError("output.rasters must be a boolean")
-    seed = payload.get("seed", 0)
-    if not isinstance(seed, int):
-        raise ConfigError("seed must be an integer")
+    if top["version"] != CONFIG_VERSION:
+        raise ConfigError(f"version must be {CONFIG_VERSION}, got {top['version']}")
+    output = _read(top["output"], "output.", dict(directory=(str, "out"), rasters=(bool, True)))
     return RunConfig(
-        problem=problem,
-        solver=solver,
-        diagnostics=diagnostics,
-        output_directory=str(directory),
-        rasters=rasters,
-        seed=seed,
+        problem=_parse_problem(top["problem"]),
+        solver=_parse_solver(top["solver"]),
+        diagnostics=_parse_diagnostics(top["diagnostics"]),
+        output_directory=output["directory"],
+        rasters=output["rasters"],
+        seed=top["seed"],
     )
 
 
 def _parse_problem(section: dict) -> ProblemConfig:
-    _require_keys(
+    values = _read(
         section,
-        "problem",
-        required=("form", "dimension", "lower", "upper", "nodes_per_axis", "boundary"),
-        optional=("obstacle",),
+        "problem.",
+        dict(
+            form=(str, ...),
+            dimension=(int, ...),
+            lower=((float, [float]), ...),
+            upper=((float, [float]), ...),
+            nodes_per_axis=(int, ...),
+            boundary=(dict, ...),
+            obstacle=(dict, None),
+        ),
     )
-    form = section["form"]
-    if form not in ("normalized", "general", "fixture"):
-        raise ConfigError(f"problem.form must be normalized|general|fixture, got {form!r}")
-    dimension = section["dimension"]
-    if dimension not in (1, 2, 3):
-        raise ConfigError(f"problem.dimension must be 1, 2 or 3, got {dimension!r}")
-    lower = tuple(float(v) for v in _as_vector(section["lower"], dimension, "problem.lower"))
-    upper = tuple(float(v) for v in _as_vector(section["upper"], dimension, "problem.upper"))
-    nodes = section["nodes_per_axis"]
-    if not isinstance(nodes, int) or nodes < 3:
-        raise ConfigError("problem.nodes_per_axis must be an integer >= 3")
-    boundary = _parse_source(section["boundary"], "problem.boundary", dimension)
-    obstacle = None
-    if form == "general":
-        if "obstacle" not in section:
-            raise ConfigError("general form requires problem.obstacle")
-        obstacle = _parse_source(section["obstacle"], "problem.obstacle", dimension)
-    elif "obstacle" in section:
-        raise ConfigError(f"problem.obstacle is only valid for the general form, not {form!r}")
-    return ProblemConfig(
-        form=form,
-        dimension=dimension,
-        lower=lower,
-        upper=upper,
-        nodes_per_axis=nodes,
-        boundary=boundary,
-        obstacle=obstacle,
-    )
+    for name in ("boundary", "obstacle"):
+        if values[name] is not None:
+            values[name] = _parse_source(values[name], f"problem.{name}: ")
+    return _owned(ProblemConfig, "problem.", **values)
 
 
-def _as_vector(value, dimension: int, where: str):
-    if isinstance(value, (int, float)):
-        return [value] * dimension
-    if isinstance(value, list) and len(value) == dimension:
-        return value
-    raise ConfigError(f"{where} must be a number or a list of {dimension} numbers")
+def _unit_halfspace(direction) -> fixtures.ReferenceSolution:
+    norm = np.linalg.norm(direction)
+    if norm == 0:
+        raise fixtures.FixtureError("halfspace direction must be nonzero")
+    return fixtures.halfspace(np.asarray(direction) / norm)
 
 
-# The parameter key of each fixture kind.
-_FIXTURE_PARAMETERS = dict(one_d="a", radial="a", halfspace="direction", polynomial="matrix")
+def _polynomial(matrix) -> fixtures.ReferenceSolution:
+    return fixtures.polynomial(fixtures.QuadraticForm.from_matrix(matrix))
 
 
-def _parse_source(spec: dict, where: str, dimension: int) -> fixtures.ReferenceSolution | float:
+# Each fixture's parameter key and kind, and the builder that takes it.
+_FIXTURES = dict(
+    one_d=("a", float, fixtures.one_d),
+    radial=("a", float, fixtures.radial),
+    halfspace=("direction", [float], _unit_halfspace),
+    polynomial=("matrix", [[float]], _polynomial),
+)
+
+
+def _parse_source(spec: dict, where: str) -> fixtures.ReferenceSolution | float:
     """A boundary or obstacle spec, checked and built: a constant as a
-    float, a fixture as its reference solution."""
-    if not isinstance(spec, dict):
-        raise ConfigError(f"{where} must be an object")
+    float, a fixture as its reference solution. Its messages read
+    ``<where><key> ...``, ``where`` ending in a colon."""
     if "constant" in spec:
-        _require_keys(spec, where, required=("constant",))
-        if not isinstance(spec["constant"], (int, float)):
-            raise ConfigError(f"{where}.constant must be a number")
-        return float(spec["constant"])
-    if "fixture" not in spec:
-        raise ConfigError(f"{where} needs either 'fixture' or 'constant'")
-    kind = spec["fixture"]
-    if not isinstance(kind, str) or kind not in _FIXTURE_PARAMETERS:
-        raise ConfigError(f"{where}.fixture must be {'|'.join(_FIXTURE_PARAMETERS)}, got {kind!r}")
-    _require_keys(spec, where, required=("fixture", _FIXTURE_PARAMETERS[kind]))
-    try:
-        if kind in ("one_d", "radial"):
-            ref = (fixtures.one_d if kind == "one_d" else fixtures.radial)(float(spec["a"]))
-        elif kind == "halfspace":
-            direction = np.asarray(spec["direction"], dtype=float)
-            norm = np.linalg.norm(direction)
-            if norm == 0:
-                raise fixtures.FixtureError("halfspace direction must be nonzero")
-            ref = fixtures.halfspace(direction / norm)
-        else:
-            ref = fixtures.polynomial(fixtures.QuadraticForm.from_matrix(spec["matrix"]))
-        if ref.dimension != dimension:
-            raise fixtures.FixtureError(f"{kind} fixture is {ref.dimension}D, not {dimension}D")
-        return ref
-    except (TypeError, ValueError) as exc:  # a FixtureError, or a parameter that is no number
-        raise ConfigError(f"{where}: {exc}") from exc
+        return _read(spec, where, dict(constant=(float, ...)))["constant"]
+    name = spec.get("fixture")
+    if type(name) is not str or name not in _FIXTURES:
+        raise ConfigError(f"{where}fixture must be {'|'.join(_FIXTURES)}, got {name!r}")
+    key, kind, build = _FIXTURES[name]
+    value = _read(spec, where, {"fixture": (str, ...), key: (kind, ...)})[key]
+    return _owned(build, where, value)
 
 
 def _parse_solver(section: dict) -> SolverConfig:
-    _require_keys(
-        section,
-        "solver",
-        required=(),
-        optional=("method", "omega", "tolerance", "max_iterations"),
-    )
     default = SolverConfig()
-    try:
-        return SolverConfig(
-            method=section.get("method", default.method),
-            omega=float(section.get("omega", default.omega)),
-            tol=float(section.get("tolerance", default.tol)),
-            max_iterations=int(section.get("max_iterations", default.max_iterations)),
-        )
-    except Exception as exc:
-        raise ConfigError(f"invalid solver config: {exc}") from exc
-
-
-def _number(section: dict, key: str, default) -> float:
-    """diagnostics.<key>, or the default, as a float; JSON numbers only."""
-    value = section.get(key, default)
-    if type(value) not in (int, float):
-        raise ConfigError(f"diagnostics.{key} must be a number, got {value!r}")
-    return float(value)
+    values = _read(
+        section,
+        "solver.",
+        dict(
+            method=(str, default.method),
+            omega=(float, default.omega),
+            tolerance=(float, default.tol),
+            max_iterations=(int, default.max_iterations),
+        ),
+    )
+    values["tol"] = values.pop("tolerance")
+    return _owned(SolverConfig, "solver.", **values)
 
 
 def _parse_diagnostics(section: dict) -> DiagnosticsConfig:
-    _require_keys(
+    # Every ClassifierConfig field is a key: an integer where its default is one.
+    settings = {
+        f.name: (int if type(f.default) is int else float, f.default)
+        for f in fields(ClassifierConfig)
+    }
+    values = _read(
         section,
-        "diagnostics",
-        required=(),
-        optional=(
-            "selection",
-            "radii",
-            "contact_kappa",
-            "eigen_tol",
-            "residual_margin",
-            "weiss_margin",
-            "blowup_radius",
-            "angular_samples",
-            "solution_file",
+        "diagnostics.",
+        dict(
+            selection=([str], ()),
+            radii=([float], ()),
+            contact_kappa=(float, DEFAULT_KAPPA),
+            solution_file=(str, None),
+            **settings,
         ),
     )
-    selection = tuple(section.get("selection", ()))
-    for name in selection:
-        if name not in DIAGNOSTIC_NAMES:
-            raise ConfigError(f"unknown diagnostic {name!r}; valid: {DIAGNOSTIC_NAMES}")
-    radii = section.get("radii", [])
-    if type(radii) is not list or any(type(r) not in (int, float) for r in radii):
-        raise ConfigError(f"diagnostics.radii must be a list of numbers, got {radii!r}")
-    radii = tuple(float(r) for r in radii)
-    if selection and not radii:
-        raise ConfigError("diagnostics.radii is required when diagnostics are selected")
-    if any(b <= a for a, b in zip(radii, radii[1:])):
-        raise ConfigError("diagnostics.radii must be strictly increasing")
-    kappa = _number(section, "contact_kappa", DEFAULT_KAPPA)
-    if kappa <= 0:
-        raise ConfigError("diagnostics.contact_kappa must be positive")
-    default = ClassifierConfig()
-    eigen_tol = _number(section, "eigen_tol", default.eigen_tol)
-    if not 0 < eigen_tol < 1:
-        raise ConfigError("diagnostics.eigen_tol must lie in (0, 1)")
-    residual_margin = _number(section, "residual_margin", default.residual_margin)
-    weiss_margin = _number(section, "weiss_margin", default.weiss_margin)
-    if residual_margin < 0 or weiss_margin < 0:
-        raise ConfigError("margins must be nonnegative")
-    blowup = section.get("blowup_radius", default.blowup_radius)
-    if blowup is not None:
-        blowup = _number(section, "blowup_radius", None)
-        if blowup <= 0:
-            raise ConfigError("diagnostics.blowup_radius must be positive")
-    angular = section.get("angular_samples", default.angular_samples)
-    if type(angular) is not int or angular < MIN_ANGULAR_SAMPLES:
-        raise ConfigError(f"diagnostics.angular_samples must be >= {MIN_ANGULAR_SAMPLES} (an int)")
-    solution_file = section.get("solution_file")
-    if solution_file is not None and not isinstance(solution_file, str):
-        raise ConfigError("diagnostics.solution_file must be a path string")
-    return DiagnosticsConfig(
-        selection=selection,
-        radii=radii,
-        contact_kappa=kappa,
-        classifier=ClassifierConfig(
-            blowup_radius=blowup,
-            eigen_tol=eigen_tol,
-            residual_margin=residual_margin,
-            weiss_margin=weiss_margin,
-            angular_samples=angular,
-        ),
-        solution_file=solution_file,
-    )
+    classifier = _owned(ClassifierConfig, "diagnostics.", **{k: values.pop(k) for k in settings})
+    return _owned(DiagnosticsConfig, "diagnostics.", classifier=classifier, **values)
 
 
-def _source_values(
-    source: fixtures.ReferenceSolution | float, grid: GridSpec, where: str
-) -> np.ndarray:
+def _sampled(problem: ProblemConfig, name: str) -> ScalarField:
+    """The boundary or obstacle source ``name`` on the problem grid; sampling
+    a fixture checks its dimension and that its contact region fits the box."""
+    source, grid = getattr(problem, name), problem.grid()
     if isinstance(source, float):
-        return np.full(grid.shape, source)
-    try:
-        return source.sample(grid).values
-    except fixtures.FixtureError as exc:  # e.g. a contact region that leaves the box
-        raise ConfigError(f"{where}: {exc}") from exc
+        return ScalarField(grid, np.full(grid.shape, source))
+    return _owned(source.sample, f"problem.{name}: ", grid)
 
 
 def build_field(config: RunConfig) -> ScalarField:
     """The sampled fixture field, for form == 'fixture' runs."""
-    grid = config.problem.grid()
-    return ScalarField(grid, _source_values(config.problem.boundary, grid, "problem.boundary"))
+    return _sampled(config.problem, "boundary")
 
 
 def build_problem(config: RunConfig) -> ObstacleProblemSpec:
     if config.problem.form == "fixture":
         raise ConfigError("fixture-form configs carry a field, not a solvable problem")
-    grid = config.problem.grid()
-    boundary = _source_values(config.problem.boundary, grid, "problem.boundary")
+    boundary = _sampled(config.problem, "boundary")
     if config.problem.form == "normalized":
-        return normalized_problem(grid, boundary)
-    obstacle = ScalarField(grid, _source_values(config.problem.obstacle, grid, "problem.obstacle"))
-    return general_problem(grid, obstacle, boundary)
+        return normalized_problem(boundary.grid, boundary.values)
+    return general_problem(boundary.grid, _sampled(config.problem, "obstacle"), boundary.values)

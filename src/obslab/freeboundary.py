@@ -18,7 +18,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import BallSpec, GridError, GridSpec, ScalarField, require_radii, sup_on_ball
+from .grid import (
+    BallSpec,
+    GridError,
+    GridSpec,
+    ScalarField,
+    neighbor_sum,
+    require_radii,
+    sup_on_ball,
+)
 
 DEFAULT_KAPPA = 2.0
 DEFAULT_NONDEGENERACY_SLACK = 0.15
@@ -86,25 +94,13 @@ def extract_contact_set(field: ScalarField, kappa: float = DEFAULT_KAPPA) -> Con
 
 
 def extract_free_boundary(contact: ContactSet) -> FreeBoundarySet:
-    """Nodes with at least one face neighbor in each phase."""
-    mask = contact.mask
-    nd = mask.ndim
-    has_true = np.zeros_like(mask)
-    has_false = np.zeros_like(mask)
-    for a in range(nd):
-        for forward in (True, False):
-            src = [slice(None)] * nd
-            dst = [slice(None)] * nd
-            if forward:
-                src[a] = slice(1, None)
-                dst[a] = slice(0, -1)
-            else:
-                src[a] = slice(0, -1)
-                dst[a] = slice(1, None)
-            nb = mask[tuple(src)]
-            has_true[tuple(dst)] |= nb
-            has_false[tuple(dst)] |= ~nb
-    on_interface = has_true & has_false
+    """Nodes with at least one face neighbor in each phase: counted on the
+    zero-padded mask, 0 < contact neighbours < neighbours."""
+    nd = contact.mask.ndim
+    nodes = (slice(1, -1),) * nd
+    in_contact = neighbor_sum(np.pad(contact.mask.astype(int), 1), nodes)
+    neighbours = neighbor_sum(np.pad(np.ones(contact.mask.shape, int), 1), nodes)
+    on_interface = (0 < in_contact) & (in_contact < neighbours)
     indices = np.argwhere(on_interface)
     axes = [contact.grid.axis(a) for a in range(nd)]
     points = np.stack([axes[a][indices[:, a]] for a in range(nd)], axis=-1)

@@ -64,18 +64,18 @@ class GridSpec:
         if n not in (1, 2, 3):
             raise GridError(f"dimension must be 1, 2 or 3, got {n}")
         if len(self.upper) != n or len(self.nodes_per_axis) != n:
-            raise GridError("lower, upper and nodes_per_axis must have equal length")
+            raise GridError("lower, upper and nodes_per_axis must have one entry per axis")
         for lo, hi in zip(self.lower, self.upper):
             if not hi > lo:
-                raise GridError(f"empty box: upper={hi} <= lower={lo}")
+                raise GridError(f"upper must exceed lower on every axis, got {hi} <= {lo}")
         for m in self.nodes_per_axis:
             if m < 3:
-                raise GridError(f"need at least 3 nodes per axis, got {m}")
+                raise GridError(f"nodes_per_axis must be >= 3, got {m}")
         spacings = self.spacings
         h0 = spacings[0]
         for ha in spacings[1:]:
             if abs(ha - h0) > _SPACING_RTOL * max(abs(h0), abs(ha)):
-                raise GridError(f"nonuniform spacing {spacings}; axes must agree to 1e-12")
+                raise GridError(f"lower, upper and nodes_per_axis give nonuniform spacing {spacings}")
 
     @property
     def dimension(self) -> int:
@@ -191,14 +191,20 @@ def require_ball_in_box(grid: GridSpec, ball: BallSpec) -> None:
             )
 
 
+def require_increasing(radii) -> np.ndarray:
+    """The radii as an array, strictly increasing (no grid needed)."""
+    radii = np.asarray([float(r) for r in radii])
+    if not (np.diff(radii) > 0).all():
+        raise GridError("radii must be strictly increasing")
+    return radii
+
+
 def require_radii(grid: GridSpec, radii) -> np.ndarray:
     """The radii as an array: non-empty, strictly increasing, the smallest
     at least ``MIN_RADIUS_FACTOR * h``."""
-    radii = np.asarray([float(r) for r in radii])
+    radii = require_increasing(radii)
     if len(radii) == 0:
         raise GridError("need at least one radius")
-    if not (np.diff(radii) > 0).all():
-        raise GridError("radii must be strictly increasing")
     floor = MIN_RADIUS_FACTOR * grid.h
     if radii[0] < floor:
         raise ResolutionError(f"radius {radii[0]} below {MIN_RADIUS_FACTOR}h = {floor}")
@@ -279,17 +285,20 @@ def interpolate_many(field: ScalarField, points: np.ndarray) -> np.ndarray:
 
     t = (points - lower) / np.array(grid.spacings)
     base = np.clip(np.floor(t).astype(int), 0, np.array(grid.shape) - 2)
-    frac = t - base
-
     result = np.zeros(points.shape[0])
-    for corner in itertools.product((0, 1), repeat=nd):
-        weight = np.ones(points.shape[0])
-        idx = []
-        for a, bit in enumerate(corner):
-            weight *= frac[:, a] if bit else (1.0 - frac[:, a])
-            idx.append(base[:, a] + bit)
-        result += weight * field.values[tuple(idx)]
+    for index, weight in _corners(base, t - base, np.ones(points.shape[0])):
+        result += weight * field.values[index]
     return result
+
+
+def _corners(base: np.ndarray, frac: np.ndarray, weights: np.ndarray):
+    """Each multilinear corner of the ``(m, n)`` cells ``base`` at offsets
+    ``frac``: its node index and ``weights`` times its corner weight."""
+    for corner in itertools.product((0, 1), repeat=base.shape[1]):
+        w = weights.copy()
+        for a, bit in enumerate(corner):
+            w *= frac[:, a] if bit else 1.0 - frac[:, a]
+        yield tuple((base + corner).T), w
 
 
 def _sphere_samples(n: int, r: float, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -323,13 +332,9 @@ def _rule(kind: str, h: float, r: float, offset: tuple[float, ...], samples: int
         directions, sample_weights = _sphere_samples(n, r, samples)
         t = reach + np.array(offset) + directions * (r / h)
         base = np.floor(t).astype(int)
-        frac = t - base
         weights = np.zeros((2 * reach + 1,) * n)
-        for corner in itertools.product((0, 1), repeat=n):
-            w = sample_weights.copy()
-            for a, bit in enumerate(corner):
-                w *= frac[:, a] if bit else 1.0 - frac[:, a]
-            np.add.at(weights, tuple((base + corner).T), w)
+        for index, w in _corners(base, t - base, sample_weights):
+            np.add.at(weights, index, w)
     else:
         steps = [(np.arange(-reach, reach + 1) - o) * h for o in offset]
         dist = np.sqrt(sum(m * m for m in np.meshgrid(*steps, indexing="ij")))

@@ -103,9 +103,9 @@ class SolverConfig:
 
     def __post_init__(self) -> None:
         if self.method not in (PSOR, PROJECTED_GRADIENT):
-            raise SolverError(f"unknown method {self.method!r}")
+            raise SolverError(f"method must be {PSOR}|{PROJECTED_GRADIENT}, got {self.method!r}")
         if not 0.0 < self.omega < 2.0:
-            raise SolverError(f"relaxation omega must lie in (0, 2), got {self.omega}")
+            raise SolverError(f"omega must lie in (0, 2), got {self.omega}")
         if not self.tol > 0.0:
             raise SolverError(f"tolerance must be positive, got {self.tol}")
         if self.max_iterations < 1:
@@ -146,6 +146,15 @@ def _residual(u: np.ndarray, obstacle: np.ndarray, source: float, h: float) -> f
     return float(np.max(np.abs(np.minimum(u[core] - obstacle[core], kkt))))
 
 
+def _sweep(u, colors, obstacle, omega: float, c0: float) -> None:
+    """One projected SOR sweep in place: each node of each colour moves
+    ``omega`` of the way to (mean of neighbours - c0), clamped to ``obstacle``."""
+    for color in colors:
+        for where in color:
+            gs = neighbor_sum(u, where) / (2.0 * u.ndim) - c0
+            u[where] = np.maximum((1.0 - omega) * u[where] + omega * gs, obstacle[where])
+
+
 def default_initial_guess(problem: ObstacleProblemSpec) -> ScalarField:
     """Admissible start: a few plain Gauss-Seidel sweeps toward the harmonic
     extension of the boundary data, clamped to the obstacle."""
@@ -154,12 +163,10 @@ def default_initial_guess(problem: ObstacleProblemSpec) -> ScalarField:
     ring = _boundary_mask(grid.shape)
     u = np.full(grid.shape, float(np.mean(boundary[ring])))
     u[ring] = boundary[ring]
-    nd = grid.dimension
     colors = _red_black(grid.shape)
+    unconstrained = np.full(grid.shape, -np.inf)
     for _ in range(10):
-        for color in colors:
-            for where in color:
-                u[where] = neighbor_sum(u, where) / (2.0 * nd)
+        _sweep(u, colors, unconstrained, 1.0, 0.0)
     u = np.maximum(u, problem.obstacle)
     u[ring] = boundary[ring]
     return ScalarField(grid, u)
@@ -223,18 +230,12 @@ def solve(
 
 
 def _psor_loop(u, problem, config, residuals, energies) -> int:
-    nd = u.ndim
     h = problem.grid.h
-    h2 = h * h
     obstacle, source = problem.obstacle, problem.source
     colors = _red_black(u.shape)
-    omega = config.omega
-    c0 = source * h2 / (2.0 * nd)
+    c0 = source * (h * h) / (2.0 * u.ndim)
     for sweep in range(1, config.max_iterations + 1):
-        for color in colors:
-            for where in color:
-                gs = neighbor_sum(u, where) / (2.0 * nd) - c0
-                u[where] = np.maximum((1.0 - omega) * u[where] + omega * gs, obstacle[where])
+        _sweep(u, colors, obstacle, config.omega, c0)
         res = _residual(u, obstacle, source, h)
         residuals.append(res)
         if energies is not None:

@@ -211,6 +211,52 @@ class TestDiagnoseCommand:
         assert err.startswith(f"error: diagnostics.{key} ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "path, value, prefix",
+        [
+            (("solver", "max_iterations"), 2.5, "solver.max_iterations "),
+            (("solver", "max_iterations"), "7", "solver.max_iterations "),
+            (("solver", "tolerance"), "1e-8", "solver.tolerance "),
+            (("solver", "omega"), True, "solver.omega "),
+            (("seed",), True, "seed "),
+            (("output", "directory"), 5, "output.directory "),
+            (("problem", "dimension"), 2.0, "problem.dimension "),
+            (("problem", "lower"), True, "problem.lower "),
+            (("problem", "lower"), ["-1", "-1"], "problem.lower "),
+            (("problem", "boundary", "a"), True, "problem.boundary: "),
+            (("problem", "boundary", "a"), "0.5", "problem.boundary: "),
+            (("problem", "boundary"), {"constant": True}, "problem.boundary: "),
+        ],
+        ids=[
+            "iterations_2.5",
+            "iterations_text",
+            "tolerance_text",
+            "omega_true",
+            "seed_true",
+            "directory_5",
+            "dimension_2.0",
+            "lower_true",
+            "lower_text",
+            "a_true",
+            "a_text",
+            "constant_true",
+        ],
+    )
+    def test_wrong_json_type_exit_1(self, tmp_path, capsys, monkeypatch, path, value, prefix):
+        monkeypatch.chdir(tmp_path)  # a wrongly accepted output.directory lands here
+        payload = radial_config(tmp_path / "out", ["growth"])
+        payload["problem"].update(lower=[-2.0, -2.0], upper=[2.0, 2.0])  # room for "a": 1
+        *sections, key = path
+        target = payload
+        for name in sections:
+            target = target[name]
+        target[key] = value
+        cfg = write_config(tmp_path / "c.json", payload)
+        assert main(["diagnose", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {prefix}")
+        assert err.count("\n") == 1
+
     def test_solution_file_reused(self, tmp_path):
         out1 = tmp_path / "o1"
         cfg1 = write_config(

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -11,7 +12,19 @@ from obslab.config import (
     parse_config,
 )
 from obslab.freeboundary import DEFAULT_KAPPA
-from obslab.solver import SolverConfig
+from obslab.solver import SolverConfig, SolverError
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def shipped_configs():
+    """The README example and the benchmark workload configs, by name."""
+    readme = (ROOT / "README.md").read_text()
+    example = readme.split("Example configuration:")[1].split("```json")[1].split("```")[0]
+    configs = {"README": json.loads(example)}
+    for path in sorted((ROOT / "perfbench" / "workloads").glob("*.json")):
+        configs[path.stem] = json.loads(path.read_text())
+    return configs
 
 
 def base_payload():
@@ -100,6 +113,14 @@ class TestParse:
         with pytest.raises(ConfigError, match="version"):
             parse_config(payload)
 
+    def test_integers_read_as_numbers(self):
+        payload = base_payload()
+        payload["problem"].update(lower=-1, upper=1)
+        payload["solver"]["omega"] = 1
+        cfg = parse_config(payload)
+        assert cfg.problem.lower == (-1.0,) and type(cfg.problem.lower[0]) is float
+        assert type(cfg.solver.omega) is float
+
     def test_radii_must_increase(self):
         payload = base_payload()
         payload["diagnostics"]["radii"] = [0.2, 0.1]
@@ -127,6 +148,48 @@ class TestParse:
         path.write_text("{not json")
         with pytest.raises(ConfigError):
             load_config(path)
+
+
+class TestShippedConfigs:
+    @pytest.mark.parametrize("name", sorted(shipped_configs()))
+    def test_parses_and_builds(self, name):
+        cfg = parse_config(shipped_configs()[name])
+        build = build_field if cfg.problem.form == "fixture" else build_problem
+        assert build(cfg).grid == cfg.problem.grid()
+
+
+class TestOwnerRanges:
+    """Each settings dataclass checks its own ranges, with messages that
+    start with the setting's config key."""
+
+    @pytest.mark.parametrize(
+        "settings",
+        [
+            {"eigen_tol": 5.0},
+            {"eigen_tol": 0.0},
+            {"residual_margin": -0.1},
+            {"blowup_radius": 0.0},
+            {"angular_samples": 8},
+        ],
+        ids=["eigen_tol_5", "eigen_tol_0", "residual_margin", "blowup_radius", "angular_samples"],
+    )
+    def test_classifier_config_refuses(self, settings):
+        (key,) = settings
+        with pytest.raises(ValueError, match=f"^{key} "):
+            ClassifierConfig(**settings)
+
+    @pytest.mark.parametrize(
+        "settings, key",
+        [
+            ({"method": "newton"}, "method"),
+            ({"omega": 2.0}, "omega"),
+            ({"tol": 0.0}, "tolerance"),
+            ({"max_iterations": 0}, "max_iterations"),
+        ],
+    )
+    def test_solver_config_refuses(self, settings, key):
+        with pytest.raises(SolverError, match=f"^{key} "):
+            SolverConfig(**settings)
 
 
 class TestBuild:

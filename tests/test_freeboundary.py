@@ -3,6 +3,7 @@ import pytest
 
 from obslab.fixtures import halfspace, one_d, polynomial, radial, QuadraticForm
 from obslab.freeboundary import (
+    ContactSet,
     NotANormalizedSolutionError,
     extract_contact_set,
     extract_free_boundary,
@@ -46,7 +47,41 @@ class TestContactSet:
         assert (large | ~small).all()  # raising kappa never shrinks the mask
 
 
+def interface_by_node(mask):
+    """Per-node reference: the nodes with an axis neighbour in each phase,
+    in row-major order."""
+    found = []
+    for node in np.ndindex(mask.shape):
+        phases = set()
+        for a in range(mask.ndim):
+            for step in (-1, 1):
+                neighbour = list(node)
+                neighbour[a] += step
+                if 0 <= neighbour[a] < mask.shape[a]:
+                    phases.add(bool(mask[tuple(neighbour)]))
+        if len(phases) == 2:
+            found.append(node)
+    return np.array(found, dtype=int).reshape(-1, mask.ndim)
+
+
 class TestFreeBoundary:
+    @pytest.mark.parametrize("density", [0.2, 0.5, 0.8])
+    @pytest.mark.parametrize("dimension, nodes", [(1, 33), (2, 17), (3, 9)])
+    def test_random_masks_match_per_node_reference(self, dimension, nodes, density):
+        grid = centered_box(dimension, 1.0, nodes)
+        rng = np.random.default_rng(dimension * 10 + int(density * 10))
+        mask = rng.random(grid.shape) < density
+        fb = extract_free_boundary(ContactSet(grid, mask, 2.0))
+        expected = interface_by_node(mask)
+        assert np.array_equal(fb.indices, expected)
+        axes = [grid.axis(a) for a in range(dimension)]
+        points = np.stack([axes[a][expected[:, a]] for a in range(dimension)], axis=-1)
+        assert np.array_equal(fb.points, points)
+        # box-face nodes are covered: in 1D an end node has one neighbour
+        # and is never on the interface, in 2D and 3D some face nodes are
+        on_face = ((expected == 0) | (expected == nodes - 1)).any(axis=1)
+        assert on_face.any() == (dimension > 1)
+
     def test_one_d_two_clusters_width_two(self):
         grid = centered_box(1, 1.0, 257)
         field = one_d(0.5).sample(grid)
