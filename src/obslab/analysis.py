@@ -57,11 +57,14 @@ C3_CALIBRATION_TOL = 5e-4
 WEISS_CONSTANTS = {1: 1.0 / 3.0, 2: math.pi / 8.0, 3: C3_CALIBRATED}
 
 # Nodes per axis of the fixed [-1, 1]^n grid that blow-ups are sampled on,
-# the smallest blow-up radius in node spacings, and the number of start
-# directions of the half-space fit.
+# the smallest blow-up radius in node spacings, the number of start
+# directions of the half-space fit and of golden-section steps per angle,
+# and the number of seeded random forms among Monneau's probes.
 REF_NODES = 33
 BLOWUP_RADIUS_FACTOR = 8.0
 DIRECTION_STARTS = 64
+GOLDEN_ITERATIONS = 40
+RANDOM_PROBES = 2
 DEGENERACY_FLOOR_FACTOR = 100.0
 
 NONDECREASING = "nondecreasing"
@@ -295,13 +298,13 @@ def _angles_to_unit(angles: np.ndarray) -> np.ndarray:
     return np.array([math.sin(t) * math.cos(p), math.sin(t) * math.sin(p), math.cos(t)])
 
 
-def _golden_minimize(fn, lo: float, hi: float, iterations: int = 40) -> float:
+def _golden_minimize(fn, lo: float, hi: float) -> float:
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
     fc, fd = fn(c), fn(d)
-    for _ in range(iterations):
+    for _ in range(GOLDEN_ITERATIONS):
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - inv_phi * (b - a)
@@ -550,7 +553,7 @@ def frequency_lambda(
     )
 
 
-def probe_forms(dimension: int, seed: int = 0, random_count: int = 2) -> list[QuadraticForm]:
+def probe_forms(dimension: int, seed: int = 0) -> list[QuadraticForm]:
     """The fixed probe set: identity/n, rank-one in the first two axes,
     and seeded random unit-trace PSD forms (n = 1 collapses to [[1]])."""
     if dimension == 1:
@@ -561,7 +564,7 @@ def probe_forms(dimension: int, seed: int = 0, random_count: int = 2) -> list[Qu
         diag[axis] = 1.0
         forms.append(QuadraticForm.diagonal(diag))
     rng = np.random.default_rng(seed)
-    for _ in range(random_count):
+    for _ in range(RANDOM_PROBES):
         g = rng.standard_normal((dimension, dimension))
         s = g.T @ g
         forms.append(QuadraticForm.from_matrix(s / np.trace(s)))

@@ -72,15 +72,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(args) -> tuple[RunConfig, Path, int]:
+def _load(args) -> tuple[RunConfig, Path]:
     config = load_config(args.config)
+    if args.seed is not None:  # RunConfig's rule checks the override too
+        config = dataclasses.replace(config, seed=args.seed)
     out_dir = io.ensure_directory(args.out if args.out is not None else config.output_directory)
-    seed = args.seed if args.seed is not None else config.seed
-    return config, out_dir, seed
+    return config, out_dir
 
 
 def _cmd_solve(args) -> int:
-    config, out_dir, _ = _load(args)
+    config, out_dir = _load(args)
     problem = build_problem(config)
     try:
         result = solve(problem, config.solver)
@@ -127,7 +128,7 @@ def _solve_summary(config: RunConfig, result) -> dict:
 
 
 def _cmd_diagnose(args, selection_override) -> int:
-    config, out_dir, seed = _load(args)
+    config, out_dir = _load(args)
     field, solver_summary = _obtain_field(config, out_dir)
     diag = config.diagnostics
     selection = selection_override if selection_override is not None else diag.selection
@@ -137,7 +138,7 @@ def _cmd_diagnose(args, selection_override) -> int:
     grid = field.grid
     report: dict = {
         "report_version": REPORT_VERSION,
-        "seed": seed,
+        "seed": config.seed,
         "grid": _entry(grid, dimension=grid.dimension, h=grid.h),
         "solver": solver_summary,
         "contact": {
@@ -153,7 +154,7 @@ def _cmd_diagnose(args, selection_override) -> int:
         report["checks"]["solver_converged"] = solver_summary["final_residual"] <= config.solver.tol
 
     radii = {p: admissible_radii(grid, p, diag.radii) for p in map(tuple, fb.points.tolist())}
-    run = _Run(field, contact, fb, diag.classifier, seed, radii)
+    run = _Run(field, contact, fb, diag.classifier, config.seed, radii)
     point_columns = [f"x{a}" for a in range(grid.dimension)]
     for name, filename, columns, diagnostic in DIAGNOSTICS:
         if name in selection:

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 import json
+import sys
 
 import numpy as np
 
@@ -127,6 +128,10 @@ class RunConfig:
     rasters: bool
     seed: int
 
+    def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+
 
 _TYPE_NAMES = {float: "number", int: "integer", bool: "boolean", str: "string", dict: "object"}
 
@@ -143,10 +148,11 @@ def _type_name(kind) -> str:
 
 def _typed(value, kind):
     """``value`` read as ``kind`` by the one type rule, or None if it does
-    not fit: a float is a JSON number (an integer becomes a float) and an
-    int a JSON integer, neither a boolean; other kinds match exactly.
-    ``[k]`` is a list of ``k``, read as a tuple; a tuple of kinds takes the
-    first that fits."""
+    not fit: a float is a JSON number that a float holds finitely (NaN,
+    Infinity and 1e400 do not fit; an integer becomes a float) and an int a
+    JSON integer, neither a boolean; other kinds match exactly. ``[k]`` is
+    a list of ``k``, read as a tuple; a tuple of kinds takes the first that
+    fits."""
     if isinstance(kind, tuple):
         for alternative in kind:
             if (typed := _typed(value, alternative)) is not None:
@@ -154,8 +160,11 @@ def _typed(value, kind):
     elif isinstance(kind, list) and type(value) is list:
         items = tuple(_typed(item, kind[0]) for item in value)
         return None if None in items else items
-    elif type(value) is kind or (kind is float and type(value) is int):
-        return float(value) if kind is float else value
+    elif kind is float:
+        if type(value) in (float, int) and abs(value) <= sys.float_info.max:
+            return float(value)
+    elif type(value) is kind:
+        return value
     return None
 
 
@@ -194,7 +203,7 @@ def load_config(path) -> RunConfig:
     try:
         with open(path) as fh:
             payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # malformed JSON, an over-long integer, non-UTF-8
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config(payload)
 

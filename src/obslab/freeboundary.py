@@ -29,7 +29,7 @@ from .grid import (
 )
 
 DEFAULT_KAPPA = 2.0
-DEFAULT_NONDEGENERACY_SLACK = 0.15
+NONDEGENERACY_SLACK = 0.15
 GROWTH_STABILITY_FACTOR = 10.0
 
 
@@ -107,18 +107,13 @@ def extract_free_boundary(contact: ContactSet) -> FreeBoundarySet:
     return FreeBoundarySet(grid=contact.grid, indices=indices, points=points)
 
 
-def growth_report(
-    field: ScalarField,
-    x0,
-    radii,
-    slack: float = DEFAULT_NONDEGENERACY_SLACK,
-) -> GrowthReport:
+def growth_report(field: ScalarField, x0, radii) -> GrowthReport:
     """Quadratic growth ratios sup_{B_r(x0)} u / r^2 over the given radii
     (as :func:`grid.require_radii` admits them).
 
     Flags non-degeneracy when the smallest ratio clears ``(1/(2n)) * (1 -
-    slack)`` and bounded growth when the ratios are finite and stable
-    (max/min <= 10).
+    NONDEGENERACY_SLACK)`` and bounded growth when the ratios are finite
+    and stable (max/min <= 10).
     """
     field.require_finite("growth-report input")
     grid = field.grid
@@ -129,7 +124,7 @@ def growth_report(
     lower = float(ratios.min())
     upper = float(ratios.max())
     n = grid.dimension
-    nondegenerate = lower >= (1.0 / (2.0 * n)) * (1.0 - slack)
+    nondegenerate = lower >= (1.0 / (2.0 * n)) * (1.0 - NONDEGENERACY_SLACK)
     if upper == 0.0:
         bounded = True  # identically zero field: trivially stable
     elif lower <= 0.0:
@@ -144,5 +139,5 @@ def growth_report(
         lower_constant=lower,
         nondegenerate=bool(nondegenerate),
         bounded=bounded,
-        slack=float(slack),
+        slack=NONDEGENERACY_SLACK,
     )

@@ -49,7 +49,8 @@ class GridSpec:
     nodes_per_axis : tuple of int
         Node counts (>= 3), endpoints included. Spacing
         ``(upper - lower) / (nodes - 1)`` must agree across axes to 1e-12
-        relative, so a single scalar ``h`` describes the lattice.
+        relative, so a single scalar ``h`` (set at construction) describes
+        the lattice.
     """
 
     lower: tuple[float, ...]
@@ -65,17 +66,22 @@ class GridSpec:
             raise GridError(f"dimension must be 1, 2 or 3, got {n}")
         if len(self.upper) != n or len(self.nodes_per_axis) != n:
             raise GridError("lower, upper and nodes_per_axis must have one entry per axis")
+        if not np.isfinite(self.lower + self.upper).all():
+            raise GridError(f"lower and upper must be finite, got {self.lower} and {self.upper}")
         for lo, hi in zip(self.lower, self.upper):
             if not hi > lo:
                 raise GridError(f"upper must exceed lower on every axis, got {hi} <= {lo}")
         for m in self.nodes_per_axis:
             if m < 3:
                 raise GridError(f"nodes_per_axis must be >= 3, got {m}")
-        spacings = self.spacings
+        spacings = tuple(
+            (hi - lo) / (m - 1) for lo, hi, m in zip(self.lower, self.upper, self.nodes_per_axis)
+        )
         h0 = spacings[0]
         for ha in spacings[1:]:
             if abs(ha - h0) > _SPACING_RTOL * max(abs(h0), abs(ha)):
                 raise GridError(f"lower, upper and nodes_per_axis give nonuniform spacing {spacings}")
+        object.__setattr__(self, "h", h0)
 
     @property
     def dimension(self) -> int:
@@ -84,17 +90,6 @@ class GridSpec:
     @property
     def shape(self) -> tuple[int, ...]:
         return self.nodes_per_axis
-
-    @property
-    def spacings(self) -> tuple[float, ...]:
-        return tuple(
-            (hi - lo) / (m - 1) for lo, hi, m in zip(self.lower, self.upper, self.nodes_per_axis)
-        )
-
-    @property
-    def h(self) -> float:
-        """Common node spacing."""
-        return self.spacings[0]
 
     @property
     def node_count(self) -> int:
@@ -192,8 +187,10 @@ def require_ball_in_box(grid: GridSpec, ball: BallSpec) -> None:
 
 
 def require_increasing(radii) -> np.ndarray:
-    """The radii as an array, strictly increasing (no grid needed)."""
+    """The radii as an array, finite and strictly increasing (no grid needed)."""
     radii = np.asarray([float(r) for r in radii])
+    if not np.isfinite(radii).all():
+        raise GridError(f"radii must be finite, got {radii.tolist()}")
     if not (np.diff(radii) > 0).all():
         raise GridError("radii must be strictly increasing")
     return radii
@@ -261,7 +258,7 @@ def gradient(field: ScalarField) -> tuple[ScalarField, ...]:
     second-order one-sided at the boundary faces (exact on quadratics)."""
     grid = field.grid
     return tuple(
-        ScalarField(grid, np.gradient(field.values, grid.spacings[a], axis=a, edge_order=2))
+        ScalarField(grid, np.gradient(field.values, grid.h, axis=a, edge_order=2))
         for a in range(grid.dimension)
     )
 
@@ -283,7 +280,7 @@ def interpolate_many(field: ScalarField, points: np.ndarray) -> np.ndarray:
     if (points < lower - eps).any() or (points > upper + eps).any():
         raise OutOfDomainError("interpolation point outside the grid box")
 
-    t = (points - lower) / np.array(grid.spacings)
+    t = (points - lower) / grid.h
     base = np.clip(np.floor(t).astype(int), 0, np.array(grid.shape) - 2)
     result = np.zeros(points.shape[0])
     for index, weight in _corners(base, t - base, np.ones(points.shape[0])):
@@ -359,7 +356,7 @@ def quadrature_window(
     h, r = grid.h, ball.radius
     if r < MIN_RULE_RADIUS_FACTOR * h:
         raise ResolutionError(f"radius {r} < {MIN_RULE_RADIUS_FACTOR:g}h: quadrature unreliable")
-    t = (np.array(ball.center) - grid.lower) / grid.spacings
+    t = (np.array(ball.center) - grid.lower) / grid.h
     node = np.round(t).astype(int)
     offset = np.where(np.abs(t - node) < 1e-9, 0.0, t - node)
     weights = _rule(kind, h, r, tuple(offset.tolist()), angular_samples if kind == "sphere" else 0)

@@ -24,7 +24,7 @@ The stopping rule is the complementarity residual in max-norm,
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,7 +99,6 @@ class SolverConfig:
     omega: float = 1.8
     tol: float = 1e-8
     max_iterations: int = 200_000
-    record_energy: bool = False
 
     def __post_init__(self) -> None:
         if self.method not in (PSOR, PROJECTED_GRADIENT):
@@ -118,7 +117,6 @@ class SolveResult:
     iterations: int
     residual_history: np.ndarray
     final_energy: float
-    energy_history: np.ndarray | None = dataclass_field(default=None)
 
 
 def _boundary_mask(shape: tuple[int, ...]) -> np.ndarray:
@@ -187,9 +185,10 @@ def solve(
 ) -> SolveResult:
     """Minimize the discrete energy subject to the constraint.
 
-    Returns once the projected residual max-norm drops to ``config.tol``;
+    One loop serves every method: it takes the method's steps, records the
+    residual of each iterate, and returns once that drops to ``config.tol``;
     raises :class:`IterationLimitError` (carrying the residual history)
-    if ``config.max_iterations`` sweeps do not get there.
+    if ``config.max_iterations`` steps do not get there.
     """
     grid = problem.grid
     core = grid.interior_slices()
@@ -204,60 +203,53 @@ def solve(
         u[ring] = problem.boundary[ring]
         u[core] = np.maximum(u[core], problem.obstacle[core])
 
+    steps = _psor_steps if config.method == PSOR else _projected_gradient_steps
     residuals: list[float] = []
-    energies: list[float] = [] if config.record_energy else None
-
-    loop = _psor_loop if config.method == PSOR else _projected_gradient_loop
-    iterations = loop(u, problem, config, residuals, energies)
+    for iterate in itertools.islice(steps(u, problem, config), config.max_iterations):
+        residuals.append(_residual(iterate, problem.obstacle, problem.source, grid.h))
+        if residuals[-1] <= config.tol:
+            break
 
     history = np.array(residuals)
-    solution = ScalarField(grid, u).require_finite("solution")
-    energy = dirichlet_energy(solution, problem)
-    result = SolveResult(
-        solution=solution,
-        iterations=iterations,
-        residual_history=history,
-        final_energy=energy,
-        energy_history=np.array(energies) if energies is not None else None,
-    )
     if history[-1] > config.tol:
         raise IterationLimitError(
             f"no convergence in {config.max_iterations} iterations "
             f"(residual {history[-1]:.3e} > tol {config.tol:.3e})",
             history,
         )
-    return result
+    solution = ScalarField(grid, iterate).require_finite("solution")
+    return SolveResult(
+        solution=solution,
+        iterations=len(history),
+        residual_history=history,
+        final_energy=dirichlet_energy(solution, problem),
+    )
 
 
-def _psor_loop(u, problem, config, residuals, energies) -> int:
+def _psor_steps(u, problem, config):
+    """Projected SOR sweeps of ``u`` in place, yielding ``u`` after each."""
     h = problem.grid.h
-    obstacle, source = problem.obstacle, problem.source
     colors = _red_black(u.shape)
-    c0 = source * (h * h) / (2.0 * u.ndim)
-    for sweep in range(1, config.max_iterations + 1):
-        _sweep(u, colors, obstacle, config.omega, c0)
-        res = _residual(u, obstacle, source, h)
-        residuals.append(res)
-        if energies is not None:
-            energies.append(dirichlet_energy(ScalarField(problem.grid, u), problem))
-        if res <= config.tol:
-            return sweep
-    return config.max_iterations
+    c0 = problem.source * (h * h) / (2.0 * u.ndim)
+    while True:
+        _sweep(u, colors, problem.obstacle, config.omega, c0)
+        yield u
 
 
-def _projected_gradient_loop(u, problem, config, residuals, energies) -> int:
+def _projected_gradient_steps(u, problem, config):
+    """Accelerated projected gradient steps from ``u``, yielding each
+    iterate as a full array; ``u`` holds the extrapolated point."""
     nd = u.ndim
     h = problem.grid.h
-    h2 = h * h
-    obstacle, source = problem.obstacle, problem.source
+    source = problem.source
     core = (slice(1, -1),) * nd
-    psi_core = obstacle[core]
-    step = h2 / (4.0 * nd)  # 1 / lambda_max bound of the scaled Hessian
+    psi_core = problem.obstacle[core]
+    step = h * h / (4.0 * nd)  # 1 / lambda_max bound of the scaled Hessian
     x = u[core].copy()
     y = u  # full array whose interior holds the extrapolated point
     probe = u.copy()  # full array whose interior holds the current iterate
     t = 1.0
-    for iteration in range(1, config.max_iterations + 1):
+    while True:
         lap = interior_laplacian(y, h)
         x_new = np.maximum(y[core] + step * (lap - source), psi_core)
         # adaptive restart on the gradient-mapping sign
@@ -270,14 +262,7 @@ def _projected_gradient_loop(u, problem, config, residuals, energies) -> int:
             t = t_next
         x = x_new
         probe[core] = x
-        res = _residual(probe, obstacle, source, h)
-        residuals.append(res)
-        if energies is not None:
-            energies.append(dirichlet_energy(ScalarField(problem.grid, probe), problem))
-        if res <= config.tol:
-            break
-    u[core] = x
-    return iteration
+        yield probe
 
 
 def _trapezoid_weights(shape: tuple[int, ...], plain_axis: int | None = None) -> np.ndarray:

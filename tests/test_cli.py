@@ -257,6 +257,45 @@ class TestDiagnoseCommand:
         assert err.startswith(f"error: {prefix}")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "path, text, prefix",
+        [
+            (("diagnostics", "radii"), "[NaN]", "diagnostics.radii "),
+            (("problem", "lower"), "[-Infinity, -1.0]", "problem.lower "),
+            (("solver", "omega"), "1" + "0" * 400, "solver.omega "),
+            (("solver", "tolerance"), "1e400", "solver.tolerance "),
+            (("solver", "omega"), "1" + "0" * 5000, "cannot read config "),
+            (("seed",), "-1", "seed "),
+        ],
+        ids=[
+            "radii_nan",
+            "lower_infinity",
+            "omega_overflow",
+            "tolerance_1e400",
+            "omega_5001_digits",
+            "seed_negative",
+        ],
+    )
+    def test_non_finite_or_out_of_range_number_exit_1(self, tmp_path, capsys, path, text, prefix):
+        payload = radial_config(tmp_path / "out", ["growth"])
+        *sections, key = path
+        target = payload
+        for name in sections:
+            target = target[name]
+        target[key] = "SENTINEL"
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(payload).replace('"SENTINEL"', text))
+        assert main(["diagnose", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {prefix}")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_seed_flag_exit_1(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", radial_config(tmp_path / "out", ["monneau"]))
+        assert main(["diagnose", "--config", cfg, "--seed", "-2"]) == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -2\n"
+
     def test_solution_file_reused(self, tmp_path):
         out1 = tmp_path / "o1"
         cfg1 = write_config(

@@ -149,6 +149,12 @@ class TestParse:
         with pytest.raises(ConfigError):
             load_config(path)
 
+    def test_load_config_not_utf8(self, tmp_path):
+        path = tmp_path / "binary.json"
+        path.write_bytes(b'{"version": 1, "seed": "\xff"}')
+        with pytest.raises(ConfigError, match="cannot read config"):
+            load_config(path)
+
 
 class TestShippedConfigs:
     @pytest.mark.parametrize("name", sorted(shipped_configs()))

@@ -53,6 +53,15 @@ class TestGridSpec:
         with pytest.raises(GridError):
             GridSpec(lower=(0.0, 0.0), upper=(1.0, 2.0), nodes_per_axis=(11, 11))
 
+    def test_rejects_non_finite_corner(self):
+        with pytest.raises(GridError, match="finite"):
+            GridSpec(lower=(-np.inf, -1.0), upper=(1.0, 1.0), nodes_per_axis=(5, 5))
+
+    @pytest.mark.parametrize("radii", [[np.nan], [0.1, np.inf]])
+    def test_radii_must_be_finite(self, radii):
+        with pytest.raises(GridError, match="finite"):
+            grid.require_increasing(radii)
+
     def test_rejects_dimension_4(self):
         with pytest.raises(GridError):
             GridSpec(lower=(0.0,) * 4, upper=(1.0,) * 4, nodes_per_axis=(5,) * 4)
@@ -318,7 +327,7 @@ class TestGradient:
 def reference_window(grid, ball):
     window = []
     for a, c in enumerate(ball.center):
-        h = grid.spacings[a]
+        h = grid.h
         i0 = int(np.floor((c - ball.radius - grid.lower[a]) / h)) - 1
         i1 = int(np.ceil((c + ball.radius - grid.lower[a]) / h)) + 2
         window.append(slice(max(i0, 0), min(i1, grid.nodes_per_axis[a])))
@@ -359,7 +368,7 @@ def reference_gradient(field):
     u, nd = field.values, field.grid.dimension
     out = []
     for a in range(nd):
-        h = field.grid.spacings[a]
+        h = field.grid.h
         g = np.empty_like(u)
 
         def cut(s):

@@ -1,7 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
 
-from obslab.grid import GridSpec, ScalarField, centered_box
+from obslab.grid import GridError, GridSpec, ScalarField, centered_box
 from obslab.io import (
     FieldFormatError,
     read_field,
@@ -40,6 +42,16 @@ class TestFieldRoundTrip:
         data = path.read_bytes()
         path.write_bytes(data[:-16])
         with pytest.raises(FieldFormatError):
+            read_field(path)
+
+    def test_rejects_non_finite_box(self, tmp_path):
+        grid = centered_box(2, 1.0, 5)
+        path = tmp_path / "inf.field"
+        write_field(path, ScalarField(grid, np.zeros(grid.shape)))
+        data = bytearray(path.read_bytes())
+        struct.pack_into("<d", data, 8 + 4 + 2 * 4, -np.inf)  # lower[0], after magic, n, nodes
+        path.write_bytes(bytes(data))
+        with pytest.raises(GridError, match="finite"):
             read_field(path)
 
 

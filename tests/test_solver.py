@@ -10,6 +10,7 @@ from obslab.grid import (
     centered_box,
     discrete_laplacian,
     field_from_function,
+    interior_laplacian,
 )
 from obslab.solver import (
     PROJECTED_GRADIENT,
@@ -26,6 +27,7 @@ from obslab.solver import (
     normalized_problem,
     solve,
 )
+from obslab.solver import _psor_steps
 
 TOL = 1e-8
 
@@ -182,10 +184,16 @@ class TestEnergy:
             assert dirichlet_energy(perturbed, problem) >= base - 1e-12
 
     def test_energy_monotone_along_psor_sweeps(self):
+        # drive the PSOR steps from solve's default start, to solve's stop
         problem, _ = radial_problem(nodes=33)
-        result = solve(problem, SolverConfig(tol=1e-10, record_energy=True))
-        energies = result.energy_history
-        assert energies is not None
+        config = SolverConfig(tol=1e-10)
+        energies = []
+        for iterate in _psor_steps(default_initial_guess(problem).values.copy(), problem, config):
+            field = ScalarField(problem.grid, iterate)
+            energies.append(dirichlet_energy(field, problem))
+            if complementarity_residual(field, problem) <= config.tol:
+                break
+        assert len(energies) == solve(problem, config).iterations > 1
         assert (np.diff(energies) <= 1e-12).all()
 
     def test_grid_mismatch_rejected(self):
@@ -355,3 +363,79 @@ class TestSpecFields:
         obstacle[4] = np.nan
         with pytest.raises(GridError):
             ObstacleProblemSpec(grid, np.zeros(grid.shape), obstacle, 0.0)
+
+
+def reference_projected_gradient(problem, u, tol):
+    """Reference accelerated projected gradient: the method's loop written
+    out with its own residual history and stopping test. Returns the
+    history; ``u`` ends as the solution."""
+    nd = u.ndim
+    h = problem.grid.h
+    h2 = h * h
+    obstacle, source = problem.obstacle, problem.source
+    core = (slice(1, -1),) * nd
+    psi_core = obstacle[core]
+    step = h2 / (4.0 * nd)
+    x = u[core].copy()
+    y = u
+    probe = u.copy()
+    t = 1.0
+    history = []
+    while not history or history[-1] > tol:
+        lap = interior_laplacian(y, h)
+        x_new = np.maximum(y[core] + step * (lap - source), psi_core)
+        if np.vdot(y[core] - x_new, x_new - x) > 0.0:
+            t = 1.0
+            y[core] = x_new
+        else:
+            t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+            y[core] = x_new + ((t - 1.0) / t_next) * (x_new - x)
+            t = t_next
+        x = x_new
+        probe[core] = x
+        lap = discrete_laplacian(ScalarField(problem.grid, probe)).interior()
+        gap = probe[core] - obstacle[core]
+        history.append(float(np.max(np.abs(np.minimum(gap, source - lap)))))
+    u[core] = x
+    return history
+
+
+class TestProjectedGradientSteps:
+    @pytest.mark.parametrize("dimension, nodes, form", SMALL_CASES)
+    def test_equals_reference_loop(self, dimension, nodes, form):
+        problem = small_problem(dimension, nodes, form)
+        start = default_initial_guess(problem)
+        config = SolverConfig(method=PROJECTED_GRADIENT, tol=1e-10)
+        result = solve(problem, config, start)
+        u = start.values.copy()
+        history = reference_projected_gradient(problem, u, tol=1e-10)
+        assert np.array_equal(result.solution.values, u)
+        assert np.array_equal(result.residual_history, history)
+        assert result.iterations == len(history)
+
+
+def random_admissible_start(problem):
+    """The obstacle plus seeded uniform noise in [0, 0.5)."""
+    rng = np.random.default_rng(problem.grid.node_count)
+    return ScalarField(problem.grid, problem.obstacle + rng.uniform(0.0, 0.5, problem.grid.shape))
+
+
+class TestStartAndMethodIndependence:
+    """The discrete LCP has one solution: every start and method reaches it."""
+
+    @pytest.mark.parametrize(
+        "dimension, nodes, form",
+        [(d, n, form) for d, n in ((1, 33), (2, 33), (3, 17)) for form in ("normalized", "general")],
+    )
+    def test_one_solution(self, dimension, nodes, form):
+        problem = small_problem(dimension, nodes, form)
+        starts = (default_initial_guess, constraint_initial_guess, random_admissible_start)
+        solutions = [
+            solve(problem, SolverConfig(method=method, tol=1e-12), start(problem)).solution.values
+            for method in (PSOR, PROJECTED_GRADIENT)
+            for start in starts
+        ]
+        for other in solutions[1:]:
+            assert np.abs(other - solutions[0]).max() <= 1e-10
+        core = problem.grid.interior_slices()
+        assert (solutions[0][core] == problem.obstacle[core]).any()  # the obstacle binds
