@@ -24,13 +24,14 @@ produce exact zeros rather than interpolation residue.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .freeboundary import FreeBoundarySet
-from .fixtures import DEFAULT_EIGEN_TOL, QuadraticForm
+from .fixtures import DEFAULT_EIGEN_TOL, QuadraticForm, polynomial
 from .grid import (
     DEFAULT_ANGULAR_SAMPLES,
     MIN_ANGULAR_SAMPLES,
@@ -87,8 +88,6 @@ def calibrate_weiss_constant(dimension: int, nodes: int = 121, angular_samples: 
     test can confirm the frozen value within its stored tolerance.
     """
     grid = centered_box(dimension, 1.1, nodes)
-    from .fixtures import polynomial
-
     field = polynomial(QuadraticForm.isotropic(dimension)).sample(grid)
     return weiss_energy(field, (0.0,) * dimension, 1.0, angular_samples=angular_samples)
 
@@ -178,16 +177,16 @@ def _sphere_series(
     field: ScalarField, x0, form: QuadraticForm, radii, angular_samples: int
 ) -> list[float]:
     """int_{dB_r(x0)} (u - p(. - x0))^2 for each r in ``radii``, with
-    ``(u - p)^2`` formed at the nodes of each sphere's window."""
+    ``(u - p)^2`` formed at the nodes of each sphere's window; p is summed
+    over the window's offsets y from x0 as (1/2) sum_ab A_ab y_a y_b."""
     form.require_blowup_form()
     field.require_finite("sphere-series input")
     series = []
     for r in radii:
         ball = BallSpec(tuple(x0), float(r))
-        window, u, weights = quadrature_window(field, ball, "sphere", angular_samples)
-        axes = [field.grid.axis(a)[s] - c for a, (s, c) in enumerate(zip(window, ball.center))]
-        pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
-        w = u - form.evaluate(pts).reshape(u.shape)
+        offsets, u, weights = quadrature_window(field, ball, "sphere", angular_samples)
+        y = np.ix_(*offsets)
+        w = u - 0.5 * sum(a_ab * y[a] * y[b] for (a, b), a_ab in np.ndenumerate(form.matrix))
         series.append(float(np.sum(weights * (w * w))))
     return series
 
@@ -223,6 +222,19 @@ def monneau_profile(
     return _profile(grid, radii, values, delta, advisory=not at_singular_point)
 
 
+@functools.lru_cache(maxsize=3)
+def _blowup_nodes(dimension: int) -> tuple[GridSpec, np.ndarray, np.ndarray]:
+    """The fixed blow-up grid over [-1, 1]^n, the flat mask of its nodes in
+    the closed unit ball and their positions, read-only; one per dimension."""
+    ref_grid = centered_box(dimension, 1.0, REF_NODES)
+    pts = ref_grid.node_positions()
+    inside = np.linalg.norm(pts, axis=1) <= 1.0
+    pts = pts[inside]
+    for array in (inside, pts):
+        array.setflags(write=False)
+    return ref_grid, inside, pts
+
+
 def rescale_blowup(field: ScalarField, x0, r: float) -> ScalarField:
     """u_{x0,r}(x) = u(x0 + r x) / r^2 on a fixed grid over [-1, 1]^n,
     NaN outside the closed unit ball."""
@@ -232,12 +244,9 @@ def rescale_blowup(field: ScalarField, x0, r: float) -> ScalarField:
     if r < floor:
         raise ResolutionError(f"blow-up radius {r} < {BLOWUP_RADIUS_FACTOR:g}h = {floor}")
     require_ball_in_box(grid, BallSpec(tuple(x0), float(r)))
-    ref_grid = centered_box(grid.dimension, 1.0, REF_NODES)
-    pts = ref_grid.node_positions()
-    inside = np.linalg.norm(pts, axis=1) <= 1.0
-    values = np.full(len(pts), np.nan)
-    target = np.asarray(x0, dtype=float)[None, :] + r * pts[inside]
-    values[inside] = interpolate_many(field, target) / (r * r)
+    ref_grid, inside, pts = _blowup_nodes(grid.dimension)
+    values = np.full(len(inside), np.nan)
+    values[inside] = interpolate_many(field, np.asarray(x0, dtype=float) + r * pts) / (r * r)
     return ScalarField(ref_grid, values.reshape(ref_grid.shape))
 
 
@@ -401,11 +410,8 @@ def classify_point(
             blowup_radius=None,
             reason=f"blow-up unavailable: {exc}",
         )
-    ref_points = rescaled.grid.node_positions()
-    flat = rescaled.values.ravel()
-    inside = np.isfinite(flat)
-    points = ref_points[inside]
-    values = flat[inside]
+    _, inside, points = _blowup_nodes(grid.dimension)
+    values = rescaled.values.ravel()[inside]
     scale = float(np.linalg.norm(values))
     if scale <= 0.0:
         return Classification(
@@ -585,7 +591,7 @@ def contact_strip_halfwidth(
     of the fitted blow-up matrix, cut at ``eigen_tol`` as the stratum is; no
     decay rate in r is asserted. None when no contact node lies in the ball.
     """
-    pts = grid.node_positions()[contact_mask.ravel()] - np.asarray(x0, dtype=float)[None, :]
+    pts = np.argwhere(contact_mask) * grid.h + grid.lower - np.asarray(x0, dtype=float)
     dist = np.linalg.norm(pts, axis=1)
     pts = pts[dist <= r]
     if len(pts) == 0:

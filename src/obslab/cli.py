@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import reprlib
 import sys
 from pathlib import Path
 
@@ -47,9 +48,7 @@ def main(argv=None) -> int:
             return _cmd_diagnose(args, selection_override=None)
         if args.command == "classify":
             return _cmd_diagnose(args, selection_override=("classify",))
-        if args.command == "report":
-            return _cmd_report(args)
-        raise AssertionError(f"unhandled command {args.command}")
+        return _cmd_report(args)  # the parser admits no other command
     except (ConfigError, GridError, SolverError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE if isinstance(exc, IterationLimitError) else EXIT_CONFIG
@@ -76,24 +75,38 @@ def _load(args) -> tuple[RunConfig, Path]:
     config = load_config(args.config)
     if args.seed is not None:  # RunConfig's rule checks the override too
         config = dataclasses.replace(config, seed=args.seed)
-    out_dir = io.ensure_directory(args.out if args.out is not None else config.output_directory)
+    out_dir = Path(args.out if args.out is not None else config.output_directory)
+    out_dir.mkdir(parents=True, exist_ok=True)
     return config, out_dir
 
 
 def _cmd_solve(args) -> int:
     config, out_dir = _load(args)
+    _, summary = _solved(config, out_dir)
+    io.write_json(out_dir / "solve_summary.json", summary)
+    print(f"solved in {summary['iterations']} iterations; outputs in {out_dir}")
+    return EXIT_OK
+
+
+def _solved(config: RunConfig, out_dir: Path):
+    """The solution of the configured problem and its summary. Writes
+    ``residuals.csv`` (also when the iteration limit stops the solve, whose
+    error is re-raised) and ``solution.field``."""
     problem = build_problem(config)
     try:
         result = solve(problem, config.solver)
     except IterationLimitError as exc:
         _write_residuals(out_dir, exc.residual_history)
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    io.write_field(out_dir / "solution.field", result.solution)
+        raise
     _write_residuals(out_dir, result.residual_history)
-    io.write_json(out_dir / "solve_summary.json", _solve_summary(config, result))
-    print(f"solved in {result.iterations} iterations; outputs in {out_dir}")
-    return EXIT_OK
+    io.write_field(out_dir / "solution.field", result.solution)
+    return result.solution, {
+        "iterations": result.iterations,
+        "final_residual": float(result.residual_history[-1]),
+        "final_energy": result.final_energy,
+        "method": config.solver.method,
+        "tolerance": config.solver.tol,
+    }
 
 
 def _write_residuals(out_dir: Path, history) -> None:
@@ -102,7 +115,7 @@ def _write_residuals(out_dir: Path, history) -> None:
 
 
 def _obtain_field(config: RunConfig, out_dir: Path):
-    """The field to diagnose, plus an optional solver summary."""
+    """The field to diagnose, plus a solver summary when it was solved."""
     diag = config.diagnostics
     if diag.solution_file is not None:
         path = Path(diag.solution_file)
@@ -111,20 +124,7 @@ def _obtain_field(config: RunConfig, out_dir: Path):
         return io.read_field(path), None
     if config.problem.form == "fixture":
         return build_field(config), None
-    problem = build_problem(config)
-    result = solve(problem, config.solver)
-    io.write_field(out_dir / "solution.field", result.solution)
-    return result.solution, _solve_summary(config, result)
-
-
-def _solve_summary(config: RunConfig, result) -> dict:
-    return {
-        "iterations": result.iterations,
-        "final_residual": float(result.residual_history[-1]),
-        "final_energy": result.final_energy,
-        "method": config.solver.method,
-        "tolerance": config.solver.tol,
-    }
+    return _solved(config, out_dir)
 
 
 def _cmd_diagnose(args, selection_override) -> int:
@@ -321,24 +321,8 @@ DIAGNOSTICS = (
 
 def _cmd_report(args) -> int:
     if not args.reports:
-        print("error: no report files given", file=sys.stderr)
-        return EXIT_CONFIG
-    merged = []
-    for path in args.reports:
-        try:
-            with open(path) as fh:
-                payload = json.load(fh)
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot read report {path}: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-        if payload.get("report_version") != REPORT_VERSION:
-            print(
-                f"error: report {path} has version {payload.get('report_version')!r}, "
-                f"expected {REPORT_VERSION}",
-                file=sys.stderr,
-            )
-            return EXIT_CONFIG
-        merged.append((path, payload.get("checks", {})))
+        raise ConfigError("no report files given")
+    merged = [(path, _report_checks(path)) for path in args.reports]
     names = sorted({name for _, checks in merged for name in checks})
     failures = []
     width = max((len(n) for n in names), default=4)
@@ -360,6 +344,24 @@ def _cmd_report(args) -> int:
         return EXIT_ACCEPTANCE
     print("all checks passed")
     return EXIT_OK
+
+
+def _report_checks(path) -> dict:
+    """The checks of a report file, which must be a JSON object of this
+    report version whose ``checks`` is an object of JSON booleans."""
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read report {path}: {exc}") from exc
+    checks = payload.get("checks") if type(payload) is dict else None
+    if type(checks) is not dict or any(type(v) is not bool for v in checks.values()):
+        raise ConfigError(f"report {path} must be a JSON object whose checks are JSON booleans")
+    version = payload.get("report_version")
+    if type(version) is not int or version != REPORT_VERSION:
+        version = reprlib.repr(version)
+        raise ConfigError(f"report {path} has version {version}, expected {REPORT_VERSION}")
+    return checks
 
 
 if __name__ == "__main__":

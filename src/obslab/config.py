@@ -43,6 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 import json
+import reprlib
 import sys
 
 import numpy as np
@@ -184,7 +185,8 @@ def _read(section: dict, where: str, kinds: dict) -> dict:
                 raise ConfigError(f"{where}{key} is required")
             values[key] = default
         elif (typed := _typed(value, kind)) is None:
-            raise ConfigError(f"{where}{key} must be a JSON {_type_name(kind)}, got {value!r}")
+            got = reprlib.repr(value)
+            raise ConfigError(f"{where}{key} must be a JSON {_type_name(kind)}, got {got}")
         else:
             values[key] = typed
     return values
@@ -210,7 +212,7 @@ def load_config(path) -> RunConfig:
 
 def parse_config(payload: dict) -> RunConfig:
     if type(payload) is not dict:
-        raise ConfigError(f"the config must be a JSON object, got {payload!r}")
+        raise ConfigError(f"the config must be a JSON object, got {reprlib.repr(payload)}")
     top = _read(
         payload,
         "",

@@ -142,9 +142,6 @@ class ReferenceSolution:
             return 0.5 * np.square(np.maximum(np.abs(points[:, 0]) - a, 0.0))
         raise FixtureError(f"unknown fixture kind {self.kind!r}")
 
-    def __call__(self, points: np.ndarray) -> np.ndarray:
-        return self.evaluate(points)
-
     def in_contact(self, points: np.ndarray) -> np.ndarray:
         """Exact contact-set membership per point."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -159,7 +156,23 @@ class ReferenceSolution:
         raise FixtureError(f"unknown fixture kind {self.kind!r}")
 
     def sample(self, grid: GridSpec) -> ScalarField:
-        return sample(self, grid)
+        """Evaluate the closed form at every node."""
+        if grid.dimension != self.dimension:
+            raise FixtureError(
+                f"grid dimension {grid.dimension} != fixture dimension {self.dimension}"
+            )
+        if self.contact_radius is not None:
+            # the contact region must sit inside the box for the fixture to
+            # exercise a visible free boundary
+            half_width = min(
+                min(-lo, hi) for lo, hi in zip(grid.lower, grid.upper)
+            )
+            if self.contact_radius >= half_width:
+                raise FixtureError(
+                    f"contact radius {self.contact_radius} >= box half-width {half_width}"
+                )
+        values = self.evaluate(grid.node_positions()).reshape(grid.shape)
+        return ScalarField(grid, values).require_finite("sampled fixture")
 
 
 def halfspace(e) -> ReferenceSolution:
@@ -191,23 +204,3 @@ def one_d(a: float) -> ReferenceSolution:
     if not a > 0.0:
         raise FixtureError(f"contact halfwidth must be positive, got {a}")
     return ReferenceSolution(kind="one_d", dimension=1, contact_radius=float(a))
-
-
-def sample(ref: ReferenceSolution, grid: GridSpec) -> ScalarField:
-    """Evaluate the closed form at every node."""
-    if grid.dimension != ref.dimension:
-        raise FixtureError(
-            f"grid dimension {grid.dimension} != fixture dimension {ref.dimension}"
-        )
-    if ref.contact_radius is not None:
-        # the contact region must sit inside the box for the fixture to
-        # exercise a visible free boundary
-        half_width = min(
-            min(-lo, hi) for lo, hi in zip(grid.lower, grid.upper)
-        )
-        if ref.contact_radius >= half_width:
-            raise FixtureError(
-                f"contact radius {ref.contact_radius} >= box half-width {half_width}"
-            )
-    values = ref.evaluate(grid.node_positions()).reshape(grid.shape)
-    return ScalarField(grid, values).require_finite("sampled fixture")

@@ -4,8 +4,8 @@ Everything downstream (solvers, free-boundary extraction, monotonicity
 profiles, blow-up classification) is built on the primitives in this module:
 node-based scalar fields on an axis-aligned box in dimension 1, 2 or 3,
 second-order finite-difference stencils, multilinear interpolation, and
-the ball, sphere and sup rules: each a weight array built once per radius
-and applied to a window of the field around the centre.
+the ball, sphere and sup rules: each a weight array with its nodes' offsets
+from the centre, built once per radius and applied to a window of the field.
 
 All operations are pure: fields are immutable snapshots.
 """
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,13 +100,9 @@ class GridSpec:
         """Node coordinates along axis ``a``."""
         return np.linspace(self.lower[a], self.upper[a], self.nodes_per_axis[a])
 
-    def meshgrid(self) -> tuple[np.ndarray, ...]:
-        """Coordinate arrays of shape ``self.shape`` (indexing='ij')."""
-        return tuple(np.meshgrid(*(self.axis(a) for a in range(self.dimension)), indexing="ij"))
-
     def node_positions(self) -> np.ndarray:
         """All node positions as an ``(node_count, dimension)`` array."""
-        mesh = self.meshgrid()
+        mesh = np.meshgrid(*(self.axis(a) for a in range(self.dimension)), indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
     def interior_slices(self) -> tuple[slice, ...]:
@@ -190,7 +187,7 @@ def require_increasing(radii) -> np.ndarray:
     """The radii as an array, finite and strictly increasing (no grid needed)."""
     radii = np.asarray([float(r) for r in radii])
     if not np.isfinite(radii).all():
-        raise GridError(f"radii must be finite, got {radii.tolist()}")
+        raise GridError(f"radii must be finite, got {reprlib.repr(radii.tolist())}")
     if not (np.diff(radii) > 0).all():
         raise GridError("radii must be strictly increasing")
     return radii
@@ -317,14 +314,16 @@ def _sphere_samples(n: int, r: float, m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=32)
-def _rule(kind: str, h: float, r: float, offset: tuple[float, ...], samples: int) -> np.ndarray:
+def _rule(kind: str, h: float, r: float, offset: tuple[float, ...], samples: int) -> tuple:
     """Weights of a rule on the (2 reach + 1)^n box of nodes around the node
-    nearest the centre; ``offset`` is the centre minus that node, in
-    spacings. ``ball``: ``clip(1/2 + (r - d)/h, 0, 1) h^n`` at distance d
-    (the exact partial-cell measure in 1D); ``sup``: 1 on the closed ball;
-    ``sphere``: the multilinear corner weights of the sphere samples."""
+    nearest the centre, and the box's offsets from the centre per axis, all
+    read-only; ``offset`` is the centre minus that node, in spacings.
+    ``ball``: ``clip(1/2 + (r - d)/h, 0, 1) h^n`` at distance d (the exact
+    partial-cell measure in 1D); ``sup``: 1 on the closed ball; ``sphere``:
+    the multilinear corner weights of the sphere samples."""
     n = len(offset)
     reach = int(np.ceil(r / h)) + 1
+    steps = tuple((np.arange(-reach, reach + 1) - o) * h for o in offset)
     if kind == "sphere":
         directions, sample_weights = _sphere_samples(n, r, samples)
         t = reach + np.array(offset) + directions * (r / h)
@@ -333,19 +332,20 @@ def _rule(kind: str, h: float, r: float, offset: tuple[float, ...], samples: int
         for index, w in _corners(base, t - base, sample_weights):
             np.add.at(weights, index, w)
     else:
-        steps = [(np.arange(-reach, reach + 1) - o) * h for o in offset]
         dist = np.sqrt(sum(m * m for m in np.meshgrid(*steps, indexing="ij")))
         inside = (dist <= r).astype(float)
         weights = {"sup": inside, "ball": np.clip(0.5 + (r - dist) / h, 0.0, 1.0) * h**n}[kind]
-    weights.setflags(write=False)
-    return weights
+    for array in (weights, *steps):
+        array.setflags(write=False)
+    return weights, steps
 
 
 def quadrature_window(
     field: ScalarField, ball: BallSpec, kind: str, angular_samples: int = DEFAULT_ANGULAR_SAMPLES
-) -> tuple[tuple[slice, ...], np.ndarray, np.ndarray]:
-    """The window slices, field values and weights of the rule ``kind``
-    (``ball``, ``sphere`` or ``sup``) over ``ball``, clipped to the grid.
+) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
+    """The offsets from the centre per axis, field values and weights of
+    the rule ``kind`` (``ball``, ``sphere`` or ``sup``) over ``ball``,
+    clipped to the grid.
 
     A centre within 1e-9 spacings of a node is taken as that node. Raises
     for a ball outside the box, a radius below ``MIN_RULE_RADIUS_FACTOR *
@@ -359,17 +359,18 @@ def quadrature_window(
     t = (np.array(ball.center) - grid.lower) / grid.h
     node = np.round(t).astype(int)
     offset = np.where(np.abs(t - node) < 1e-9, 0.0, t - node)
-    weights = _rule(kind, h, r, tuple(offset.tolist()), angular_samples if kind == "sphere" else 0)
+    samples = angular_samples if kind == "sphere" else 0
+    weights, steps = _rule(kind, h, r, tuple(offset.tolist()), samples)
     reach = weights.shape[0] // 2
     lo, hi = np.maximum(node - reach, 0), np.minimum(node + reach + 1, grid.shape)
-    window = tuple(map(slice, lo, hi))
-    weights = weights[tuple(map(slice, lo - node + reach, hi - node + reach))]
-    values = field.values[window]
+    box = tuple(map(slice, lo - node + reach, hi - node + reach))
+    weights = weights[box]
+    values = field.values[tuple(map(slice, lo, hi))]
     if np.isnan(values).any():
         if np.isnan(values[weights > 0.0]).any():
             raise GridError(f"{kind} quadrature over undefined (NaN) field values")
         values = np.nan_to_num(values, nan=0.0)
-    return window, values, weights
+    return tuple(s[b] for s, b in zip(steps, box)), values, weights
 
 
 def ball_integral(field: ScalarField, ball: BallSpec) -> float:

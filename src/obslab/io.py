@@ -23,7 +23,6 @@ from __future__ import annotations
 import csv
 import json
 import struct
-from pathlib import Path
 
 import numpy as np
 
@@ -108,9 +107,3 @@ def write_pgm(path, values: np.ndarray) -> None:
     with open(path, "wb") as fh:
         fh.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
         fh.write(data.tobytes())
-
-
-def ensure_directory(path) -> Path:
-    path = Path(path)
-    path.mkdir(parents=True, exist_ok=True)
-    return path

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
 from obslab import analysis
 from obslab.analysis import (
@@ -25,7 +26,14 @@ from obslab.analysis import (
 )
 from obslab.fixtures import QuadraticForm, halfspace, one_d, polynomial, radial
 from obslab.freeboundary import extract_contact_set, extract_free_boundary, growth_report
-from obslab.grid import GridError, ResolutionError, ScalarField, centered_box
+from obslab.grid import (
+    BallSpec,
+    GridError,
+    ResolutionError,
+    ScalarField,
+    centered_box,
+    sphere_integral,
+)
 from obslab.solver import SolverConfig, normalized_problem, solve
 
 C2 = math.pi / 8.0
@@ -123,6 +131,13 @@ class TestMonneau:
         for r in (0.2, 0.4):
             assert monneau(field, (0.0, 0.0), form, r) == pytest.approx(0.0, abs=1e-28)
 
+    def test_exact_polynomial_is_zero_3d(self):
+        grid = centered_box(3, 1.0, 33)
+        for form in (QuadraticForm.diagonal([0.5, 0.3, 0.2]), probe_forms(3, seed=2)[-1]):
+            field = polynomial(form).sample(grid)
+            for r in (0.3, 0.5):
+                assert monneau(field, (0.0, 0.0, 0.0), form, r) == pytest.approx(0.0, abs=1e-28)
+
     def test_distinct_forms_constant_profile(self):
         # u - p is 2-homogeneous, so M is r-independent up to quadrature
         grid = centered_box(2, 1.0, 257)
@@ -163,6 +178,43 @@ class TestMonneau:
         for r in (0.1, 0.2, 0.3, 0.4):
             quad_tol = max(0.02 * cn, 5 * (grid.h / r) * cn)
             assert monneau(result.solution, (0.0, 0.0), form, r) <= 5 * quad_tol
+
+
+def reference_sphere_series(field, x0, form, radii, samples):
+    """int_{dB_r(x0)} (u - p(. - x0))^2 per radius, with p evaluated by
+    QuadraticForm.evaluate at the meshgrid node positions minus x0."""
+    grid = field.grid
+    pts = grid.node_positions() - np.asarray(x0, dtype=float)
+    w = field.values - form.evaluate(pts).reshape(grid.shape)
+    squared = ScalarField(grid, w * w)
+    return np.array([sphere_integral(squared, BallSpec(x0, r), samples) for r in radii])
+
+
+class TestSphereSeries:
+    """Monneau and frequency form the probe on each window from the rule's
+    offsets; they must match the probe evaluated at node positions."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("dyadic", [True, False], ids=["dyadic", "non_dyadic"])
+    def test_matches_node_position_formula(self, n, dyadic):
+        grid = centered_box(n, 1.0, {1: 129, 2: 65, 3: 33}[n] - (0 if dyadic else 2))
+        h = grid.h
+        rng = np.random.default_rng(n)
+        pts = grid.node_positions()
+        smooth = np.cos(1.7 * pts + 0.3).sum(axis=1).reshape(grid.shape)
+        field = ScalarField(grid, smooth + rng.uniform(0.0, 0.2, grid.shape))
+        radii = np.array([4.0, 5.5, 7.3]) * h
+        node = (grid.axis(0)[grid.shape[0] // 2 + 2],) * n
+        off_node = tuple(rng.uniform(-0.3, 0.3, n))
+        clipped = (1.0 - radii[-1],) + (0.4 * h,) * (n - 1)  # ball touches x0 = 1
+        for x0 in (node, off_node, clipped):
+            for form in probe_forms(n, seed=4):
+                expected = reference_sphere_series(field, x0, form, radii, 24)
+                values = [monneau(field, x0, form, r, angular_samples=24) for r in radii]
+                assert_allclose(values, expected / radii ** (n + 3), rtol=1e-12, atol=0.0)
+                est = frequency_lambda(field, x0, form, radii, angular_samples=24)
+                norms = np.sqrt(expected * radii ** (1 - n))
+                assert_allclose(est.sphere_norms, norms, rtol=1e-12, atol=0.0)
 
 
 class TestRescaleBlowup:
@@ -382,7 +434,7 @@ class TestContactStrip:
         # eigenvalue 0.15 < eigen_tol 0.2: x1 is kernel (stratum 1), so only
         # |x0| counts and the contact strip |x0| <= 2h is thin
         grid = centered_box(2, 1.0, 257)
-        mask = np.abs(grid.meshgrid()[0]) <= 2 * grid.h
+        mask = np.abs(grid.node_positions()[:, 0].reshape(grid.shape)) <= 2 * grid.h
         form = QuadraticForm.diagonal([0.85, 0.15])
         assert form.kernel_dimension(0.2) == 1
         width = contact_strip_halfwidth(mask, grid, (0.0, 0.0), form, 0.25, eigen_tol=0.2)
@@ -396,6 +448,41 @@ class TestContactStrip:
             contact.mask, grid, (0.5, 0.5), QuadraticForm.diagonal([1.0, 0.0]), 0.1
         )
         assert width is None
+
+
+def reference_strip_halfwidth(mask, grid, x0, form, r, eigen_tol):
+    """The strip half-width from the node positions of the whole grid."""
+    pts = grid.node_positions()[mask.ravel()] - np.asarray(x0, dtype=float)[None, :]
+    pts = pts[np.linalg.norm(pts, axis=1) <= r]
+    if len(pts) == 0:
+        return None
+    eigvals, eigvecs = np.linalg.eigh(form.matrix)
+    positive = eigvals >= eigen_tol
+    if not positive.any():
+        return 0.0
+    return float(np.max(np.linalg.norm(pts @ eigvecs[:, positive], axis=1)) / r)
+
+
+@pytest.mark.parametrize("n, nodes", [(2, 65), (2, 61), (3, 33), (3, 23)])
+def test_contact_strip_matches_node_position_formula(n, nodes):
+    grid = centered_box(n, 1.0, nodes)
+    rng = np.random.default_rng(nodes)
+    checked = 0
+    for trial in range(12):
+        mask = rng.uniform(size=grid.shape) < rng.uniform(0.01, 0.5)
+        on_node = tuple(grid.axis(0)[rng.integers(0, nodes, n)])
+        x0 = on_node if trial % 2 else tuple(rng.uniform(-1.0, 1.0, n))
+        form = probe_forms(n, seed=trial)[trial % 4]
+        r = rng.uniform(2.0, 10.0) * grid.h
+        eigen_tol = rng.choice([0.05, 0.3, 0.99])
+        width = contact_strip_halfwidth(mask, grid, x0, form, r, eigen_tol)
+        expected = reference_strip_halfwidth(mask, grid, x0, form, r, eigen_tol)
+        if expected is None:
+            assert width is None
+        else:
+            assert width == pytest.approx(expected, rel=1e-12, abs=1e-15)
+            checked += 1
+    assert checked >= 6
 
 
 def test_census_totals():

@@ -5,8 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from obslab import cli, config
+from obslab import analysis, cli, config
 from obslab.cli import main
+from obslab.grid import GridSpec
 from obslab.io import read_field
 
 
@@ -289,12 +290,69 @@ class TestDiagnoseCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {prefix}")
         assert err.count("\n") == 1
+        assert len(err) <= 200 + len(str(cfg))  # rejected values are quoted in short form
         assert not (tmp_path / "out").exists()
 
     def test_negative_seed_flag_exit_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", radial_config(tmp_path / "out", ["monneau"]))
         assert main(["diagnose", "--config", cfg, "--seed", "-2"]) == 1
         assert capsys.readouterr().err == "error: seed must be >= 0, got -2\n"
+
+    def test_iteration_limit_exit_2_writes_residuals(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        payload = radial_config(out, ["growth"], nodes=33)
+        payload["solver"]["max_iterations"] = 2
+        cfg = write_config(tmp_path / "c.json", payload)
+        assert main(["diagnose", "--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith("error: no convergence in 2 iterations")
+        header, rows = read_csv(out / "residuals.csv")
+        assert header == ["iteration", "residual"] and [r[0] for r in rows] == ["1", "2"]
+        assert sorted(p.name for p in out.iterdir()) == ["residuals.csv"]
+
+    def test_solved_run_writes_residuals(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "c.json", radial_config(out, ["growth"], nodes=33))
+        assert main(["diagnose", "--config", cfg]) == 0
+        _, rows = read_csv(out / "residuals.csv")
+        report = json.loads((out / "report.json").read_text())
+        assert len(rows) == report["solver"]["iterations"]
+        assert float(rows[-1][1]) == report["solver"]["final_residual"]
+
+    def test_coordinates_built_once_per_run(self, tmp_path, monkeypatch):
+        # The per-point diagnostics read their node coordinates from the rule
+        # offsets, the cached blow-up nodes and the contact mask, so the runs
+        # build the same number of coordinate arrays whatever the number of
+        # free-boundary points.
+        calls = {"node_positions": 0, "axis": 0}
+        for name in calls:
+            method = getattr(GridSpec, name)
+
+            def counted(self, *args, _name=name, _method=method):
+                calls[_name] += 1
+                return _method(self, *args)
+
+            monkeypatch.setattr(GridSpec, name, counted)
+        counts, singular = [], []
+        for nodes in (19, 21):
+            # a thin contact cylinder along x2: the longer the grid, the more
+            # singular points (stratum 1) fit a blow-up ball
+            out = tmp_path / str(nodes)
+            payload = isotropic_3d_config(out)
+            payload["problem"].update(form="fixture", nodes_per_axis=nodes)
+            payload["problem"]["boundary"]["matrix"] = [[0.5, 0, 0], [0, 0.5, 0], [0, 0, 0]]
+            payload["diagnostics"].update(
+                selection=["classify", "monneau", "frequency"], radii=[0.45, 0.5], contact_kappa=0.3
+            )
+            cfg = write_config(tmp_path / f"{nodes}.json", payload)
+            analysis._blowup_nodes.cache_clear()
+            calls.update(node_positions=0, axis=0)
+            assert main(["diagnose", "--config", cfg]) == 0
+            counts.append(dict(calls))
+            report = json.loads((out / "report.json").read_text())
+            singular.append(report["diagnostics"]["census"]["singular"])
+            assert len(report["diagnostics"]["monneau"]) > 0
+        assert singular[0] < singular[1]
+        assert counts[0] == counts[1]
 
     def test_solution_file_reused(self, tmp_path):
         out1 = tmp_path / "o1"
@@ -471,3 +529,30 @@ class TestReportCommand:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"report_version": 99, "checks": {}}))
         assert main(["report", str(bad)]) == 1
+
+    @pytest.mark.parametrize("version", [True, 1.0, "1"])
+    def test_version_must_be_the_integer_1(self, tmp_path, capsys, version):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"report_version": version, "checks": {"x": True}}))
+        assert main(["report", str(bad)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: report {bad} has version ")
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            [1, 2],
+            {"report_version": 1, "checks": [1]},
+            {"report_version": 1, "checks": {"growth_bounded_all": "false"}},
+            {"report_version": 1, "checks": {"growth_bounded_all": 0}},
+            {"report_version": 1},
+        ],
+        ids=["list", "checks_list", "check_string", "check_number", "no_checks"],
+    )
+    def test_malformed_report_exit_1(self, tmp_path, capsys, payload):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        assert main(["report", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: report {bad} must be a JSON object")
+        assert captured.err.count("\n") == 1

@@ -127,6 +127,16 @@ class TestParse:
         with pytest.raises(ConfigError, match="increasing"):
             parse_config(payload)
 
+    def test_rejected_values_quoted_in_short_form(self):
+        long_radii = base_payload()
+        long_radii["diagnostics"]["radii"] = [0.1] * 500 + ["x"]
+        long_text = base_payload()
+        long_text["solver"]["method"] = ["x" * 1000]
+        for payload in (list(range(1000)), long_radii, long_text):
+            with pytest.raises(ConfigError) as excinfo:
+                parse_config(payload)
+            assert len(str(excinfo.value)) <= 120, str(excinfo.value)
+
     def test_fixture_kind_checked(self):
         payload = base_payload()
         payload["problem"]["boundary"] = {"fixture": "mystery"}

@@ -11,7 +11,6 @@ from obslab.fixtures import (
     one_d,
     polynomial,
     radial,
-    sample,
 )
 from obslab.grid import centered_box, discrete_laplacian
 
@@ -125,7 +124,7 @@ class TestRadial:
         with pytest.raises(FixtureError):
             radial(-0.1)
         with pytest.raises(FixtureError):
-            sample(radial(1.5), centered_box(2, 1.0, 17))
+            radial(1.5).sample(centered_box(2, 1.0, 17))
 
 
 class TestOneD:
@@ -159,7 +158,7 @@ def test_sampled_fixture_solves_normalized_equation(ref, dim):
     # nonnegative; discrete Laplacian in [0 - tol, 1 + tol] at interior
     # nodes; equal to 1 where the full stencil is > 2h from the contact set
     grid = centered_box(dim, 1.0, 129)
-    field = sample(ref, grid)
+    field = ref.sample(grid)
     assert (field.values >= 0.0).all()
     lap = discrete_laplacian(field).interior()
     # stencils just outside the kink band carry O(h^2 D^4 u) truncation
@@ -188,7 +187,7 @@ def test_sampled_fixture_solves_normalized_equation(ref, dim):
 )
 def test_two_homogeneity_on_node_aligned_scaling(ref):
     grid = centered_box(2, 1.0, 65)
-    field = sample(ref, grid)
+    field = ref.sample(grid)
     # u(2x) = 4 u(x) exactly for nodes where both x and 2x are nodes
     n = grid.nodes_per_axis[0]
     mid = n // 2

@@ -57,10 +57,11 @@ class TestGridSpec:
         with pytest.raises(GridError, match="finite"):
             GridSpec(lower=(-np.inf, -1.0), upper=(1.0, 1.0), nodes_per_axis=(5, 5))
 
-    @pytest.mark.parametrize("radii", [[np.nan], [0.1, np.inf]])
+    @pytest.mark.parametrize("radii", [[np.nan], [0.1, np.inf], [np.nan] * 1000])
     def test_radii_must_be_finite(self, radii):
-        with pytest.raises(GridError, match="finite"):
+        with pytest.raises(GridError, match="finite") as excinfo:
             grid.require_increasing(radii)
+        assert len(str(excinfo.value)) <= 80  # the radii are quoted in short form
 
     def test_rejects_dimension_4(self):
         with pytest.raises(GridError):
@@ -307,7 +308,7 @@ class TestGradient:
         g = centered_box(2, 1.0, 17)
         f = quadratic_field(g, [[1.0, 0.0], [0.0, 0.0]])
         gx, gy = gradient(f)
-        X, _ = g.meshgrid()
+        X = g.node_positions()[:, 0].reshape(g.shape)
         assert_allclose(gx.values, X, atol=1e-12)
         assert_allclose(gy.values, 0.0, atol=1e-12)
 
@@ -462,6 +463,35 @@ class TestRuleKernels:
             sphere_integral(f, BallSpec(center, r), 48)
         after = grid._rule.cache_info()
         assert (after.misses, after.hits) == (before.misses, before.hits + 9)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["ball", "sphere", "sup"])
+    def test_window_offsets_match_node_coordinates(self, n, kind):
+        # the rule box's offsets, clipped like its weights, are the window's
+        # node coordinates minus the centre (to the 1e-9-spacing node snap)
+        f = kernel_field(n)
+        h, r = f.grid.h, 5.5 * f.grid.h
+        rng = np.random.default_rng(5)
+        centers = [
+            (f.grid.axis(0)[KERNEL_GRIDS[n] // 2 + 3],) * n,  # node
+            tuple(rng.uniform(-0.5, 0.5, n)),  # off-node
+            (1.0 - r,) + (0.5 * h,) * (n - 1),  # clipped by the face x0 = 1
+            (-1.0 + r,) * n,  # clipped by a face on every axis
+        ]
+        for center in centers:
+            ball = BallSpec(center, r)
+            offsets, values, weights = grid.quadrature_window(f, ball, kind, 32)
+            assert values.shape == weights.shape == tuple(len(o) for o in offsets)
+            t = (np.array(center) - f.grid.lower) / h
+            node = np.round(t).astype(int)
+            reach = int(np.ceil(r / h)) + 1
+            lo, hi = np.maximum(node - reach, 0), np.minimum(node + reach + 1, f.grid.shape)
+            for a, (o, c) in enumerate(zip(offsets, center)):
+                assert o.ndim == 1 and not o.flags.writeable
+                assert_allclose(o, f.grid.axis(a)[lo[a] : hi[a]] - c, rtol=0.0, atol=1e-9 * h)
+            assert_allclose(values, f.values[tuple(map(slice, lo, hi))])
+            clipped = any(s < 2 * reach + 1 for s in weights.shape)
+            assert clipped == (center[0] == 1.0 - r or center[0] == -1.0 + r)
 
     def test_sup_below_rule_floor_raises(self):
         g = centered_box(2, 1.0, 33)
