@@ -9,7 +9,7 @@ diagnostics:
 * the scaled sphere distance
   ``M(r, u, p) = r^-(n+3) int_{dB_r} (u - p)^2`` to a quadratic profile p,
   nondecreasing in r at singular points;
-* the blow-up rescaling ``u(x0 + r x) / r^2`` on a fixed unit-ball grid;
+* the blow-up rescaling ``u(x0 + r x) / r^2`` at fixed unit-ball nodes;
 * a classifier fitting the half-space model ``(1/2)[(e.x)_+]^2`` against
   the quadratic model ``(1/2)<Ax, x>`` (A PSD, unit trace) on the rescaled
   field, with stratum = kernel dimension of the fitted matrix;
@@ -133,7 +133,6 @@ class WeissEvaluator:
     can be evaluated cheaply at many (x0, r) pairs of the same field."""
 
     def __init__(self, field: ScalarField, angular_samples: int = DEFAULT_ANGULAR_SAMPLES):
-        field.require_finite("weiss input")
         self.field = field
         self.angular_samples = angular_samples
         grads = gradient(field)
@@ -180,7 +179,6 @@ def _sphere_series(
     ``(u - p)^2`` formed at the nodes of each sphere's window; p is summed
     over the window's offsets y from x0 as (1/2) sum_ab A_ab y_a y_b."""
     form.require_blowup_form()
-    field.require_finite("sphere-series input")
     series = []
     for r in radii:
         ball = BallSpec(tuple(x0), float(r))
@@ -223,31 +221,25 @@ def monneau_profile(
 
 
 @functools.lru_cache(maxsize=3)
-def _blowup_nodes(dimension: int) -> tuple[GridSpec, np.ndarray, np.ndarray]:
-    """The fixed blow-up grid over [-1, 1]^n, the flat mask of its nodes in
-    the closed unit ball and their positions, read-only; one per dimension."""
-    ref_grid = centered_box(dimension, 1.0, REF_NODES)
-    pts = ref_grid.node_positions()
-    inside = np.linalg.norm(pts, axis=1) <= 1.0
-    pts = pts[inside]
-    for array in (inside, pts):
-        array.setflags(write=False)
-    return ref_grid, inside, pts
+def unit_ball_nodes(dimension: int) -> np.ndarray:
+    """The ``(m, dimension)`` positions, read-only, of the nodes of the fixed
+    ``REF_NODES``-per-axis grid over [-1, 1]^n that lie in the closed unit
+    ball; blow-ups are sampled there. One array per dimension."""
+    pts = centered_box(dimension, 1.0, REF_NODES).node_positions()
+    pts = pts[np.linalg.norm(pts, axis=1) <= 1.0]
+    pts.setflags(write=False)
+    return pts
 
 
-def rescale_blowup(field: ScalarField, x0, r: float) -> ScalarField:
-    """u_{x0,r}(x) = u(x0 + r x) / r^2 on a fixed grid over [-1, 1]^n,
-    NaN outside the closed unit ball."""
-    field.require_finite("blow-up input")
+def rescale_blowup(field: ScalarField, x0, r: float) -> np.ndarray:
+    """u_{x0,r}(x) = u(x0 + r x) / r^2 at the :func:`unit_ball_nodes`."""
     grid = field.grid
     floor = BLOWUP_RADIUS_FACTOR * grid.h
     if r < floor:
         raise ResolutionError(f"blow-up radius {r} < {BLOWUP_RADIUS_FACTOR:g}h = {floor}")
     require_ball_in_box(grid, BallSpec(tuple(x0), float(r)))
-    ref_grid, inside, pts = _blowup_nodes(grid.dimension)
-    values = np.full(len(inside), np.nan)
-    values[inside] = interpolate_many(field, np.asarray(x0, dtype=float) + r * pts) / (r * r)
-    return ScalarField(ref_grid, values.reshape(ref_grid.shape))
+    pts = unit_ball_nodes(grid.dimension)
+    return interpolate_many(field, np.asarray(x0, dtype=float) + r * pts) / (r * r)
 
 
 @dataclass(frozen=True)
@@ -401,7 +393,7 @@ def classify_point(
     x0 = tuple(float(c) for c in x0)
     r = BLOWUP_RADIUS_FACTOR * grid.h if config.blowup_radius is None else config.blowup_radius
     try:
-        rescaled = rescale_blowup(field, x0, r)
+        values = rescale_blowup(field, x0, r)
     except (ResolutionError, GridError) as exc:
         return Classification(
             point=x0,
@@ -410,8 +402,7 @@ def classify_point(
             blowup_radius=None,
             reason=f"blow-up unavailable: {exc}",
         )
-    _, inside, points = _blowup_nodes(grid.dimension)
-    values = rescaled.values.ravel()[inside]
+    points = unit_ball_nodes(grid.dimension)
     scale = float(np.linalg.norm(values))
     if scale <= 0.0:
         return Classification(

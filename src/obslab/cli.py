@@ -75,9 +75,7 @@ def _load(args) -> tuple[RunConfig, Path]:
     config = load_config(args.config)
     if args.seed is not None:  # RunConfig's rule checks the override too
         config = dataclasses.replace(config, seed=args.seed)
-    out_dir = Path(args.out if args.out is not None else config.output_directory)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return config, out_dir
+    return config, Path(args.out if args.out is not None else config.output_directory)
 
 
 def _cmd_solve(args) -> int:
@@ -89,10 +87,12 @@ def _cmd_solve(args) -> int:
 
 
 def _solved(config: RunConfig, out_dir: Path):
-    """The solution of the configured problem and its summary. Writes
-    ``residuals.csv`` (also when the iteration limit stops the solve, whose
-    error is re-raised) and ``solution.field``."""
+    """The solution of the configured problem and its summary. Creates
+    ``out_dir`` once the problem is built and writes ``residuals.csv`` (also
+    when the iteration limit stops the solve, whose error is re-raised) and
+    ``solution.field``."""
     problem = build_problem(config)
+    out_dir.mkdir(parents=True, exist_ok=True)
     try:
         result = solve(problem, config.solver)
     except IterationLimitError as exc:
@@ -156,6 +156,7 @@ def _cmd_diagnose(args, selection_override) -> int:
     radii = {p: admissible_radii(grid, p, diag.radii) for p in map(tuple, fb.points.tolist())}
     run = _Run(field, contact, fb, diag.classifier, config.seed, radii)
     point_columns = [f"x{a}" for a in range(grid.dimension)]
+    out_dir.mkdir(parents=True, exist_ok=True)
     for name, filename, columns, diagnostic in DIAGNOSTICS:
         if name in selection:
             blocks, rows, checks = diagnostic(run)
@@ -325,10 +326,9 @@ def _cmd_report(args) -> int:
     merged = [(path, _report_checks(path)) for path in args.reports]
     names = sorted({name for _, checks in merged for name in checks})
     failures = []
-    width = max((len(n) for n in names), default=4)
-    print(f"{'check'.ljust(width)}  " + "  ".join(Path(p).name for p, _ in merged))
+    rows = [["check", *(path for path, _ in merged)]]
     for name in names:
-        cells = []
+        cells = [name]
         for path, checks in merged:
             if name not in checks:
                 cells.append("-")
@@ -337,7 +337,10 @@ def _cmd_report(args) -> int:
             else:
                 cells.append("FAIL")
                 failures.append((name, path))
-        print(f"{name.ljust(width)}  " + "  ".join(cells))
+        rows.append(cells)
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    for row in rows:
+        print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
     if failures:
         for name, path in failures:
             print(f"FAIL: {name} in {path}", file=sys.stderr)

@@ -81,7 +81,6 @@ class GrowthReport:
 
 def extract_contact_set(field: ScalarField, kappa: float = DEFAULT_KAPPA) -> ContactSet:
     """Mask of nodes where the field is below kappa * h^2."""
-    field.require_finite("contact-set input")
     if kappa <= 0.0:
         raise GridError(f"kappa must be positive, got {kappa}")
     eps = kappa * field.grid.h**2
@@ -115,7 +114,6 @@ def growth_report(field: ScalarField, x0, radii) -> GrowthReport:
     NONDEGENERACY_SLACK)`` and bounded growth when the ratios are finite
     and stable (max/min <= 10).
     """
-    field.require_finite("growth-report input")
     grid = field.grid
     radii = require_radii(grid, radii)
     ratios = np.empty(len(radii))
@@ -130,7 +128,7 @@ def growth_report(field: ScalarField, x0, radii) -> GrowthReport:
     elif lower <= 0.0:
         bounded = False
     else:
-        bounded = bool(np.isfinite(upper) and upper / lower <= GROWTH_STABILITY_FACTOR)
+        bounded = bool(upper / lower <= GROWTH_STABILITY_FACTOR)
     return GrowthReport(
         point=tuple(float(c) for c in x0),
         radii=radii,

@@ -120,13 +120,8 @@ def centered_box(dimension: int, half_width: float, nodes_per_axis: int) -> Grid
 
 @dataclass(frozen=True)
 class ScalarField:
-    """One real value per grid node.
-
-    ``values`` is stored read-only. Finite values are required for data
-    fields (solutions, fixtures, boundary data); stencil outputs such as
-    :func:`discrete_laplacian` mark nodes where the stencil is undefined
-    (the boundary ring) with NaN, and reductions must exclude those nodes.
-    """
+    """One finite real value per grid node, stored read-only; NaN and
+    ±inf are refused when the field is made, so no consumer checks again."""
 
     grid: GridSpec
     values: np.ndarray
@@ -135,20 +130,11 @@ class ScalarField:
         values = np.asarray(self.values, dtype=float)
         if values.shape != self.grid.shape:
             raise GridError(f"values shape {values.shape} != grid shape {self.grid.shape}")
-        if np.isinf(values).any():
-            raise GridError("field contains infinite values")
+        if not np.isfinite(values).all():
+            raise GridError("field contains non-finite (NaN or infinite) values")
         values = values.copy()
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
-
-    def require_finite(self, what: str = "field") -> "ScalarField":
-        if not np.isfinite(self.values).all():
-            raise GridError(f"{what} contains undefined (NaN) values")
-        return self
-
-    def interior(self) -> np.ndarray:
-        """View of the interior nodes."""
-        return self.values[self.grid.interior_slices()]
 
 
 def field_from_function(grid: GridSpec, fn) -> ScalarField:
@@ -236,18 +222,6 @@ def interior_laplacian(u: np.ndarray, h: float) -> np.ndarray:
     interior nodes (shape ``m - 2`` per axis)."""
     core = (slice(1, -1),) * u.ndim
     return (neighbor_sum(u, core) - 2.0 * u.ndim * u[core]) / (h * h)
-
-
-def discrete_laplacian(field: ScalarField) -> ScalarField:
-    """Second-order central Laplacian; boundary ring is NaN (undefined).
-
-    The stencil sums ``(u(x+h e_a) - 2 u(x) + u(x-h e_a)) / h^2`` over axes
-    and is exact on quadratics.
-    """
-    grid = field.grid
-    out = np.full(grid.shape, np.nan)
-    out[grid.interior_slices()] = interior_laplacian(field.values, grid.h)
-    return ScalarField(grid, out)
 
 
 def gradient(field: ScalarField) -> tuple[ScalarField, ...]:
@@ -349,7 +323,7 @@ def quadrature_window(
 
     A centre within 1e-9 spacings of a node is taken as that node. Raises
     for a ball outside the box, a radius below ``MIN_RULE_RADIUS_FACTOR *
-    h``, and NaN at a node of positive weight; NaN elsewhere reads 0.
+    h``.
     """
     grid = field.grid
     require_ball_in_box(grid, ball)
@@ -364,13 +338,8 @@ def quadrature_window(
     reach = weights.shape[0] // 2
     lo, hi = np.maximum(node - reach, 0), np.minimum(node + reach + 1, grid.shape)
     box = tuple(map(slice, lo - node + reach, hi - node + reach))
-    weights = weights[box]
     values = field.values[tuple(map(slice, lo, hi))]
-    if np.isnan(values).any():
-        if np.isnan(values[weights > 0.0]).any():
-            raise GridError(f"{kind} quadrature over undefined (NaN) field values")
-        values = np.nan_to_num(values, nan=0.0)
-    return tuple(s[b] for s, b in zip(steps, box)), values, weights
+    return tuple(s[b] for s, b in zip(steps, box)), values, weights[box]
 
 
 def ball_integral(field: ScalarField, ball: BallSpec) -> float:

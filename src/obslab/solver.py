@@ -217,7 +217,7 @@ def solve(
             f"(residual {history[-1]:.3e} > tol {config.tol:.3e})",
             history,
         )
-    solution = ScalarField(grid, iterate).require_finite("solution")
+    solution = ScalarField(grid, iterate)
     return SolveResult(
         solution=solution,
         iterations=len(history),

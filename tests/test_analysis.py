@@ -20,6 +20,7 @@ from obslab.analysis import (
     probe_forms,
     rescale_blowup,
     stratify,
+    unit_ball_nodes,
     weiss_constant,
     weiss_energy,
     weiss_profile,
@@ -222,25 +223,26 @@ class TestRescaleBlowup:
         grid = centered_box(2, 1.0, 257)
         field = halfspace([0.0, 1.0]).sample(grid)
         rescaled = rescale_blowup(field, (0.0, 0.0), 0.25)
-        pts = rescaled.grid.node_positions()
-        inside = np.isfinite(rescaled.values.ravel())
-        exact = halfspace([0.0, 1.0]).evaluate(pts[inside])
-        assert np.abs(rescaled.values.ravel()[inside] - exact).max() <= 5e-3
+        exact = halfspace([0.0, 1.0]).evaluate(unit_ball_nodes(2))
+        assert rescaled.shape == exact.shape
+        assert np.abs(rescaled - exact).max() <= 5e-3
 
     def test_radius_independence_on_homogeneous_fields(self):
         grid = centered_box(2, 1.0, 257)
         field = polynomial(QuadraticForm.diagonal([0.3, 0.7])).sample(grid)
         a = rescale_blowup(field, (0.0, 0.0), 0.125)
         b = rescale_blowup(field, (0.0, 0.0), 0.5)
-        inside = np.isfinite(a.values)
-        assert np.abs(a.values[inside] - b.values[inside]).max() <= 5e-3
+        assert a.shape == b.shape == (len(unit_ball_nodes(2)),)
+        assert np.abs(a - b).max() <= 5e-3
 
-    def test_masked_outside_unit_ball(self):
-        grid = centered_box(2, 1.0, 129)
-        field = polynomial(QuadraticForm.isotropic(2)).sample(grid)
-        rescaled = rescale_blowup(field, (0.0, 0.0), 0.25)
-        corners = rescaled.values[0, 0], rescaled.values[-1, -1]
-        assert all(np.isnan(c) for c in corners)
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_unit_ball_nodes_cached_and_read_only(self, n):
+        nodes = unit_ball_nodes(n)
+        assert nodes is unit_ball_nodes(n)
+        assert not nodes.flags.writeable
+        assert nodes.shape[1] == n and (np.linalg.norm(nodes, axis=1) <= 1.0).all()
+        ref = centered_box(n, 1.0, analysis.REF_NODES).node_positions()
+        assert len(nodes) == int((np.linalg.norm(ref, axis=1) <= 1.0).sum())
 
     def test_resolution_floor(self):
         grid = centered_box(2, 1.0, 33)

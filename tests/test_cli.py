@@ -1,5 +1,6 @@
 import csv
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -7,8 +8,8 @@ import pytest
 
 from obslab import analysis, cli, config
 from obslab.cli import main
-from obslab.grid import GridSpec
-from obslab.io import read_field
+from obslab.grid import GridSpec, ScalarField, centered_box
+from obslab.io import read_field, write_field
 
 
 def write_config(path, payload):
@@ -75,6 +76,16 @@ def isotropic_3d_config(out_dir):
     }
 
 
+def thin_cylinder_config(out_dir, nodes, selection):
+    """A 3D fixture whose thin contact cylinder along x2 fits more singular
+    points (stratum 1) in a blow-up ball the longer the grid."""
+    payload = isotropic_3d_config(out_dir)
+    payload["problem"].update(form="fixture", nodes_per_axis=nodes)
+    payload["problem"]["boundary"]["matrix"] = [[0.5, 0, 0], [0, 0.5, 0], [0, 0, 0]]
+    payload["diagnostics"].update(selection=selection, radii=[0.45, 0.5], contact_kappa=0.3)
+    return payload
+
+
 ALL_DIAGNOSTICS = ["growth", "weiss", "monneau", "classify", "frequency"]
 CSV_FILES = (
     "growth.csv",
@@ -108,6 +119,15 @@ class TestSolveCommand:
         cfg = write_config(tmp_path / "c.json", one_d_config(out, max_iterations=2))
         assert main(["solve", "--config", cfg]) == 2
         assert (out / "residuals.csv").exists()  # history still written
+
+    def test_fixture_config_exit_1_leaves_no_directory(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        payload = radial_config(out, ["growth"], nodes=33)
+        payload["problem"]["form"] = "fixture"
+        cfg = write_config(tmp_path / "c.json", payload)
+        assert main(["solve", "--config", cfg]) == 1
+        assert capsys.readouterr().err.startswith("error: fixture-form configs")
+        assert not out.exists()
 
     def test_malformed_config_exit_1(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -167,12 +187,35 @@ class TestDiagnoseCommand:
         report = json.loads((out / "report.json").read_text())
         assert report["diagnostics"] == {}
 
-    def test_missing_solution_file_exit_1(self, tmp_path):
+    def test_missing_solution_file_exit_1(self, tmp_path, capsys):
         out = tmp_path / "out"
         payload = radial_config(out, ["growth"])
         payload["diagnostics"]["solution_file"] = str(tmp_path / "nope.field")
         cfg = write_config(tmp_path / "c.json", payload)
         assert main(["diagnose", "--config", cfg]) == 1
+        assert capsys.readouterr().err.startswith("error: solution file ")
+        assert not out.exists()  # refused before its first write
+
+    @pytest.mark.parametrize(
+        "value, prefix",
+        [(np.nan, "error: field contains non-finite"), (-1.0, "error: field has values down to")],
+        ids=["nan", "negative"],
+    )
+    def test_refused_solution_file_exit_1(self, tmp_path, capsys, value, prefix):
+        path = tmp_path / "bad.field"
+        write_field(path, ScalarField(centered_box(2, 1.0, 33), np.zeros((33, 33))))
+        data = bytearray(path.read_bytes())
+        struct.pack_into("<d", data, len(data) - 8 * 40, value)  # a node of row 31
+        path.write_bytes(bytes(data))
+        out = tmp_path / "out"
+        payload = radial_config(out, ["growth"], nodes=33)
+        payload["diagnostics"]["solution_file"] = str(path)
+        cfg = write_config(tmp_path / "c.json", payload)
+        assert main(["diagnose", "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(prefix)
+        assert captured.err.count("\n") == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "boundary",
@@ -320,7 +363,7 @@ class TestDiagnoseCommand:
 
     def test_coordinates_built_once_per_run(self, tmp_path, monkeypatch):
         # The per-point diagnostics read their node coordinates from the rule
-        # offsets, the cached blow-up nodes and the contact mask, so the runs
+        # offsets, the cached unit-ball nodes and the contact mask, so the runs
         # build the same number of coordinate arrays whatever the number of
         # free-boundary points.
         calls = {"node_positions": 0, "axis": 0}
@@ -334,17 +377,10 @@ class TestDiagnoseCommand:
             monkeypatch.setattr(GridSpec, name, counted)
         counts, singular = [], []
         for nodes in (19, 21):
-            # a thin contact cylinder along x2: the longer the grid, the more
-            # singular points (stratum 1) fit a blow-up ball
             out = tmp_path / str(nodes)
-            payload = isotropic_3d_config(out)
-            payload["problem"].update(form="fixture", nodes_per_axis=nodes)
-            payload["problem"]["boundary"]["matrix"] = [[0.5, 0, 0], [0, 0.5, 0], [0, 0, 0]]
-            payload["diagnostics"].update(
-                selection=["classify", "monneau", "frequency"], radii=[0.45, 0.5], contact_kappa=0.3
-            )
+            payload = thin_cylinder_config(out, nodes, ["classify", "monneau", "frequency"])
             cfg = write_config(tmp_path / f"{nodes}.json", payload)
-            analysis._blowup_nodes.cache_clear()
+            analysis.unit_ball_nodes.cache_clear()
             calls.update(node_positions=0, axis=0)
             assert main(["diagnose", "--config", cfg]) == 0
             counts.append(dict(calls))
@@ -353,6 +389,32 @@ class TestDiagnoseCommand:
             assert len(report["diagnostics"]["monneau"]) > 0
         assert singular[0] < singular[1]
         assert counts[0] == counts[1]
+
+    def test_finiteness_scanned_once_per_field(self, tmp_path, monkeypatch):
+        # Each field is checked finite when it is made, so the full-grid
+        # finiteness scans of a run do not grow with its free-boundary points.
+        isfinite, shape, scans = np.isfinite, [None], []
+
+        def counted(x, *args, **kwargs):
+            if np.shape(x) == shape[0]:
+                scans[-1] += 1
+            return isfinite(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "isfinite", counted)
+        points = []
+        for nodes in (19, 21):
+            out = tmp_path / str(nodes)
+            cfg = write_config(
+                tmp_path / f"{nodes}.json", thin_cylinder_config(out, nodes, ALL_DIAGNOSTICS)
+            )
+            shape[0] = (nodes,) * 3
+            scans.append(0)
+            assert main(["diagnose", "--config", cfg]) == 0
+            report = json.loads((out / "report.json").read_text())
+            points.append(len(report["diagnostics"]["growth"]))
+            assert report["diagnostics"]["census"]["singular"] > 0
+        assert points[0] < points[1]
+        assert 0 < scans[0] == scans[1]
 
     def test_solution_file_reused(self, tmp_path):
         out1 = tmp_path / "o1"
@@ -521,6 +583,21 @@ class TestReportCommand:
         assert main(["report", str(r1), str(broken)]) == 3
         err = capsys.readouterr().err
         assert "growth_nondegenerate_all" in err
+
+    def test_columns_headed_by_path_and_aligned(self, tmp_path, capsys):
+        paths = []
+        reports = {"a": {"x_all": True, "long_check_name": True}, "b/c": {"x_all": False}}
+        for tag, checks in reports.items():
+            path = tmp_path / tag / "report.json"
+            path.parent.mkdir(parents=True)
+            path.write_text(json.dumps({"report_version": 1, "checks": checks}))
+            paths.append(str(path))
+        assert main(["report", *paths]) == 3
+        header, *rows = capsys.readouterr().out.splitlines()
+        assert header.split() == ["check", *paths]
+        starts = [header.index(p) for p in paths]
+        cells = {row.split()[0]: [row[s : s + 4].strip() for s in starts] for row in rows}
+        assert cells == {"long_check_name": ["pass", "-"], "x_all": ["pass", "FAIL"]}
 
     def test_empty_input_exit_1(self):
         assert main(["report"]) == 1

@@ -15,9 +15,9 @@ from obslab.grid import (
     ScalarField,
     ball_integral,
     centered_box,
-    discrete_laplacian,
     field_from_function,
     gradient,
+    interior_laplacian,
     interpolate_many,
     sphere_integral,
     sup_on_ball,
@@ -79,6 +79,15 @@ class TestScalarField:
         with pytest.raises(GridError):
             ScalarField(g, np.array([0.0, 1.0, np.inf, 0.0, 0.0]))
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_rejects_nan_anywhere(self, n):
+        g = centered_box(n, 1.0, 5)
+        for flat in (0, g.node_count // 2, g.node_count - 1):
+            values = np.zeros(g.node_count)
+            values[flat] = np.nan
+            with pytest.raises(GridError, match="non-finite"):
+                ScalarField(g, values.reshape(g.shape))
+
     def test_values_read_only(self):
         g = centered_box(1, 1.0, 5)
         f = ScalarField(g, np.zeros(5))
@@ -91,34 +100,25 @@ class TestDiscreteLaplacian:
         # central stencil exact on quadratics
         g = centered_box(2, 1.0, 33)
         f = quadratic_field(g, [[0.3, 0.1], [0.1, 0.7]])
-        lap = discrete_laplacian(f)
-        assert_allclose(lap.interior(), 1.0, atol=1e-11)
+        assert_allclose(interior_laplacian(f.values, g.h), 1.0, atol=1e-11)
 
     def test_constant_annihilated(self):
         g = centered_box(3, 1.0, 9)
         f = ScalarField(g, np.full(g.shape, 4.2))
-        lap = discrete_laplacian(f)
-        assert_allclose(lap.interior(), 0.0, atol=1e-12)
+        assert_allclose(interior_laplacian(f.values, g.h), 0.0, atol=1e-12)
 
     def test_halfspace_kink_by_node_category(self):
         # u = (1/2)[(x1)_+]^2 with a node layer exactly at x1 = 0:
         # stencil gives 1 on x1 > 0, 0 on x1 < 0, 1/2 on the kink layer
         g = centered_box(2, 1.0, 17)
         f = field_from_function(g, lambda p: 0.5 * np.maximum(p[:, 0], 0.0) ** 2)
-        lap = discrete_laplacian(f).values
+        lap = interior_laplacian(f.values, g.h)
         x = g.axis(0)
         for i in range(1, 16):
             expected = 1.0 if x[i] > 0 else 0.0
             if x[i] == 0.0:
                 expected = 0.5
-            assert_allclose(lap[i, 1:-1], expected, atol=1e-12)
-
-    def test_boundary_marked_undefined(self):
-        g = centered_box(2, 1.0, 9)
-        lap = discrete_laplacian(ScalarField(g, np.zeros(g.shape)))
-        assert np.isnan(lap.values[0, :]).all()
-        assert np.isnan(lap.values[:, -1]).all()
-        assert np.isfinite(lap.interior()).all()
+            assert_allclose(lap[i - 1, :], expected, atol=1e-12)
 
     def test_linearity_on_random_fields(self):
         rng = np.random.default_rng(7)
@@ -128,8 +128,8 @@ class TestDiscreteLaplacian:
             f2 = ScalarField(g, rng.standard_normal(g.shape))
             a, b = rng.standard_normal(2)
             combo = ScalarField(g, a * f1.values + b * f2.values)
-            lhs = discrete_laplacian(combo).interior()
-            rhs = a * discrete_laplacian(f1).interior() + b * discrete_laplacian(f2).interior()
+            lhs = interior_laplacian(combo.values, g.h)
+            rhs = a * interior_laplacian(f1.values, g.h) + b * interior_laplacian(f2.values, g.h)
             assert_allclose(lhs, rhs, atol=1e-9)
 
 
@@ -498,26 +498,6 @@ class TestRuleKernels:
         f = ScalarField(g, np.ones(g.shape))
         with pytest.raises(ResolutionError):
             sup_on_ball(f, BallSpec((0.0, 0.0), 2.5 * g.h))
-
-    def test_nan_at_used_node_raises(self):
-        f = kernel_field(2)
-        values = f.values.copy()
-        values[32 + 8, 32] = np.nan  # the angle-0 sample of r = 8h sits on it
-        ball = BallSpec((0.0, 0.0), 8.0 * f.grid.h)
-        for call in (sphere_integral, ball_integral, sup_on_ball):
-            with pytest.raises(GridError, match="undefined"):
-                call(ScalarField(f.grid, values), ball)
-
-    def test_nan_at_unused_node_ignored(self):
-        # the window's corner node carries weight 0 in every rule
-        f = kernel_field(2)
-        ball = BallSpec((0.0, 0.0), 8.0 * f.grid.h)
-        with_nan, with_zero = f.values.copy(), f.values.copy()
-        with_nan[32 - 9, 32 - 9] = np.nan
-        with_zero[32 - 9, 32 - 9] = 0.0
-        nan_field, zero_field = ScalarField(f.grid, with_nan), ScalarField(f.grid, with_zero)
-        for call in (sphere_integral, ball_integral, sup_on_ball):
-            assert call(nan_field, ball) == call(zero_field, ball)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
