@@ -12,7 +12,11 @@ diagnostics:
 * the blow-up rescaling ``u(x0 + r x) / r^2`` at fixed unit-ball nodes;
 * a classifier fitting the half-space model ``(1/2)[(e.x)_+]^2`` against
   the quadratic model ``(1/2)<Ax, x>`` (A PSD, unit trace) on the rescaled
-  field, with stratum = kernel dimension of the fitted matrix;
+  field, with stratum = kernel dimension of the fitted matrix. It works
+  block-wise: the blow-ups of a block of points are stacked, the
+  half-space directions are searched in lockstep over the block and the
+  quadratic model is fitted on one cached factorization of its design.
+  Each point's arithmetic is its own, so the blocks do not change results;
 * a log-log slope estimator for the decay exponent of the sphere norms of
   ``w = u - p``, whose homogeneity ``lambda*`` controls how fast u settles
   onto its quadratic profile (``2 + alpha = lambda*``).
@@ -67,6 +71,12 @@ DIRECTION_STARTS = 64
 GOLDEN_ITERATIONS = 40
 RANDOM_PROBES = 2
 DEGENERACY_FLOOR_FACTOR = 100.0
+
+# Blow-up samples per stacked (points x unit-ball nodes) block that the
+# classifier fits at once: 82 points in 2D, 3 in 3D. Smaller blocks pay the
+# lockstep search's Python overhead for fewer points; larger ones spill out
+# of cache and slow every elementwise step.
+BLOCK_SAMPLES = 2**16
 
 NONDECREASING = "nondecreasing"
 VIOLATED = "violated"
@@ -292,94 +302,138 @@ def _unit_directions(n: int, count: int) -> np.ndarray:
     return np.stack([s * np.cos(phi), s * np.sin(phi), z], axis=-1)
 
 
-def _angles_to_unit(angles: np.ndarray) -> np.ndarray:
-    if len(angles) == 1:
-        return np.array([math.cos(angles[0]), math.sin(angles[0])])
-    t, p = angles
-    return np.array([math.sin(t) * math.cos(p), math.sin(t) * math.sin(p), math.cos(t)])
+def _angles_to_units(angles: np.ndarray) -> np.ndarray:
+    """Unit vectors of a ``(B, 1)`` block of azimuths (2D) or a ``(B, 2)``
+    block of polar and azimuthal angles (3D)."""
+    if angles.shape[1] == 1:
+        return np.stack([np.cos(angles[:, 0]), np.sin(angles[:, 0])], axis=-1)
+    t, p = angles[:, 0], angles[:, 1]
+    return np.stack([np.sin(t) * np.cos(p), np.sin(t) * np.sin(p), np.cos(t)], axis=-1)
 
 
-def _golden_minimize(fn, lo: float, hi: float) -> float:
+def _golden_section(fn, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Golden-section minimizers of a row-wise function over [lo, hi], every
+    row in lockstep: ``fn`` maps one abscissa per row to one value per row,
+    and each step narrows every row's bracket on its own comparison."""
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
     fc, fd = fn(c), fn(d)
     for _ in range(GOLDEN_ITERATIONS):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = fn(d)
+        left = fc < fd
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        c, d = np.where(left, b - inv_phi * (b - a), d), np.where(left, c, a + inv_phi * (b - a))
+        f = fn(np.where(left, c, d))
+        fc, fd = np.where(left, f, fd), np.where(left, fc, f)
     return 0.5 * (a + b)
 
 
-def _fit_regular(points: np.ndarray, values: np.ndarray, starts: int):
-    """Least-squares direction for the half-space model via multi-start
-    search plus golden-section refinement of the direction's angles: one
-    pass in 2D, three passes alternating between polar and azimuthal angle
-    in 3D, each pass searching a quarter of the previous window."""
-    n = points.shape[1]
+def _row_norms(d: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, equal to ``np.linalg.norm`` of the row
+    bit for bit (``einsum`` is not)."""
+    return np.sqrt(np.vecdot(d, d))
 
-    def residual(e: np.ndarray) -> float:
-        model = 0.5 * np.square(np.maximum(points @ e, 0.0))
-        return float(np.linalg.norm(values - model))
 
-    candidates = _unit_directions(n, starts)
-    scores = [residual(e) for e in candidates]
-    best = int(np.argmin(scores))
-    e_best = candidates[best]
-    if n == 1:
-        return e_best, residual(e_best)
-    azimuth = math.atan2(e_best[1], e_best[0])
-    if n == 2:
-        angles = np.array([azimuth])
-        half = 2.0 * math.pi / starts
+def _half_space_misfits(points: np.ndarray, values: np.ndarray, directions: np.ndarray):
+    """||V_i - (1/2)[(e_i.x)_+]^2|| at the points for each row V_i of
+    ``values`` and e_i of ``directions``, in one buffer. The stacked product
+    equals ``points @ e_i`` bit for bit, which ``points @ directions.T``
+    does not."""
+    d = np.matmul(points, directions[:, :, None])[..., 0]
+    np.maximum(d, 0.0, out=d)
+    np.square(d, out=d)
+    d *= 0.5
+    np.subtract(values, d, out=d)
+    return _row_norms(d)
+
+
+def _fit_regular(dimension: int, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares directions of the half-space model for a ``(B, m)``
+    block of blow-ups, with their residuals: multi-start search plus
+    golden-section refinement of each direction's angles, run in lockstep
+    over the block. One pass in 2D, three passes alternating between polar
+    and azimuthal angle in 3D, each pass searching a quarter of the
+    previous window."""
+    points = unit_ball_nodes(dimension)
+    candidates = _unit_directions(dimension, DIRECTION_STARTS)
+    scores = np.stack(
+        [_row_norms(values - 0.5 * np.square(np.maximum(points @ e, 0.0))) for e in candidates],
+        axis=1,
+    )
+    best = np.argmin(scores, axis=1)  # first index on ties
+    if dimension == 1:
+        return candidates[best], scores[np.arange(len(best)), best]
+    if dimension == 2:
+        starts = [[math.atan2(e[1], e[0])] for e in candidates]
+        half, passes = 2.0 * math.pi / DIRECTION_STARTS, 1
     else:
-        angles = np.array([math.acos(np.clip(e_best[2], -1.0, 1.0)), azimuth])
-        half = math.pi * 2.0 / math.sqrt(starts)
-    for _ in range(1 if n == 2 else 3):
-        for k in range(len(angles)):
-            trial = angles.copy()
+        starts = [[math.acos(np.clip(e[2], -1.0, 1.0)), math.atan2(e[1], e[0])] for e in candidates]
+        half, passes = math.pi * 2.0 / math.sqrt(DIRECTION_STARTS), 3
+    angles = np.array(starts)[best]
+    for _ in range(passes):
+        for k in range(angles.shape[1]):
 
-            def along(t: float) -> float:
-                trial[k] = t
-                return residual(_angles_to_unit(trial))
+            def along(t: np.ndarray) -> np.ndarray:
+                trial = angles.copy()
+                trial[:, k] = t
+                return _half_space_misfits(points, values, _angles_to_units(trial))
 
-            angles[k] = _golden_minimize(along, angles[k] - half, angles[k] + half)
+            angles[:, k] = _golden_section(along, angles[:, k] - half, angles[:, k] + half)
         half /= 4.0
-    e = _angles_to_unit(angles)
-    return e, residual(e)
+    directions = _angles_to_units(angles)
+    return directions, _half_space_misfits(points, values, directions)
 
 
-def _fit_singular(points: np.ndarray, values: np.ndarray):
-    """Linear least squares for the symmetric matrix of (1/2)<Ax, x>,
-    then projection onto the unit-trace PSD cone; the returned residual is
-    measured after projection."""
-    n = points.shape[1]
-    columns = [0.5 * points[:, a] ** 2 for a in range(n)]
-    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    columns += [points[:, a] * points[:, b] for a, b in pairs]
-    design = np.stack(columns, axis=-1)
-    coef, *_ = np.linalg.lstsq(design, values, rcond=None)
-    matrix = np.zeros((n, n))
-    for a in range(n):
-        matrix[a, a] = coef[a]
-    for k, (a, b) in enumerate(pairs):
-        matrix[a, b] = matrix[b, a] = coef[n + k]
-    form = QuadraticForm.from_matrix(matrix).project_to_blowup_form()
-    model = form.evaluate(points)
-    return form, float(np.linalg.norm(values - model))
+def _quadratic_design(dimension: int) -> np.ndarray:
+    """The design of (1/2)<Ax, x> at the :func:`unit_ball_nodes`: one
+    column per entry of A on and above the diagonal."""
+    points = unit_ball_nodes(dimension)
+    a, b = np.triu_indices(dimension, 1)
+    return np.hstack([0.5 * points**2, points[:, a] * points[:, b]])
+
+
+@functools.lru_cache(maxsize=3)
+def _gram_factor(dimension: int) -> np.ndarray:
+    """The lower Cholesky factor, read-only, of the Gram matrix of
+    :func:`_quadratic_design`; one per dimension. The design itself is
+    rebuilt for each block: cached, its 17,077 x 6 array in 3D raised the
+    peak RSS of a 3D run by about 2 MB."""
+    design = _quadratic_design(dimension)
+    factor = np.linalg.cholesky(design.T @ design)
+    factor.setflags(write=False)
+    return factor
+
+
+def _fit_singular(dimension: int, values: np.ndarray) -> list[tuple[QuadraticForm, float]]:
+    """Linear least squares for the symmetric matrix of (1/2)<Ax, x> on a
+    ``(B, m)`` block of blow-ups: the normal equations of the fixed design,
+    solved on the cached :func:`_gram_factor` with one step of iterative
+    refinement, then projection of each row's matrix onto the unit-trace
+    PSD cone; each residual is measured after projection."""
+    points = unit_ball_nodes(dimension)
+    design, factor = _quadratic_design(dimension), _gram_factor(dimension)
+
+    def solve(rows: np.ndarray) -> np.ndarray:
+        # stacked products and solves run row by row, so a row's arithmetic
+        # does not depend on the block (a 2-D product's blocking would)
+        rhs = np.matmul(rows[:, None, :], design).mT
+        return np.linalg.solve(factor.T, np.linalg.solve(factor, rhs))[..., 0]
+
+    coefs = solve(values)
+    coefs += solve(values - np.matmul(design, coefs[:, :, None])[..., 0])  # one refinement
+    upper = np.triu_indices(dimension, 1)
+    fits = []
+    for row, coef in zip(values, coefs):
+        matrix = np.diag(coef[:dimension])
+        matrix[upper] = matrix[upper[::-1]] = coef[dimension:]
+        form = QuadraticForm.from_matrix(matrix).project_to_blowup_form()
+        fits.append((form, float(np.linalg.norm(row - form.evaluate(points)))))
+    return fits
 
 
 def classify_point(
-    field: ScalarField,
-    x0,
-    config: ClassifierConfig = ClassifierConfig(),
-    _weiss: WeissEvaluator | None = None,
+    field: ScalarField, x0, config: ClassifierConfig = ClassifierConfig()
 ) -> Classification:
     """Regular/singular/undetermined verdict for a free-boundary point.
 
@@ -387,82 +441,12 @@ def classify_point(
     reliable radius; the lower normalized residual wins, with the Weiss
     value (near c_n/2 for half-space profiles, near c_n for quadratic
     ones) breaking near-ties, and an honest Undetermined verdict when
-    both signals sit in the margin bands.
+    both signals sit in the margin bands. The same block path as
+    :func:`stratify`, with a block of one point.
     """
-    grid = field.grid
-    x0 = tuple(float(c) for c in x0)
-    r = BLOWUP_RADIUS_FACTOR * grid.h if config.blowup_radius is None else config.blowup_radius
-    try:
-        values = rescale_blowup(field, x0, r)
-    except (ResolutionError, GridError) as exc:
-        return Classification(
-            point=x0,
-            verdict=UNDETERMINED,
-            weiss_value=None,
-            blowup_radius=None,
-            reason=f"blow-up unavailable: {exc}",
-        )
-    points = unit_ball_nodes(grid.dimension)
-    scale = float(np.linalg.norm(values))
-    if scale <= 0.0:
-        return Classification(
-            point=x0,
-            verdict=UNDETERMINED,
-            weiss_value=None,
-            blowup_radius=r,
-            reason="rescaled field vanishes identically",
-        )
-
-    direction, reg_residual = _fit_regular(points, values, DIRECTION_STARTS)
-    form, sing_residual = _fit_singular(points, values)
-    reg_residual /= scale
-    sing_residual /= scale
-
-    try:
-        ev = _weiss if _weiss is not None else WeissEvaluator(field, config.angular_samples)
-        weiss_value = ev(x0, r)
-    except (ResolutionError, GridError):
-        weiss_value = None
-
-    margin = config.residual_margin
-    if abs(reg_residual - sing_residual) >= margin:
-        regular_wins = reg_residual < sing_residual
-    else:
-        # near-tie: consult the Weiss value against the midpoint 3 c_n / 4
-        cn = weiss_constant(grid.dimension)
-        midpoint = 0.75 * cn
-        if weiss_value is None or abs(weiss_value - midpoint) < config.weiss_margin * cn:
-            return Classification(
-                point=x0,
-                verdict=UNDETERMINED,
-                weiss_value=weiss_value,
-                blowup_radius=r,
-                fit_residual=float(min(reg_residual, sing_residual)),
-                reason=(
-                    f"fit residuals within margin ({reg_residual:.3g} vs {sing_residual:.3g}) "
-                    "and Weiss value inconclusive"
-                ),
-            )
-        regular_wins = weiss_value < midpoint
-
-    if regular_wins:
-        return Classification(
-            point=x0,
-            verdict=REGULAR,
-            weiss_value=weiss_value,
-            blowup_radius=r,
-            fit_residual=float(reg_residual),
-            direction=tuple(float(c) for c in direction),
-        )
-    return Classification(
-        point=x0,
-        verdict=SINGULAR,
-        weiss_value=weiss_value,
-        blowup_radius=r,
-        fit_residual=float(sing_residual),
-        form=form,
-        stratum=form.kernel_dimension(config.eigen_tol),
-    )
+    weiss = WeissEvaluator(field, config.angular_samples)
+    (result,) = _classify(field, [x0], config, weiss)
+    return result
 
 
 def stratify(
@@ -472,14 +456,116 @@ def stratify(
 ) -> tuple[list[Classification], dict]:
     """Classify every free-boundary point and tally the census.
 
+    Points are fitted in blocks of ``BLOCK_SAMPLES`` blow-up samples; each
+    point's arithmetic is its own, so the blocks do not change the result.
     Per-point failures become Undetermined entries (partial results are
     allowed); the census is a deterministic reduction independent of
     evaluation order.
     """
-    points = [tuple(float(c) for c in p) for p in fb.points]
-    weiss_cache = WeissEvaluator(field, config.angular_samples)
-    results = [classify_point(field, p, config, _weiss=weiss_cache) for p in points]
+    weiss = WeissEvaluator(field, config.angular_samples)
+    results = _classify(field, fb.points, config, weiss)
     return results, census(results)
+
+
+def _classify(
+    field: ScalarField, x0s, config: ClassifierConfig, weiss: WeissEvaluator
+) -> list[Classification]:
+    """Classifications of the points ``x0s``, their blow-ups fitted
+    together in blocks of ``BLOCK_SAMPLES`` samples."""
+    grid = field.grid
+    n = grid.dimension
+    r = BLOWUP_RADIUS_FACTOR * grid.h if config.blowup_radius is None else config.blowup_radius
+    block = max(1, BLOCK_SAMPLES // len(unit_ball_nodes(n)))
+    results: list[Classification] = []
+    for start in range(0, len(x0s), block):
+        x0_block = [tuple(float(c) for c in x0) for x0 in x0s[start : start + block]]
+        entries: list[Classification | None] = []
+        fitted, blowups, scales = [], [], []
+        for x0 in x0_block:
+            try:
+                values = rescale_blowup(field, x0, r)
+            except (ResolutionError, GridError) as exc:
+                entries.append(_undetermined(x0, None, None, f"blow-up unavailable: {exc}"))
+                continue
+            scale = float(np.linalg.norm(values))
+            if scale <= 0.0:
+                entries.append(_undetermined(x0, None, r, "rescaled field vanishes identically"))
+                continue
+            fitted.append(len(entries))
+            entries.append(None)  # filled in once the block is fitted
+            blowups.append(values)
+            scales.append(scale)
+        if blowups:
+            values = np.stack(blowups)
+            directions, reg_residuals = _fit_regular(n, values)
+            singular_fits = _fit_singular(n, values)
+            for i, k in enumerate(fitted):
+                form, sing_residual = singular_fits[i]
+                entries[k] = _verdict(
+                    x0_block[k], r, weiss, config, directions[i], reg_residuals[i] / scales[i],
+                    form, sing_residual / scales[i],
+                )
+        results += entries
+    return results
+
+
+def _undetermined(x0, weiss_value, r, reason: str, fit_residual=None) -> Classification:
+    return Classification(
+        point=x0,
+        verdict=UNDETERMINED,
+        weiss_value=weiss_value,
+        blowup_radius=r,
+        fit_residual=fit_residual,
+        reason=reason,
+    )
+
+
+def _verdict(
+    x0, r, weiss, config, direction, reg_residual, form, sing_residual
+) -> Classification:
+    """One point's verdict from its normalized fit residuals and W."""
+    reg_residual, sing_residual = float(reg_residual), float(sing_residual)
+    try:
+        weiss_value = weiss(x0, r)
+    except (ResolutionError, GridError):
+        weiss_value = None
+
+    margin = config.residual_margin
+    if abs(reg_residual - sing_residual) >= margin:
+        regular_wins = reg_residual < sing_residual
+    else:
+        # near-tie: consult the Weiss value against the midpoint 3 c_n / 4
+        cn = weiss_constant(len(x0))
+        midpoint = 0.75 * cn
+        if weiss_value is None or abs(weiss_value - midpoint) < config.weiss_margin * cn:
+            return _undetermined(
+                x0,
+                weiss_value,
+                r,
+                f"fit residuals within margin ({reg_residual:.3g} vs {sing_residual:.3g}) "
+                "and Weiss value inconclusive",
+                fit_residual=min(reg_residual, sing_residual),
+            )
+        regular_wins = weiss_value < midpoint
+
+    if regular_wins:
+        return Classification(
+            point=x0,
+            verdict=REGULAR,
+            weiss_value=weiss_value,
+            blowup_radius=r,
+            fit_residual=reg_residual,
+            direction=tuple(float(c) for c in direction),
+        )
+    return Classification(
+        point=x0,
+        verdict=SINGULAR,
+        weiss_value=weiss_value,
+        blowup_radius=r,
+        fit_residual=sing_residual,
+        form=form,
+        stratum=form.kernel_dimension(config.eigen_tol),
+    )
 
 
 def census(classifications: list[Classification]) -> dict:

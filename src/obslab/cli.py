@@ -115,25 +115,33 @@ def _write_residuals(out_dir: Path, history) -> None:
 
 
 def _obtain_field(config: RunConfig, out_dir: Path):
-    """The field to diagnose, plus a solver summary when it was solved."""
+    """The field to diagnose, its contact set, and a solver summary when it
+    was solved. A field file refused for its values is named in the error."""
     diag = config.diagnostics
-    if diag.solution_file is not None:
-        path = Path(diag.solution_file)
-        if not path.exists():
-            raise ConfigError(f"solution file {path} does not exist")
-        return io.read_field(path), None
-    if config.problem.form == "fixture":
-        return build_field(config), None
-    return _solved(config, out_dir)
+    if diag.solution_file is None:
+        if config.problem.form == "fixture":
+            field, solver_summary = build_field(config), None
+        else:
+            field, solver_summary = _solved(config, out_dir)
+        return field, freeboundary.extract_contact_set(field, diag.contact_kappa), solver_summary
+    path = Path(diag.solution_file)
+    if not path.exists():
+        raise ConfigError(f"solution file {path} does not exist")
+    try:
+        field = io.read_field(path)
+        return field, freeboundary.extract_contact_set(field, diag.contact_kappa), None
+    except io.FieldFormatError:
+        raise  # its message names the file
+    except GridError as exc:
+        raise type(exc)(f"{exc} (solution file {path})") from exc
 
 
 def _cmd_diagnose(args, selection_override) -> int:
     config, out_dir = _load(args)
-    field, solver_summary = _obtain_field(config, out_dir)
+    field, contact, solver_summary = _obtain_field(config, out_dir)
     diag = config.diagnostics
     selection = selection_override if selection_override is not None else diag.selection
 
-    contact = freeboundary.extract_contact_set(field, diag.contact_kappa)
     fb = freeboundary.extract_free_boundary(contact)
     grid = field.grid
     report: dict = {

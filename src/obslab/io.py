@@ -91,18 +91,18 @@ def write_json(path, payload: dict) -> None:
 
 
 def write_pgm(path, values: np.ndarray) -> None:
-    """8-bit binary PGM of a 2D array, min -> 0, max -> 255."""
+    """8-bit binary PGM of a finite 2D array, min -> 0, max -> 255."""
     values = np.asarray(values, dtype=float)
     if values.ndim != 2:
         raise GridError(f"PGM raster needs a 2D array, got shape {values.shape}")
-    lo = float(np.nanmin(values))
-    hi = float(np.nanmax(values))
+    lo = float(values.min())
+    hi = float(values.max())
     span = hi - lo
     if span <= 0.0:
         scaled = np.zeros_like(values)
     else:
         scaled = (values - lo) / span * 255.0
-    data = np.clip(np.nan_to_num(scaled, nan=0.0), 0, 255).astype(np.uint8)
+    data = np.clip(scaled, 0, 255).astype(np.uint8)
     height, width = data.shape
     with open(path, "wb") as fh:
         fh.write(f"P5\n{width} {height}\n255\n".encode("ascii"))

@@ -26,7 +26,12 @@ from obslab.analysis import (
     weiss_profile,
 )
 from obslab.fixtures import QuadraticForm, halfspace, one_d, polynomial, radial
-from obslab.freeboundary import extract_contact_set, extract_free_boundary, growth_report
+from obslab.freeboundary import (
+    FreeBoundarySet,
+    extract_contact_set,
+    extract_free_boundary,
+    growth_report,
+)
 from obslab.grid import (
     BallSpec,
     GridError,
@@ -362,6 +367,40 @@ class TestStratify:
             forms.append(c.form)
         for a, b in zip(forms, forms[1:]):
             assert a.frobenius_distance(b) <= 0.1
+
+    @pytest.mark.parametrize(
+        "case, verdicts",
+        [("radial_2d", {"regular"}), ("polynomial_3d", {"singular", "undetermined"})],
+    )
+    def test_blocks_do_not_change_results(self, radial_solution, monkeypatch, case, verdicts):
+        if case == "radial_2d":
+            field = radial_solution
+            fb = extract_free_boundary(extract_contact_set(field))
+        else:
+            grid = centered_box(3, 1.0, 25)
+            field = polynomial(QuadraticForm.diagonal([0.5, 0.3, 0.2])).sample(grid)
+            full = extract_free_boundary(extract_contact_set(field, kappa=0.5))
+            # every 8th interface node, and second a node without blow-up room
+            indices = np.insert(full.indices[::8], 1, [12, 12, 3], axis=0)
+            fb = FreeBoundarySet(grid, indices, indices * grid.h + np.array(grid.lower))
+
+        def bits(results):
+            return [
+                repr(
+                    (c.point, c.verdict, c.weiss_value, c.blowup_radius, c.fit_residual,
+                     c.direction, None if c.form is None else c.form.matrix.tolist(),
+                     c.stratum, c.reason)
+                )
+                for c in results
+            ]
+
+        default, _ = stratify(field, fb)
+        assert {c.verdict for c in default} == verdicts
+        for budget in (1, 10**9):  # one point a block, then every point in one
+            monkeypatch.setattr(analysis, "BLOCK_SAMPLES", budget)
+            assert bits(stratify(field, fb)[0]) == bits(default)
+        for k in range(0, len(fb), max(1, len(fb) // 6)):
+            assert bits([classify_point(field, fb.points[k])]) == bits([default[k]])
 
     def test_empty_free_boundary(self):
         grid = centered_box(2, 1.0, 65)

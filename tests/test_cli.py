@@ -214,6 +214,7 @@ class TestDiagnoseCommand:
         assert main(["diagnose", "--config", cfg]) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith(prefix)
+        assert str(path) in captured.err
         assert captured.err.count("\n") == 1
         assert not out.exists()
 
