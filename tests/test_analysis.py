@@ -291,6 +291,33 @@ class TestClassifyPoint:
             assert c.form.frobenius_distance(form) <= 0.01
             assert c.weiss_value >= 0.95 * weiss_constant(3)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_singular_fit_matches_lstsq(self, n):
+        # the factored normal equations against one lstsq per blow-up, at
+        # 1e-12 relative (1e-15 absolute near zero)
+        rng = np.random.default_rng(n)
+        points = analysis.unit_ball_nodes(n)
+        rows = []
+        for _ in range(4):
+            q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            eigs = rng.dirichlet(np.ones(n))
+            form = QuadraticForm.from_matrix((q * eigs) @ q.T)
+            rows.append(form.evaluate(points) + 1e-3 * rng.standard_normal(len(points)))
+        rows.append(rng.random(len(points)))
+        values = np.stack(rows)
+        design = analysis._quadratic_design(n)
+        reference = np.stack([np.linalg.lstsq(design, v, rcond=None)[0] for v in values])
+        coefs = analysis._quadratic_coefficients(n, values)
+        assert_allclose(coefs, reference, rtol=1e-12, atol=1e-15)
+        upper = np.triu_indices(n, 1)
+        for v, coef, (form, residual) in zip(values, reference, analysis._fit_singular(n, values)):
+            matrix = np.diag(coef[:n])
+            matrix[upper] = matrix[upper[::-1]] = coef[n:]
+            expected = QuadraticForm.from_matrix(matrix).project_to_blowup_form()
+            assert_allclose(form.matrix, expected.matrix, rtol=1e-12, atol=1e-15)
+            expected_residual = np.linalg.norm(v - expected.evaluate(points))
+            assert residual == pytest.approx(expected_residual, rel=1e-12)
+
     def test_halfspace_directions_3d(self):
         grid = centered_box(3, 1.0, 33)
         for e in ([1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [1.0, 1.0, 1.0], [0.3, -0.5, 0.8]):

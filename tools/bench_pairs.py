@@ -1,15 +1,17 @@
 """Alternated before/after pairs of the benchmark, written to one JSON file.
 
-    python3 tools/bench_pairs.py --base REV --out BENCH.json [--pairs 3] [--seed 0]
-        [--workload NAME ...] [--seconds S] [--trace]
+    python3 tools/bench_pairs.py --base REV --out BENCH.json [--workload NAME ...] [--trace]
 
-Compares the checkout this script sits in (its working tree, committed or
-not) with revision REV of the same repository. REV is exported with
-``git archive`` into a temporary directory, so no worktree is registered and
-nothing in the checkout changes except ``.bench_out/``. Both trees are
-stripped of ``__pycache__`` first and every run has
+Compares the commit checked out here with revision REV of the same
+repository, in ``PAIRS`` pairs per workload at seed 0 and the benchmark's own
+run length. ``src/`` and ``perfbench/`` must be committed, so the record names
+the code that ran. REV is cloned into a temporary directory (``git clone
+--shared``, which registers nothing in this repository), so ``run.py``
+records its commit as it does here. In both trees ``__pycache__`` is
+deleted under ``src/`` and ``perfbench/``, and every run has
 ``PYTHONDONTWRITEBYTECODE=1``, so neither side's ``setup_s`` profits from
-bytecode left by an earlier run.
+bytecode left by an earlier run. Nothing else in this checkout changes but
+``.bench_out/``, where ``run.py`` writes its records.
 
 Each pair runs ``perfbench/run.py --workload W`` once in each tree; the side
 that goes first alternates from pair to pair. The output holds every pair's
@@ -28,41 +30,34 @@ import shutil
 import statistics
 import subprocess
 import sys
-import tarfile
 import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+PAIRS = 10  # the fewest that can show a change winning nine tenths of them
+CODE = ("src", "perfbench")  # what run.py runs
 
 
-def git(*args: str) -> str:
+def git(*args: str, cwd: Path = ROOT) -> str:
     return subprocess.run(
-        ["git", *args], cwd=ROOT, capture_output=True, text=True, check=True
+        ["git", *args], cwd=cwd, capture_output=True, text=True, check=True
     ).stdout.strip()
 
 
-def export(rev: str, into: Path) -> None:
-    archive = into.with_suffix(".tar")
-    subprocess.run(["git", "archive", "--output", str(archive), rev], cwd=ROOT, check=True)
-    with tarfile.open(archive) as tar:
-        tar.extractall(into, filter="data")
-    archive.unlink()
-
-
 def drop_bytecode(tree: Path) -> None:
-    for cache in list(tree.rglob("__pycache__")):
-        shutil.rmtree(cache)
+    for part in CODE:
+        for cache in list((tree / part).rglob("__pycache__")):
+            shutil.rmtree(cache)
 
 
-def bench(tree: Path, workload: str, seed: int, trace: bool, seconds: float | None) -> dict:
-    """One ``run.py`` invocation in ``tree``; its record from ``.bench_out/``."""
-    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
+def bench(tree: Path, workload: str, trace: bool) -> dict:
+    """One ``run.py`` invocation in ``tree`` at seed 0; its record from
+    ``.bench_out/``."""
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "0"]
     argv += ["--trace", str(int(trace))]
-    if seconds is not None:
-        argv += ["--seconds", str(seconds)]
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     subprocess.run(argv, cwd=tree, env=env, check=True, stdout=subprocess.DEVNULL)
-    record = tree / ".bench_out" / f"{workload}-seed{seed}-trace{int(trace)}.json"
+    record = tree / ".bench_out" / f"{workload}-seed0-trace{int(trace)}.json"
     return json.loads(record.read_text())
 
 
@@ -99,36 +94,36 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--base", required=True, help="git revision to compare against")
     parser.add_argument("--out", required=True, type=Path)
-    parser.add_argument("--pairs", type=int, default=3)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--workload", action="append", choices=[w["name"] for w in spec["workloads"]])
-    parser.add_argument("--seconds", type=float, default=None, help="run.py --seconds")
+    names = [w["name"] for w in spec["workloads"]]
+    parser.add_argument("--workload", action="append", choices=names)
     parser.add_argument("--trace", action="store_true", help="add one --trace 1 run per side")
     args = parser.parse_args(argv)
-    if args.pairs < 2:
-        parser.error("--pairs must be at least 2 for quartiles")
-    workloads = args.workload or [w["name"] for w in spec["workloads"]]
+    if git("status", "--porcelain", "--", *CODE):
+        parser.error(f"commit {' and '.join(CODE)} first: the record must name the code that ran")
+    workloads = args.workload or names
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
 
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         base_tree = Path(tmp) / "base"
-        export(args.base, base_tree)
+        base_commit = git("rev-parse", "--verify", f"{args.base}^{{commit}}")
+        git("clone", "--quiet", "--shared", "--no-checkout", str(ROOT), str(base_tree))
+        git("checkout", "--quiet", "--detach", base_commit, cwd=base_tree)
         trees = {"base": base_tree, "change": ROOT}
         for tree in trees.values():
             drop_bytecode(tree)
         result = {
-            "seed": args.seed,
-            "base": {"rev": args.base, "commit": git("rev-parse", args.base)},
-            "change": {"commit": git("rev-parse", "HEAD"), "dirty": bool(git("status", "--porcelain"))},
+            "seed": 0,
+            "base": {"rev": args.base, "commit": base_commit},
+            "change": {"commit": git("rev-parse", "HEAD")},
             "workloads": {},
         }
         for workload in workloads:
             pairs, provenance = [], {}
-            for k in range(args.pairs):
+            for k in range(PAIRS):
                 order = ("base", "change") if k % 2 == 0 else ("change", "base")
                 pair = {"first": order[0]}
                 for side in order:
-                    record = bench(trees[side], workload, args.seed, False, args.seconds)
+                    record = bench(trees[side], workload, False)
                     pair[side] = summary(record)
                     provenance.setdefault(side, record["provenance"])
                 pairs.append(pair)
@@ -138,7 +133,7 @@ def main(argv=None) -> int:
             entry = {"pairs": pairs, "metrics": compare(pairs, better), "provenance": provenance}
             if args.trace:
                 entry["trace"] = {
-                    side: summary(bench(trees[side], workload, args.seed, True, args.seconds))
+                    side: summary(bench(trees[side], workload, True))
                     for side in ("base", "change")
                 }
             result["workloads"][workload] = entry
