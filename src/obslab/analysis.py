@@ -486,8 +486,7 @@ def _classify(
         x0_block = [tuple(float(c) for c in x0) for x0 in x0s[start : start + block]]
         entries: list[Classification | None] = []
         fitted, scales = [], []
-        # one array per block, filled row by row: a list of rows stacked
-        # afterwards held both and raised the 3D run's peak RSS by ~1 MB
+        # filled row by row: stacking a list of rows would hold both copies
         blowups = np.empty((len(x0_block), len(unit_ball_nodes(n))))
         for x0 in x0_block:
             try:
