@@ -96,9 +96,8 @@ def extract_free_boundary(contact: ContactSet) -> FreeBoundarySet:
     """Nodes with at least one face neighbor in each phase: counted on the
     zero-padded mask, 0 < contact neighbours < neighbours."""
     nd = contact.mask.ndim
-    nodes = (slice(1, -1),) * nd
-    in_contact = neighbor_sum(np.pad(contact.mask.astype(int), 1), nodes)
-    neighbours = neighbor_sum(np.pad(np.ones(contact.mask.shape, int), 1), nodes)
+    in_contact = neighbor_sum(np.pad(contact.mask.astype(int), 1))
+    neighbours = neighbor_sum(np.pad(np.ones(contact.mask.shape, int), 1))
     on_interface = (0 < in_contact) & (in_contact < neighbours)
     indices = np.argwhere(on_interface)
     axes = [contact.grid.axis(a) for a in range(nd)]

@@ -200,18 +200,16 @@ def admissible_radii(grid: GridSpec, point, radii) -> list[float]:
     return [r for r in radii if MIN_RADIUS_FACTOR * grid.h <= r <= margin]
 
 
-def neighbor_sum(u: np.ndarray, where: tuple[slice, ...]) -> np.ndarray:
-    """Sum of the 2n axis neighbours of the nodes ``u[where]``.
-
-    ``where`` holds one slice per axis, possibly strided, selecting interior
-    nodes only. Terms are added axis by axis, ``u[x - e_a] + u[x + e_a]``
-    first, so every caller sees the same rounding.
+def neighbor_sum(u: np.ndarray) -> np.ndarray:
+    """Sum of the 2n axis neighbours of each interior node of ``u`` (shape
+    ``m - 2`` per axis). Terms are added axis by axis,
+    ``u[x - e_a] + u[x + e_a]`` first, so every caller sees the same rounding.
     """
+    core = (slice(1, -1),) * u.ndim
     total = None
-    for a, s in enumerate(where):
-        start, stop, step = s.indices(u.shape[a])
-        lo = where[:a] + (slice(start - 1, stop - 1, step),) + where[a + 1 :]
-        hi = where[:a] + (slice(start + 1, stop + 1, step),) + where[a + 1 :]
+    for a in range(u.ndim):
+        lo = core[:a] + (slice(None, -2),) + core[a + 1 :]
+        hi = core[:a] + (slice(2, None),) + core[a + 1 :]
         term = u[lo] + u[hi]
         total = term if total is None else total + term
     return total
@@ -221,7 +219,7 @@ def interior_laplacian(u: np.ndarray, h: float) -> np.ndarray:
     """The Laplacian stencil of a nodal array with spacing ``h``, at its
     interior nodes (shape ``m - 2`` per axis)."""
     core = (slice(1, -1),) * u.ndim
-    return (neighbor_sum(u, core) - 2.0 * u.ndim * u[core]) / (h * h)
+    return (neighbor_sum(u) - 2.0 * u.ndim * u[core]) / (h * h)
 
 
 def gradient(field: ScalarField) -> tuple[ScalarField, ...]:

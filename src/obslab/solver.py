@@ -12,9 +12,9 @@ complementarity system ``min(v - obstacle, source - lap_h v) = 0``.
 
 Both are convex quadratic programs over a box constraint, solved either by
 projected SOR (node-wise Gauss-Seidel minimization followed by projection,
-red-black ordering over strided sub-lattices) or by projected gradient
-(full-field step then projection, with Nesterov momentum and adaptive
-restart). Inputs are nodal samples; smoothness classes of the continuum
+red-black ordering over contiguous parity sub-lattices updated in place) or
+by projected gradient (full-field step then projection, with Nesterov
+momentum and adaptive restart). Inputs are nodal samples; smoothness classes of the continuum
 data have no discrete meaning here and are not represented.
 
 The stopping rule is the complementarity residual in max-norm,
@@ -23,6 +23,7 @@ The stopping rule is the complementarity residual in max-norm,
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 from dataclasses import dataclass
 
@@ -125,32 +126,68 @@ def _boundary_mask(shape: tuple[int, ...]) -> np.ndarray:
     return mask
 
 
-def _red_black(shape: tuple[int, ...]) -> tuple[list, list]:
-    """Strided interior sub-lattices of each colour, red (even index sum)
-    first. No two nodes of one colour are neighbours, so updating a colour
-    one sub-lattice at a time equals updating it all at once."""
-    colors: tuple[list, list] = ([], [])
-    for offsets in itertools.product((1, 2), repeat=len(shape)):
-        if all(o < m - 1 for o, m in zip(offsets, shape)):
-            where = tuple(slice(o, m - 1, 2) for o, m in zip(offsets, shape))
-            colors[sum(offsets) % 2].append(where)
-    return colors
+class _ParityLattice:
+    """``u`` as its 2^n parity sub-lattices ``u[p_0::2, ..., p_{n-1}::2]``, each a
+    contiguous copy. Along axis ``a`` the neighbours of sub-lattice ``p`` are two
+    shifted slices of the one with ``p_a`` flipped, so each red-black colour (even
+    index sum first) is a set of whole sub-lattices. A sweep allocates no arrays."""
+
+    def __init__(self, u: np.ndarray, obstacle: np.ndarray | None = None):
+        parities = list(itertools.product((0, 1), repeat=u.ndim))
+        self.where = [tuple(slice(q, None, 2) for q in p) for p in parities]
+        self.parts = {p: np.ascontiguousarray(u[w]) for p, w in zip(parities, self.where)}
+        self.colors: tuple[list, list] = ([], [])
+        for p, w in zip(parities, self.where):
+            inner = tuple(slice(1 - q, (m - q) // 2) for q, m in zip(p, u.shape))
+            nodes = self.parts[p][inner]
+            pairs = []
+            for a, (q, n) in enumerate(zip(p, nodes.shape)):
+                other = self.parts[p[:a] + (1 - q,) + p[a + 1 :]]
+                shifted = (inner[:a] + (slice(d, d + n),) + inner[a + 1 :] for d in (0, 1))
+                pairs.append(tuple(other[s] for s in shifted))
+            fixed = None if obstacle is None else obstacle[w][inner].copy()
+            buffers = np.empty(nodes.shape), np.empty(nodes.shape)
+            self.colors[sum(p) % 2].append((nodes, fixed, pairs, *buffers))
+
+    def store(self, u: np.ndarray) -> None:
+        for w, values in zip(self.where, self.parts.values()):
+            u[w] = values
+
+    def sweep(self, omega: float, c0: float) -> None:
+        """Move each interior node ``omega`` of the way to (neighbour mean - c0)."""
+        for nodes, fixed, pairs, total, work in self.colors[0] + self.colors[1]:
+            _sum_pairs(pairs, total, work)
+            gs = np.subtract(np.divide(total, 2.0 * nodes.ndim, out=work), c0, out=work)
+            np.multiply(gs, omega, out=gs)
+            np.multiply(nodes, 1.0 - omega, out=nodes)
+            np.add(nodes, gs, out=nodes)
+            if fixed is not None:
+                np.maximum(nodes, fixed, out=nodes)
+
+    def residual(self, source: float, h: float) -> float:
+        """The complementarity residual after a sweep. It reuses the sweep's
+        black neighbour sums: no red node moves after the black update."""
+        for _, _, pairs, total, work in self.colors[0]:
+            _sum_pairs(pairs, total, work)
+        blocks = self.colors[0] + self.colors[1]
+        return max(_kkt_max(u, psi, total, source, h, work) for u, psi, _, total, work in blocks)
 
 
-def _residual(u: np.ndarray, obstacle: np.ndarray, source: float, h: float) -> float:
-    """``max |min(u - obstacle, source - lap_h u)|`` over interior nodes."""
-    core = (slice(1, -1),) * u.ndim
-    kkt = source - interior_laplacian(u, h)
-    return float(np.max(np.abs(np.minimum(u[core] - obstacle[core], kkt))))
+def _sum_pairs(pairs, out: np.ndarray, work: np.ndarray) -> None:
+    """The sum of ``lo + hi`` over ``pairs``, in :func:`neighbor_sum`'s order."""
+    np.add(*pairs[0], out=out)
+    for lo, hi in pairs[1:]:
+        np.add(out, np.add(lo, hi, out=work), out=out)
 
 
-def _sweep(u, colors, obstacle, omega: float, c0: float) -> None:
-    """One projected SOR sweep in place: each node of each colour moves
-    ``omega`` of the way to (mean of neighbours - c0), clamped to ``obstacle``."""
-    for color in colors:
-        for where in color:
-            gs = neighbor_sum(u, where) / (2.0 * u.ndim) - c0
-            u[where] = np.maximum((1.0 - omega) * u[where] + omega * gs, obstacle[where])
+def _kkt_max(u, obstacle, total, source: float, h: float, work=None) -> float:
+    """``max |min(u - obstacle, source - lap_h u)|`` over the nodes ``u``, whose
+    neighbour sums ``total`` are overwritten: the one residual formula."""
+    lap = np.multiply(u, 2.0 * u.ndim, out=work)
+    np.subtract(total, lap, out=total)
+    kkt = np.subtract(source, np.divide(total, h * h, out=total), out=total)
+    gap = np.minimum(np.subtract(u, obstacle, out=lap), kkt, out=lap)
+    return float(np.max(np.abs(gap, out=gap), initial=0.0))
 
 
 def default_initial_guess(problem: ObstacleProblemSpec) -> ScalarField:
@@ -161,10 +198,10 @@ def default_initial_guess(problem: ObstacleProblemSpec) -> ScalarField:
     ring = _boundary_mask(grid.shape)
     u = np.full(grid.shape, float(np.mean(boundary[ring])))
     u[ring] = boundary[ring]
-    colors = _red_black(grid.shape)
-    unconstrained = np.full(grid.shape, -np.inf)
+    lattice = _ParityLattice(u)
     for _ in range(10):
-        _sweep(u, colors, unconstrained, 1.0, 0.0)
+        lattice.sweep(1.0, 0.0)
+    lattice.store(u)
     u = np.maximum(u, problem.obstacle)
     u[ring] = boundary[ring]
     return ScalarField(grid, u)
@@ -185,10 +222,10 @@ def solve(
 ) -> SolveResult:
     """Minimize the discrete energy subject to the constraint.
 
-    One loop serves every method: it takes the method's steps, records the
-    residual of each iterate, and returns once that drops to ``config.tol``;
-    raises :class:`IterationLimitError` (carrying the residual history)
-    if ``config.max_iterations`` steps do not get there.
+    One loop serves every method: the method's steps update ``u`` and yield
+    the residual of each iterate, and the loop returns once that drops to
+    ``config.tol``; raises :class:`IterationLimitError` (carrying the
+    residual history) if ``config.max_iterations`` steps do not get there.
     """
     grid = problem.grid
     core = grid.interior_slices()
@@ -205,10 +242,11 @@ def solve(
 
     steps = _psor_steps if config.method == PSOR else _projected_gradient_steps
     residuals: list[float] = []
-    for iterate in itertools.islice(steps(u, problem, config), config.max_iterations):
-        residuals.append(_residual(iterate, problem.obstacle, problem.source, grid.h))
-        if residuals[-1] <= config.tol:
-            break
+    with contextlib.closing(steps(u, problem, config)) as stepping:
+        for residual in itertools.islice(stepping, config.max_iterations):
+            residuals.append(residual)
+            if residual <= config.tol:
+                break
 
     history = np.array(residuals)
     if history[-1] > config.tol:
@@ -217,7 +255,7 @@ def solve(
             f"(residual {history[-1]:.3e} > tol {config.tol:.3e})",
             history,
         )
-    solution = ScalarField(grid, iterate)
+    solution = ScalarField(grid, u)
     return SolveResult(
         solution=solution,
         iterations=len(history),
@@ -227,18 +265,22 @@ def solve(
 
 
 def _psor_steps(u, problem, config):
-    """Projected SOR sweeps of ``u`` in place, yielding ``u`` after each."""
+    """Projected SOR sweeps of the parity-split ``u``, yielding the residual
+    after each; ``u`` holds the last iterate once the generator is closed."""
     h = problem.grid.h
-    colors = _red_black(u.shape)
     c0 = problem.source * (h * h) / (2.0 * u.ndim)
-    while True:
-        _sweep(u, colors, problem.obstacle, config.omega, c0)
-        yield u
+    lattice = _ParityLattice(u, problem.obstacle)
+    try:
+        while True:
+            lattice.sweep(config.omega, c0)
+            yield lattice.residual(problem.source, h)
+    finally:
+        lattice.store(u)
 
 
 def _projected_gradient_steps(u, problem, config):
-    """Accelerated projected gradient steps from ``u``, yielding each
-    iterate as a full array; ``u`` holds the extrapolated point."""
+    """Accelerated projected gradient steps from ``u``, yielding the
+    residual of each iterate, which ``u`` holds."""
     nd = u.ndim
     h = problem.grid.h
     source = problem.source
@@ -246,8 +288,7 @@ def _projected_gradient_steps(u, problem, config):
     psi_core = problem.obstacle[core]
     step = h * h / (4.0 * nd)  # 1 / lambda_max bound of the scaled Hessian
     x = u[core].copy()
-    y = u  # full array whose interior holds the extrapolated point
-    probe = u.copy()  # full array whose interior holds the current iterate
+    y = u.copy()  # full array whose interior holds the extrapolated point
     t = 1.0
     while True:
         lap = interior_laplacian(y, h)
@@ -261,8 +302,8 @@ def _projected_gradient_steps(u, problem, config):
             y[core] = x_new + ((t - 1.0) / t_next) * (x_new - x)
             t = t_next
         x = x_new
-        probe[core] = x
-        yield probe
+        u[core] = x
+        yield _kkt_max(u[core], psi_core, neighbor_sum(u), source, h)
 
 
 def _trapezoid_weights(shape: tuple[int, ...], plain_axis: int | None = None) -> np.ndarray:
@@ -312,4 +353,6 @@ def complementarity_residual(field: ScalarField, problem: ObstacleProblemSpec) -
     """
     if field.grid != problem.grid:
         raise GridError("field is not on the problem grid")
-    return _residual(field.values, problem.obstacle, problem.source, field.grid.h)
+    core = field.grid.interior_slices()
+    u = field.values
+    return _kkt_max(u[core], problem.obstacle[core], neighbor_sum(u), problem.source, field.grid.h)

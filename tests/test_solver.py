@@ -26,7 +26,7 @@ from obslab.solver import (
     normalized_problem,
     solve,
 )
-from obslab.solver import _psor_steps
+from obslab.solver import _ParityLattice
 
 TOL = 1e-8
 
@@ -179,12 +179,17 @@ class TestEnergy:
             assert dirichlet_energy(perturbed, problem) >= base - 1e-12
 
     def test_energy_monotone_along_psor_sweeps(self):
-        # drive the PSOR steps from solve's default start, to solve's stop
+        # drive the PSOR sweeps from solve's default start, to solve's stop
         problem, _ = radial_problem(nodes=33)
         config = SolverConfig(tol=1e-10)
+        u = default_initial_guess(problem).values.copy()
+        lattice = _ParityLattice(u, problem.obstacle)
+        c0 = problem.source * problem.grid.h**2 / 4.0
         energies = []
-        for iterate in _psor_steps(default_initial_guess(problem).values.copy(), problem, config):
-            field = ScalarField(problem.grid, iterate)
+        while True:
+            lattice.sweep(config.omega, c0)
+            lattice.store(u)
+            field = ScalarField(problem.grid, u)
             energies.append(dirichlet_energy(field, problem))
             if complementarity_residual(field, problem) <= config.tol:
                 break
@@ -236,8 +241,14 @@ class TestResidualHistory:
 
 
 def small_problem(dimension, nodes, form):
-    """A small problem whose solution has a nonempty contact set."""
-    grid = centered_box(dimension, 1.0, nodes)
+    """A small problem whose solution has a nonempty contact set. ``nodes``
+    is one count for a cube on [-1, 1]^n, or one count per axis for a box
+    centred at 0 with the first axis on [-1, 1]."""
+    if isinstance(nodes, int):
+        grid = centered_box(dimension, 1.0, nodes)
+    else:
+        half = tuple((m - 1) / (nodes[0] - 1) for m in nodes)
+        grid = GridSpec(tuple(-x for x in half), half, nodes)
     if form == "normalized":
         return normalized_problem(grid, np.full(grid.shape, 0.1))
     dome = field_from_function(grid, lambda p: 0.3 - np.sum(p * p, axis=1))
@@ -305,14 +316,37 @@ SMALL_CASES = [
 ]
 
 
+# Non-cubic boxes, and 3 and 4 nodes per axis, where some parity
+# sub-lattices have no interior nodes. The general form's dome is negative at
+# every interior node of the 4^3 grid, so that grid has no general case.
+LAYOUT_CASES = SMALL_CASES + [
+    (dimension, nodes, form)
+    for dimension, sizes in (
+        (1, (3, 4)),
+        (2, (3, 4, (17, 10))),
+        (3, (3, 4, (9, 10, 11))),
+    )
+    for nodes in sizes
+    for form in ("normalized", "general")
+    if (dimension, nodes, form) != (3, 4, "general")
+]
+
+
+def case_id(value):
+    return "x".join(map(str, value)) if isinstance(value, tuple) else None
+
+
 class TestStridedSweep:
-    @pytest.mark.parametrize("dimension, nodes, form", SMALL_CASES)
+    """PSOR on the parity-split lattice against a full-interior update with
+    parity masks, bit for bit."""
+
+    @pytest.mark.parametrize("dimension, nodes, form", LAYOUT_CASES, ids=case_id)
     def test_initial_guess_equals_masked_reference(self, dimension, nodes, form):
         problem = small_problem(dimension, nodes, form)
         expected = masked_initial_guess(problem)
         assert np.array_equal(default_initial_guess(problem).values, expected)
 
-    @pytest.mark.parametrize("dimension, nodes, form", SMALL_CASES)
+    @pytest.mark.parametrize("dimension, nodes, form", LAYOUT_CASES, ids=case_id)
     def test_psor_equals_masked_reference(self, dimension, nodes, form):
         problem = small_problem(dimension, nodes, form)
         start = default_initial_guess(problem)
@@ -336,6 +370,13 @@ class TestSharedResidual:
         gap = field.values[core] - problem.obstacle[core]
         expected = float(np.max(np.abs(np.minimum(gap, problem.source - lap))))
         assert complementarity_residual(field, problem) == expected
+
+    @pytest.mark.parametrize("method", [PSOR, PROJECTED_GRADIENT])
+    @pytest.mark.parametrize("dimension, nodes, form", LAYOUT_CASES, ids=case_id)
+    def test_in_loop_residual_is_the_public_one(self, dimension, nodes, form, method):
+        problem = small_problem(dimension, nodes, form)
+        result = solve(problem, SolverConfig(method=method, tol=1e-10))
+        assert result.residual_history[-1] == complementarity_residual(result.solution, problem)
 
 
 class TestSpecFields:
