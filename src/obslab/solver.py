@@ -181,8 +181,8 @@ def _sum_pairs(pairs, out: np.ndarray, work: np.ndarray) -> None:
 
 
 def _kkt_max(u, obstacle, total, source: float, h: float, work=None) -> float:
-    """``max |min(u - obstacle, source - lap_h u)|`` over the nodes ``u``, whose
-    neighbour sums ``total`` are overwritten: the one residual formula."""
+    """``max |min(u - obstacle, source - lap_h u)|`` over the nodes ``u`` (0 if
+    none), whose neighbour sums ``total`` are overwritten; the one formula."""
     lap = np.multiply(u, 2.0 * u.ndim, out=work)
     np.subtract(total, lap, out=total)
     kkt = np.subtract(source, np.divide(total, h * h, out=total), out=total)
