@@ -12,13 +12,14 @@ complementarity system ``min(v - obstacle, source - lap_h v) = 0``.
 
 Both are convex quadratic programs over a box constraint, solved either by
 projected SOR (node-wise Gauss-Seidel minimization followed by projection,
-red-black ordering over contiguous parity sub-lattices updated in place) or
-by projected gradient (full-field step then projection, with Nesterov
-momentum and adaptive restart). Inputs are nodal samples; smoothness classes of the continuum
-data have no discrete meaning here and are not represented.
+in red-black order on contiguous parity sub-lattices) or by projected
+gradient (full-field step then projection, with Nesterov momentum and
+adaptive restart). Inputs are nodal samples; smoothness classes of the
+continuum data have no discrete meaning here and are not represented.
 
 The stopping rule is the complementarity residual in max-norm,
-``max |min(u - obstacle, source - lap_h u)|`` over interior nodes.
+``max |min(u - obstacle, source - lap_h u)|`` over interior nodes (PSOR
+reuses the black update's neighbour sums for it).
 """
 
 from __future__ import annotations
@@ -146,8 +147,7 @@ class _ParityLattice:
                 shifted = (inner[:a] + (slice(d, d + n),) + inner[a + 1 :] for d in (0, 1))
                 pairs.append(tuple(other[s] for s in shifted))
             fixed = None if obstacle is None else obstacle[w][inner].copy()
-            buffers = np.empty(nodes.shape), np.empty(nodes.shape)
-            self.colors[sum(p) % 2].append((nodes, fixed, pairs, *buffers))
+            self.colors[sum(p) % 2].append((nodes, fixed, pairs, *np.empty((2, *nodes.shape))))
 
     def store(self, u: np.ndarray) -> None:
         for w, values in zip(self.where, self.parts.values()):
