@@ -39,19 +39,19 @@ from .fixtures import DEFAULT_EIGEN_TOL, QuadraticForm, polynomial
 from .grid import (
     DEFAULT_ANGULAR_SAMPLES,
     MIN_ANGULAR_SAMPLES,
-    BallSpec,
     GridError,
     GridSpec,
     ResolutionError,
     ScalarField,
-    ball_integral,
+    apply_rule,
+    ball_integral,  # noqa: F401 -- wrapped by name in perfbench/tracer.py
     centered_box,
+    gather,
     gradient,
     interpolate_many,
-    quadrature_window,
-    require_ball_in_box,
-    require_radii,
-    sphere_integral,
+    per_radius,
+    require_balls_in_box,
+    sphere_integral,  # noqa: F401 -- wrapped by name in perfbench/tracer.py
 )
 
 # Weiss constant per dimension: W(r, p) for any unit-trace PSD quadratic p.
@@ -140,7 +140,8 @@ def _profile(grid: GridSpec, radii, values, delta, advisory: bool = False) -> Pr
 
 class WeissEvaluator:
     """Precomputes the |grad u|^2 + 2u and u^2 integrand fields so that W
-    can be evaluated cheaply at many (x0, r) pairs of the same field."""
+    can be evaluated cheaply at many (x0, r) pairs of the same field: at
+    one point, or at many centres and one radius at once."""
 
     def __init__(self, field: ScalarField, angular_samples: int = DEFAULT_ANGULAR_SAMPLES):
         self.field = field
@@ -151,11 +152,13 @@ class WeissEvaluator:
         self.surface = ScalarField(field.grid, field.values * field.values)
 
     def __call__(self, x0, r: float) -> float:
-        grid = self.field.grid
-        n = grid.dimension
-        ball = BallSpec(tuple(x0), float(r))
-        bulk = ball_integral(self.bulk, ball) / r ** (n + 2)
-        surf = sphere_integral(self.surface, ball, self.angular_samples) / r ** (n + 3)
+        return float(self.at([x0], r)[0])
+
+    def at(self, centers, r: float) -> np.ndarray:
+        """W(r) around each of the ``(m, dimension)`` centres."""
+        n, r = self.field.grid.dimension, float(r)
+        bulk = apply_rule(self.bulk, centers, r, "ball") / r ** (n + 2)
+        surf = apply_rule(self.surface, centers, r, "sphere", self.angular_samples) / r ** (n + 3)
         return bulk - 2.0 * surf
 
 
@@ -175,28 +178,43 @@ def weiss_profile(
     _evaluator: WeissEvaluator | None = None,
 ) -> Profile:
     """W across radii with a NonDecreasing/Violated verdict."""
-    grid = field.grid
-    radii = require_radii(grid, radii)
     ev = _evaluator if _evaluator is not None else WeissEvaluator(field, angular_samples)
-    values = np.array([ev(x0, r) for r in radii])
-    return _profile(grid, radii, values, delta)
+    return weiss_profiles(ev, [x0], [radii], delta)[0]
 
 
-def _sphere_series(
-    field: ScalarField, x0, form: QuadraticForm, radii, angular_samples: int
-) -> list[float]:
-    """int_{dB_r(x0)} (u - p(. - x0))^2 for each r in ``radii``, with
-    ``(u - p)^2`` formed at the nodes of each sphere's window; p is summed
-    over the window's offsets y from x0 as (1/2) sum_ab A_ab y_a y_b."""
-    form.require_blowup_form()
-    series = []
-    for r in radii:
-        ball = BallSpec(tuple(x0), float(r))
-        offsets, u, weights = quadrature_window(field, ball, "sphere", angular_samples)
-        y = np.ix_(*offsets)
-        w = u - 0.5 * sum(a_ab * y[a] * y[b] for (a, b), a_ab in np.ndenumerate(form.matrix))
-        series.append(float(np.sum(weights * (w * w))))
-    return series
+def weiss_profiles(evaluator: WeissEvaluator, points, radii, delta=None) -> list[Profile]:
+    """:func:`weiss_profile` at each point over its own radii (one sequence
+    per point), one radius at a time for all points that use it."""
+    points, grid = np.asarray(points, dtype=float), evaluator.field.grid
+    radii, series = per_radius(grid, radii, lambda k, r: evaluator.at(points[k], r))
+    return [_profile(grid, rs, values, delta) for rs, values in zip(radii, series)]
+
+
+def _sphere_integrals(field: ScalarField, points, matrices, r: float, samples: int) -> np.ndarray:
+    """int_{dB_r(x)} (u - p(. - x))^2 at each point x for each form p of its
+    stack ``matrices[k]``, as a (points, forms) array. The sphere rule's
+    nodes are gathered once for all points and forms, and ``(u - p)^2`` is
+    formed at them, p summed over their offsets y from x as (1/2) sum_ab
+    A_ab y_a y_b in (a, b) order, once per block for a form its points share."""
+    n = field.grid.dimension
+    out = np.empty(matrices.shape[:2])
+    for rows, u, rule in gather(field, points, r, "sphere", samples):
+        y = rule.offsets
+        for q in range(matrices.shape[1]):
+            forms, which = np.unique(matrices[rows, q], axis=0, return_inverse=True)
+            p = sum(forms[:, a, b, None] * y[:, a] * y[:, b] for a, b in np.ndindex(n, n))
+            w = u - (0.5 * p)[which.ravel()]
+            out[rows, q] = np.vecdot(np.square(w, out=w), rule.weights)
+    return out
+
+
+def _sphere_series(field: ScalarField, points, matrices, radii, samples: int):
+    """:func:`_sphere_integrals` over each point's radii: the radii and one
+    (radii, forms) array per point."""
+    points = np.asarray(points, dtype=float)
+    return per_radius(
+        field.grid, radii, lambda k, r: _sphere_integrals(field, points[k], matrices[k], r, samples)
+    )
 
 
 def monneau(
@@ -207,8 +225,9 @@ def monneau(
     angular_samples: int = DEFAULT_ANGULAR_SAMPLES,
 ) -> float:
     """M(r, u, p) = r^-(n+3) int_{dB_r} (u - p)^2 with u translated to x0."""
-    (integral,) = _sphere_series(field, x0, form, [r], angular_samples)
-    return integral / r ** (field.grid.dimension + 3)
+    matrices = form.require_blowup_form().matrix[None, None]
+    integral = _sphere_integrals(field, [x0], matrices, r, angular_samples)[0, 0]
+    return float(integral) / r ** (field.grid.dimension + 3)
 
 
 def monneau_profile(
@@ -222,12 +241,31 @@ def monneau_profile(
 ) -> Profile:
     """M across radii. The monotonicity statement assumes x0 is singular;
     at unclassified points the verdict is attached as advisory only."""
-    grid = field.grid
-    radii = require_radii(grid, radii)
-    series = _sphere_series(field, x0, form, radii, angular_samples)
-    n = grid.dimension
-    values = np.array([s / r ** (n + 3) for s, r in zip(series, radii)])
-    return _profile(grid, radii, values, delta, advisory=not at_singular_point)
+    args = (delta, angular_samples, at_singular_point)
+    return monneau_profiles(field, [x0], [form], [radii], *args)[0][0]
+
+
+def monneau_profiles(
+    field: ScalarField,
+    points,
+    forms,
+    radii,
+    delta: float | None = None,
+    angular_samples: int = DEFAULT_ANGULAR_SAMPLES,
+    at_singular_point: bool = False,
+) -> list[list[Profile]]:
+    """:func:`monneau_profile` at each point over its own radii (one
+    sequence per point) against each of ``forms``: ``profiles[k][q]`` for
+    point k and form q, one radius at a time for all points that use it."""
+    n = field.grid.dimension
+    stack = np.array([form.require_blowup_form().matrix for form in forms]).reshape(-1, n, n)
+    matrices = np.broadcast_to(stack, (len(radii), *stack.shape))
+    radii, series = _sphere_series(field, points, matrices, radii, angular_samples)
+    profiles = []
+    for rs, integrals in zip(radii, series):
+        scaled = (integrals / np.array([r ** (n + 3) for r in rs])[:, None]).T
+        profiles.append([_profile(field.grid, rs, v, delta, not at_singular_point) for v in scaled])
+    return profiles
 
 
 @functools.lru_cache(maxsize=3)
@@ -247,7 +285,7 @@ def rescale_blowup(field: ScalarField, x0, r: float) -> np.ndarray:
     floor = BLOWUP_RADIUS_FACTOR * grid.h
     if r < floor:
         raise ResolutionError(f"blow-up radius {r} < {BLOWUP_RADIUS_FACTOR:g}h = {floor}")
-    require_ball_in_box(grid, BallSpec(tuple(x0), float(r)))
+    require_balls_in_box(grid, [x0], float(r))
     pts = unit_ball_nodes(grid.dimension)
     return interpolate_many(field, np.asarray(x0, dtype=float) + r * pts) / (r * r)
 
@@ -506,11 +544,12 @@ def _classify(
             values = blowups[: len(scales)]
             directions, reg_residuals = _fit_regular(n, values)
             singular_fits = _fit_singular(n, values)
+            weiss_values = weiss.at([x0_block[k] for k in fitted], r)
             for i, k in enumerate(fitted):
                 form, sing_residual = singular_fits[i]
                 entries[k] = _verdict(
-                    x0_block[k], r, weiss, config, directions[i], reg_residuals[i] / scales[i],
-                    form, sing_residual / scales[i],
+                    x0_block[k], r, float(weiss_values[i]), config, directions[i],
+                    reg_residuals[i] / scales[i], form, sing_residual / scales[i],
                 )
         results += entries
     return results
@@ -528,15 +567,11 @@ def _undetermined(x0, weiss_value, r, reason: str, fit_residual=None) -> Classif
 
 
 def _verdict(
-    x0, r, weiss, config, direction, reg_residual, form, sing_residual
+    x0, r, weiss_value, config, direction, reg_residual, form, sing_residual
 ) -> Classification:
-    """One point's verdict from its normalized fit residuals and W."""
+    """One point's verdict from its normalized fit residuals and W at the
+    blow-up radius (always defined: the blow-up's ball lies in the box)."""
     reg_residual, sing_residual = float(reg_residual), float(sing_residual)
-    try:
-        weiss_value = weiss(x0, r)
-    except (ResolutionError, GridError):
-        weiss_value = None
-
     margin = config.residual_margin
     if abs(reg_residual - sing_residual) >= margin:
         regular_wins = reg_residual < sing_residual
@@ -544,7 +579,7 @@ def _verdict(
         # near-tie: consult the Weiss value against the midpoint 3 c_n / 4
         cn = weiss_constant(len(x0))
         midpoint = 0.75 * cn
-        if weiss_value is None or abs(weiss_value - midpoint) < config.weiss_margin * cn:
+        if abs(weiss_value - midpoint) < config.weiss_margin * cn:
             return _undetermined(
                 x0,
                 weiss_value,
@@ -613,15 +648,28 @@ def frequency_lambda(
     when any sphere norm sits at the degeneracy floor, which is the w == 0
     case up to roundoff.
     """
-    grid = field.grid
-    radii = require_radii(grid, radii)
-    series = _sphere_series(field, x0, form, radii, angular_samples)
-    n = grid.dimension
+    return frequency_lambdas(field, [x0], [form], [radii], angular_samples)[0]
+
+
+def frequency_lambdas(
+    field: ScalarField, points, forms, radii, angular_samples: int = DEFAULT_ANGULAR_SAMPLES
+) -> list[FrequencyEstimate]:
+    """:func:`frequency_lambda` at each point against its own form, over
+    its own radii (one sequence per point), one radius at a time for all
+    points that use it; the degeneracy floor is set once per field."""
+    n = field.grid.dimension
+    matrices = np.array([form.require_blowup_form().matrix for form in forms]).reshape(-1, 1, n, n)
+    radii, series = _sphere_series(field, points, matrices, radii, angular_samples)
+    scale = float(np.abs(field.values).max())
+    floor = DEGENERACY_FLOOR_FACTOR * np.finfo(float).eps * max(scale, 1.0)
+    return [_frequency(rs, integrals[:, 0], floor, n) for rs, integrals in zip(radii, series)]
+
+
+def _frequency(radii: np.ndarray, series: np.ndarray, floor: float, n: int) -> FrequencyEstimate:
+    """One point's estimate from its sphere integrals of w^2."""
     norms = np.array(
         [math.sqrt(max(s * float(r) ** (1 - n), 0.0)) for s, r in zip(series, radii)]
     )
-    scale = float(np.abs(field.values).max())
-    floor = DEGENERACY_FLOOR_FACTOR * np.finfo(float).eps * max(scale, 1.0)
     if (norms <= floor).any():
         return FrequencyEstimate(
             lambda_star=None, r_squared=None, radii=radii, defined=False, sphere_norms=norms

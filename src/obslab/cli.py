@@ -193,12 +193,12 @@ class _Run:
     radii: dict  # free-boundary point -> its admissible radii
     classifications: list | None = None  # set by classify, read by monneau and frequency
 
-    def admissible(self, least: int, points=None):
-        """(point, radii) for each of ``points`` (default: the free boundary)
-        whose balls fit at least ``least`` of the configured radii."""
-        for point in self.radii if points is None else points:
-            if len(self.radii[point]) >= least:
-                yield point, self.radii[point]
+    def admissible(self, least: int, points=None) -> tuple[list, list]:
+        """The points among ``points`` (default: the free boundary) whose
+        balls fit at least ``least`` of the configured radii, and their radii."""
+        candidates = self.radii if points is None else points
+        kept = [p for p in candidates if len(self.radii[p]) >= least]
+        return kept, [self.radii[p] for p in kept]
 
     def singular_forms(self) -> dict:
         """Fitted blow-up form per singular point; empty unless classify ran."""
@@ -234,8 +234,8 @@ def _nondecreasing_all(entries) -> bool:
 
 def _growth(run: _Run):
     entries, rows = [], []
-    for point, radii in run.admissible(1):
-        rep = freeboundary.growth_report(run.field, point, radii)
+    points, radii = run.admissible(1)
+    for point, rep in zip(points, freeboundary.growth_reports(run.field, points, radii)):
         entries.append(_entry(rep))
         pairs = zip(rep.radii, rep.ratios)
         rows += [(*point, r, ratio, rep.nondegenerate, rep.bounded) for r, ratio in pairs]
@@ -247,13 +247,11 @@ def _growth(run: _Run):
 
 
 def _weiss(run: _Run):
-    samples = run.settings.angular_samples
-    evaluator = analysis.WeissEvaluator(run.field, samples)
+    points, radii = run.admissible(2)
+    evaluator = analysis.WeissEvaluator(run.field, run.settings.angular_samples)
+    profiles = analysis.weiss_profiles(evaluator, points, radii)
     entries, rows = [], []
-    for point, radii in run.admissible(2):
-        profile = analysis.weiss_profile(
-            run.field, point, radii, angular_samples=samples, _evaluator=evaluator
-        )
+    for point, profile in zip(points, profiles):
         entries.append(_entry(profile, point=list(point)))
         rows += _profile_rows(point, profile)
     return {"weiss": entries}, rows, {"weiss_nondecreasing_all": _nondecreasing_all(entries)}
@@ -279,16 +277,18 @@ def _classify(run: _Run):
 
 def _monneau(run: _Run):
     """Monneau profiles against the probe set, at singular points when the
-    classifier ran (advisory at generic free-boundary points otherwise)."""
-    probes = analysis.probe_forms(run.field.grid.dimension, run.seed)
+    classifier ran (advisory at generic free-boundary points otherwise). The
+    probes are drawn only when some point is profiled."""
     singular = run.classifications is not None
+    points, radii = run.admissible(2, run.singular_forms() if singular else None)
+    probes = analysis.probe_forms(run.field.grid.dimension, run.seed) if points else []
     samples = run.settings.angular_samples
+    profiles = analysis.monneau_profiles(
+        run.field, points, probes, radii, angular_samples=samples, at_singular_point=singular
+    )
     entries, rows = [], []
-    for point, radii in run.admissible(2, run.singular_forms() if singular else None):
-        for k, probe in enumerate(probes):
-            profile = analysis.monneau_profile(
-                run.field, point, probe, radii, angular_samples=samples, at_singular_point=singular
-            )
+    for point, point_profiles in zip(points, profiles):
+        for k, (probe, profile) in enumerate(zip(probes, point_profiles)):
             entries.append(
                 _entry(profile, point=list(point), probe=probe.matrix.tolist(), probe_index=k)
             )
@@ -300,12 +300,12 @@ def _frequency(run: _Run):
     """Sphere-norm decay exponents at singular points, against their own
     fitted blow-up forms."""
     forms = run.singular_forms()
-    samples = run.settings.angular_samples
+    points, radii = run.admissible(2, forms)
+    estimates = analysis.frequency_lambdas(
+        run.field, points, [forms[p] for p in points], radii, run.settings.angular_samples
+    )
     entries, rows = [], []
-    for point, radii in run.admissible(2, forms):
-        est = analysis.frequency_lambda(
-            run.field, point, forms[point], radii, angular_samples=samples
-        )
+    for point, est in zip(points, estimates):
         entries.append(_entry(est, point=list(point)))
         rows.append((*point, est.defined, est.lambda_star, est.r_squared))
     return {"frequency": entries}, rows, {}

@@ -19,13 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import (
-    BallSpec,
     GridError,
     GridSpec,
     ScalarField,
+    apply_rule,
     neighbor_sum,
-    require_radii,
-    sup_on_ball,
+    per_radius,
+    sup_on_ball,  # noqa: F401 -- wrapped by name in perfbench/tracer.py
 )
 
 DEFAULT_KAPPA = 2.0
@@ -113,14 +113,23 @@ def growth_report(field: ScalarField, x0, radii) -> GrowthReport:
     NONDEGENERACY_SLACK)`` and bounded growth when the ratios are finite
     and stable (max/min <= 10).
     """
-    grid = field.grid
-    radii = require_radii(grid, radii)
-    ratios = np.empty(len(radii))
-    for k, r in enumerate(radii):
-        ratios[k] = sup_on_ball(field, BallSpec(tuple(x0), r)) / (r * r)
+    (report,) = growth_reports(field, [x0], [radii])
+    return report
+
+
+def growth_reports(field: ScalarField, points, radii) -> list[GrowthReport]:
+    """:func:`growth_report` at each point over its own radii (one sequence
+    per point), one radius at a time for all points that use it."""
+    points = np.asarray(points, dtype=float)
+    radii, sups = per_radius(field.grid, radii, lambda k, r: apply_rule(field, points[k], r, "sup"))
+    n = field.grid.dimension
+    return [_growth_report(n, x0, rs, sup / (rs * rs)) for x0, rs, sup in zip(points, radii, sups)]
+
+
+def _growth_report(n: int, x0, radii: np.ndarray, ratios: np.ndarray) -> GrowthReport:
+    """One point's report from its ratios sup_{B_r} u / r^2."""
     lower = float(ratios.min())
     upper = float(ratios.max())
-    n = grid.dimension
     nondegenerate = lower >= (1.0 / (2.0 * n)) * (1.0 - NONDEGENERACY_SLACK)
     if upper == 0.0:
         bounded = True  # identically zero field: trivially stable

@@ -4,8 +4,9 @@ Everything downstream (solvers, free-boundary extraction, monotonicity
 profiles, blow-up classification) is built on the primitives in this module:
 node-based scalar fields on an axis-aligned box in dimension 1, 2 or 3,
 second-order finite-difference stencils, multilinear interpolation, and
-the ball, sphere and sup rules: each a weight array with its nodes' offsets
-from the centre, built once per radius and applied to a window of the field.
+the ball, sphere and sup rules: each the nonzero weights of a rule with
+their nodes' offsets, built once per radius and applied at many centres at
+once by one gather of the field at those nodes.
 
 All operations are pure: fields are immutable snapshots.
 """
@@ -16,6 +17,7 @@ import functools
 import itertools
 import reprlib
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,6 +27,11 @@ MIN_RADIUS_FACTOR = 4.0
 MIN_RULE_RADIUS_FACTOR = 3.0
 DEFAULT_ANGULAR_SAMPLES = 64
 MIN_ANGULAR_SAMPLES = 16
+# A centre or a sphere sample this close to a node or grid line, in
+# spacings, is taken as on it.
+NODE_SNAP = 1e-9
+# Bytes of field values that one block of :func:`gather` holds.
+GATHER_BYTES = 2**21
 
 
 class GridError(ValueError):
@@ -157,16 +164,17 @@ class BallSpec:
             raise GridError(f"ball radius must be positive, got {self.radius}")
 
 
-def require_ball_in_box(grid: GridSpec, ball: BallSpec) -> None:
-    if len(ball.center) != grid.dimension:
-        raise GridError(
-            f"ball center dimension {len(ball.center)} != grid dimension {grid.dimension}"
-        )
-    for a, c in enumerate(ball.center):
-        if c - ball.radius < grid.lower[a] or c + ball.radius > grid.upper[a]:
-            raise OutOfDomainError(
-                f"ball B_{ball.radius}({ball.center}) is not contained in the grid box"
-            )
+def require_balls_in_box(grid: GridSpec, centers, r: float) -> np.ndarray:
+    """The centres as an ``(m, dimension)`` array; raises unless the ball of
+    radius ``r`` around each lies in the box."""
+    centers = np.asarray(centers, dtype=float)
+    if centers.ndim != 2 or centers.shape[1] != grid.dimension:
+        raise GridError(f"ball centres must have shape (m, {grid.dimension}), got {centers.shape}")
+    outside = ((centers - r < grid.lower) | (centers + r > grid.upper)).any(axis=1)
+    if outside.any():
+        center = tuple(centers[np.argmax(outside)].tolist())
+        raise OutOfDomainError(f"ball B_{r}({center}) is not contained in the grid box")
+    return centers
 
 
 def require_increasing(radii) -> np.ndarray:
@@ -285,20 +293,39 @@ def _sphere_samples(n: int, r: float, m: int) -> tuple[np.ndarray, np.ndarray]:
     return direction.reshape(-1, 3), weights.ravel()
 
 
+class _Rule(NamedTuple):
+    """A rule as runs of ``length`` nodes along the last axis, read-only:
+    each run's flat index offset from the centre's node, then per gathered
+    node its weight and its coordinates relative to the centre, and the
+    least and greatest node offset per axis (``lo``, ``hi``)."""
+
+    starts: np.ndarray
+    length: int
+    weights: np.ndarray
+    offsets: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+
+
 @functools.lru_cache(maxsize=32)
-def _rule(kind: str, h: float, r: float, offset: tuple[float, ...], samples: int) -> tuple:
-    """Weights of a rule on the (2 reach + 1)^n box of nodes around the node
-    nearest the centre, and the box's offsets from the centre per axis, all
-    read-only; ``offset`` is the centre minus that node, in spacings.
-    ``ball``: ``clip(1/2 + (r - d)/h, 0, 1) h^n`` at distance d (the exact
-    partial-cell measure in 1D); ``sup``: 1 on the closed ball; ``sphere``:
-    the multilinear corner weights of the sphere samples."""
+def _rule(
+    kind: str, h: float, r: float, offset: tuple[float, ...], samples: int, shape: tuple[int, ...]
+) -> _Rule:
+    """The rule ``kind`` on a grid of ``shape``, built on the (2 reach + 1)^n
+    box of nodes around the centre's node, reach = ceil(r/h) + 1; ``offset``
+    is the centre minus that node, in spacings. ``ball``: ``clip(1/2 + (r -
+    d)/h, 0, 1) h^n`` at distance d (the exact partial-cell measure in 1D);
+    ``sup``: 1 on the closed ball; ``sphere``: the multilinear corner
+    weights of the samples, snapped to grid lines by ``NODE_SNAP``. Where
+    the nonzero weights fill half of their rows' joint column range (ball
+    and sup), each such row is one run; otherwise (sphere) each is its own."""
     n = len(offset)
     reach = int(np.ceil(r / h)) + 1
     steps = tuple((np.arange(-reach, reach + 1) - o) * h for o in offset)
     if kind == "sphere":
         directions, sample_weights = _sphere_samples(n, r, samples)
         t = reach + np.array(offset) + directions * (r / h)
+        t = np.where(np.abs(t - np.round(t)) < NODE_SNAP, np.round(t), t)
         base = np.floor(t).astype(int)
         weights = np.zeros((2 * reach + 1,) * n)
         for index, w in _corners(base, t - base, sample_weights):
@@ -307,44 +334,82 @@ def _rule(kind: str, h: float, r: float, offset: tuple[float, ...], samples: int
         dist = np.sqrt(sum(m * m for m in np.meshgrid(*steps, indexing="ij")))
         inside = (dist <= r).astype(float)
         weights = {"sup": inside, "ball": np.clip(0.5 + (r - dist) / h, 0.0, 1.0) * h**n}[kind]
-    for array in (weights, *steps):
+    runs, length = np.argwhere(weights), 1
+    rows, first, last = np.unique(runs[:, :-1], axis=0), runs[:, -1].min(), runs[:, -1].max()
+    if 2 * len(runs) >= len(rows) * (last - first + 1):
+        runs, length = np.hstack([rows, np.full((len(rows), 1), first)]), int(last - first + 1)
+    cells = np.repeat(runs, length, axis=0)
+    cells[:, -1] += np.tile(np.arange(length), len(runs))
+    strides = [int(np.prod(shape[a + 1 :])) for a in range(n)]
+    rule = _Rule(
+        (runs - reach) @ strides,
+        length,
+        weights[tuple(cells.T)],
+        np.stack([s[c] for s, c in zip(steps, cells.T)], axis=-1),
+        cells.min(axis=0) - reach,
+        cells.max(axis=0) - reach,
+    )
+    for array in (rule.starts, rule.weights, rule.offsets, rule.lo, rule.hi):
         array.setflags(write=False)
-    return weights, steps
+    return rule
 
 
-def quadrature_window(
-    field: ScalarField, ball: BallSpec, kind: str, angular_samples: int = DEFAULT_ANGULAR_SAMPLES
-) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
-    """The offsets from the centre per axis, field values and weights of
-    the rule ``kind`` (``ball``, ``sphere`` or ``sup``) over ``ball``,
-    clipped to the grid.
-
-    A centre within 1e-9 spacings of a node is taken as that node. Raises
-    for a ball outside the box, a radius below ``MIN_RULE_RADIUS_FACTOR *
-    h``.
-    """
+def gather(
+    field: ScalarField, centers, r: float, kind: str, angular_samples: int = DEFAULT_ANGULAR_SAMPLES
+):
+    """Blocks ``(rows, values, rule)`` of the rule ``kind`` (``ball``,
+    ``sphere`` or ``sup``) over the balls of radius ``r`` around the
+    ``(m, dimension)`` centres, each at most about ``GATHER_BYTES``:
+    ``values[i]`` is the field at the rule's nodes around centre ``rows[i]``.
+    A centre within ``NODE_SNAP`` spacings of a node is taken as that node;
+    centres at the same offset from their node share one rule. Raises for a
+    ball outside the box, a radius below ``MIN_RULE_RADIUS_FACTOR * h``, or
+    a rule node off the grid (which no ball inside the box has)."""
     grid = field.grid
-    require_ball_in_box(grid, ball)
-    h, r = grid.h, ball.radius
+    centers = require_balls_in_box(grid, centers, r)
+    h, shape = grid.h, np.array(grid.shape)
     if r < MIN_RULE_RADIUS_FACTOR * h:
         raise ResolutionError(f"radius {r} < {MIN_RULE_RADIUS_FACTOR:g}h: quadrature unreliable")
-    t = (np.array(ball.center) - grid.lower) / grid.h
+    t = (centers - grid.lower) / h
     node = np.round(t).astype(int)
-    offset = np.where(np.abs(t - node) < 1e-9, 0.0, t - node)
+    offset = np.where(np.abs(t - node) < NODE_SNAP, 0.0, t - node)
     samples = angular_samples if kind == "sphere" else 0
-    weights, steps = _rule(kind, h, r, tuple(offset.tolist()), samples)
-    reach = weights.shape[0] // 2
-    lo, hi = np.maximum(node - reach, 0), np.minimum(node + reach + 1, grid.shape)
-    box = tuple(map(slice, lo - node + reach, hi - node + reach))
-    values = field.values[tuple(map(slice, lo, hi))]
-    return tuple(s[b] for s, b in zip(steps, box)), values, weights[box]
+    values = field.values.ravel()
+    groups, group = np.unique(offset, axis=0, return_inverse=True)
+    for g, o in enumerate(groups):
+        rows = np.flatnonzero(group.ravel() == g)
+        rule = _rule(kind, h, float(r), tuple(o.tolist()), samples, grid.shape)
+        if (node[rows] + rule.lo < 0).any() or (node[rows] + rule.hi >= shape).any():
+            raise GridError(f"a node of the {kind} rule of radius {r} falls off the grid")
+        runs = np.lib.stride_tricks.sliding_window_view(values, rule.length)
+        base = np.ravel_multi_index(tuple(node[rows].T), grid.shape)
+        block = max(1, GATHER_BYTES // (values.itemsize * len(rule.weights)))
+        for start in range(0, len(rows), block):
+            at = base[start : start + block, None] + rule.starts
+            yield rows[start : start + block], runs[at].reshape(len(at), -1), rule
+
+
+def apply_rule(
+    field: ScalarField, centers, r: float, kind: str, angular_samples: int = DEFAULT_ANGULAR_SAMPLES
+) -> np.ndarray:
+    """The rule ``kind`` at each centre, as :func:`gather` takes it: the
+    weighted sum of the field (``ball``, ``sphere``) or its maximum over the
+    nodes of weight 1 (``sup``), one dot product or maximum per centre, so
+    the blocks do not change a value."""
+    centers = np.asarray(centers, dtype=float)
+    out = np.empty(len(centers))
+    for rows, values, rule in gather(field, centers, r, kind, angular_samples):
+        if kind == "sup":
+            out[rows] = np.max(values, axis=1, where=rule.weights > 0, initial=-np.inf)
+        else:
+            out[rows] = np.vecdot(values, rule.weights)
+    return out
 
 
 def ball_integral(field: ScalarField, ball: BallSpec) -> float:
     """Node quadrature of the field over a ball; relative error O(h/r) worst
     case on Lipschitz integrands, far smaller in practice."""
-    _, values, weights = quadrature_window(field, ball, "ball")
-    return float(np.sum(weights * values))
+    return float(apply_rule(field, [ball.center], ball.radius, "ball")[0])
 
 
 def sphere_integral(
@@ -352,11 +417,29 @@ def sphere_integral(
 ) -> float:
     """Surface quadrature over the sphere bounding ``ball``, the field
     interpolated multilinearly at the samples."""
-    _, values, weights = quadrature_window(field, ball, "sphere", angular_samples)
-    return float(np.sum(weights * values))
+    return float(apply_rule(field, [ball.center], ball.radius, "sphere", angular_samples)[0])
 
 
 def sup_on_ball(field: ScalarField, ball: BallSpec) -> float:
     """Maximum nodal value inside the closed ball."""
-    _, values, weights = quadrature_window(field, ball, "sup")
-    return float(np.max(values[weights > 0.0]))
+    return float(apply_rule(field, [ball.center], ball.radius, "sup")[0])
+
+
+def per_radius(grid: GridSpec, radii, evaluate) -> tuple[list, list]:
+    """Each point's radii (one sequence per point) as :func:`require_radii`
+    admits them, equal sequences checked once, and each point's series over
+    them from one call ``evaluate(members, r)`` per distinct radius: one
+    value, or row of values, for each point index in ``members``, the points
+    whose radii hold r."""
+    keys = [tuple(float(r) for r in rs) for rs in radii]
+    checked = {key: require_radii(grid, key) for key in dict.fromkeys(keys)}
+    radii = [checked[key] for key in keys]
+    slots: dict[float, list[tuple[int, int]]] = {}
+    for k, rs in enumerate(radii):
+        for j, r in enumerate(rs):
+            slots.setdefault(float(r), []).append((k, j))
+    series: list = [[None] * len(rs) for rs in radii]
+    for r, at in sorted(slots.items()):
+        for (k, j), value in zip(at, evaluate(np.array([k for k, _ in at], dtype=int), r)):
+            series[k][j] = value
+    return radii, [np.array(s) for s in series]

@@ -6,8 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from obslab import analysis, cli, config
+from obslab import analysis, cli, config, freeboundary
 from obslab.cli import main
+from obslab.fixtures import QuadraticForm, polynomial
 from obslab.grid import GridSpec, ScalarField, centered_box
 from obslab.io import read_field, write_field
 
@@ -456,6 +457,102 @@ class TestDiagnoseCommand:
         assert names == sorted(p.name for p in b.iterdir())
         for name in names:
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+def assert_close(value, expected, rtol=1e-12):
+    value, expected = np.asarray(value, dtype=float), np.asarray(expected, dtype=float)
+    assert value.shape == expected.shape
+    assert (np.abs(value - expected) <= rtol * np.abs(expected)).all()
+
+
+class TestBatchedDiagnostics:
+    """``diagnose`` runs growth, Weiss, Monneau and frequency one radius at a
+    time over all points; each entry must be what the per-point public
+    function gives at its point."""
+
+    def assert_matches_per_point(self, out, samples):
+        report = json.loads((out / "report.json").read_text())
+        diagnostics = report["diagnostics"]
+        field = read_field(out / "solution.field")
+        for entry in diagnostics["growth"]:
+            rep = freeboundary.growth_report(field, entry["point"], entry["radii"])
+            assert_close(entry["ratios"], rep.ratios)
+            assert (entry["nondegenerate"], entry["bounded"]) == (rep.nondegenerate, rep.bounded)
+        for entry in diagnostics["weiss"]:
+            profile = analysis.weiss_profile(
+                field, entry["point"], entry["radii"], angular_samples=samples
+            )
+            assert_close(entry["values"], profile.values)
+            assert entry["verdict"] == profile.verdict
+        singular = "classification" in diagnostics
+        for entry in diagnostics["monneau"]:
+            probe = QuadraticForm.from_matrix(entry["probe"])
+            profile = analysis.monneau_profile(
+                field, entry["point"], probe, entry["radii"], angular_samples=samples,
+                at_singular_point=singular,
+            )
+            assert_close(entry["values"], profile.values, rtol=1e-12)
+            assert (entry["verdict"], entry["advisory"]) == (profile.verdict, profile.advisory)
+        matrices = {
+            tuple(c["point"]): c["matrix"]
+            for c in diagnostics.get("classification", ())
+            if c["verdict"] == analysis.SINGULAR
+        }
+        for entry in diagnostics.get("frequency", ()):
+            form = QuadraticForm.from_matrix(matrices[tuple(entry["point"])])
+            estimate = analysis.frequency_lambda(
+                field, entry["point"], form, entry["radii"], angular_samples=samples
+            )
+            assert entry["defined"] == estimate.defined
+            assert_close(entry["sphere_norms"], estimate.sphere_norms)
+            if estimate.defined:
+                assert_close(entry["lambda_star"], estimate.lambda_star)
+        return diagnostics
+
+    def test_radial_2d_matches_per_point_functions(self, tmp_path):
+        # no classify, so Monneau profiles every point against the probes
+        out = tmp_path / "out"
+        payload = radial_config(out, ["growth", "weiss", "monneau"], nodes=129)
+        assert main(["diagnose", "--config", write_config(tmp_path / "c.json", payload)]) == 0
+        diagnostics = self.assert_matches_per_point(out, analysis.DEFAULT_ANGULAR_SAMPLES)
+        assert len(diagnostics["growth"]) > 0 and len(diagnostics["monneau"]) > 0
+
+    def test_polynomial_3d_matches_per_point_functions(self, tmp_path):
+        out = tmp_path / "out"
+        payload = isotropic_3d_config(out)
+        assert main(["diagnose", "--config", write_config(tmp_path / "c.json", payload)]) == 0
+        diagnostics = self.assert_matches_per_point(out, 16)
+        assert len(diagnostics["monneau"]) > 0 and len(diagnostics["frequency"]) > 0
+
+    def test_monneau_stays_exactly_zero_among_other_points(self):
+        # the origin's profile against the field's own form is exactly zero,
+        # evaluated in one batch with points where it is not
+        grid = centered_box(3, 1.0, 33)
+        probes = analysis.probe_forms(3, seed=3)
+        field = polynomial(probes[-1]).sample(grid)
+        points = [(0.0, 0.0, 0.0), (0.125, 0.0, -0.0625), (0.25, 0.25, 0.0)]
+        radii = [[0.3, 0.4, 0.5]] * len(points)
+        profiles = analysis.monneau_profiles(field, points, probes, radii)
+        assert (profiles[0][-1].values == 0.0).all()
+        assert all((p.values > 0.0).all() for p in profiles[1])
+
+    def test_no_probe_forms_without_a_profiled_point(self, tmp_path, monkeypatch):
+        # all radial points are regular, so Monneau profiles none of them and
+        # draws no probe forms
+        reports = []
+        for tag in ("unpatched", "refused"):
+            if tag == "refused":
+
+                def refuse(*args, **kwargs):
+                    raise AssertionError("probe forms drawn with no point to profile")
+
+                monkeypatch.setattr(analysis, "probe_forms", refuse)
+            out = tmp_path / tag
+            payload = radial_config(out, ALL_DIAGNOSTICS)
+            assert main(["diagnose", "--config", write_config(tmp_path / f"{tag}.json", payload)]) == 0
+            reports.append((out / "report.json").read_bytes())
+        assert reports[0] == reports[1]
+        assert json.loads(reports[1])["diagnostics"]["monneau"] == []
 
 
 def test_diagnostic_names_follow_run_order():

@@ -467,31 +467,95 @@ class TestRuleKernels:
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("kind", ["ball", "sphere", "sup"])
     def test_window_offsets_match_node_coordinates(self, n, kind):
-        # the rule box's offsets, clipped like its weights, are the window's
-        # node coordinates minus the centre (to the 1e-9-spacing node snap)
+        # the rule's offsets are the gathered nodes' coordinates minus the
+        # centre (to the node snap), the gathered values are the field at
+        # those nodes, and no gathered node leaves the grid, also for balls
+        # that touch a face
         f = kernel_field(n)
         h, r = f.grid.h, 5.5 * f.grid.h
         rng = np.random.default_rng(5)
         centers = [
             (f.grid.axis(0)[KERNEL_GRIDS[n] // 2 + 3],) * n,  # node
             tuple(rng.uniform(-0.5, 0.5, n)),  # off-node
-            (1.0 - r,) + (0.5 * h,) * (n - 1),  # clipped by the face x0 = 1
-            (-1.0 + r,) * n,  # clipped by a face on every axis
+            (1.0 - r,) + (0.5 * h,) * (n - 1),  # touching the face x0 = 1
+            (-1.0 + r,) * n,  # touching a face on every axis
         ]
+        positions = f.grid.node_positions()
         for center in centers:
-            ball = BallSpec(center, r)
-            offsets, values, weights = grid.quadrature_window(f, ball, kind, 32)
-            assert values.shape == weights.shape == tuple(len(o) for o in offsets)
+            ((rows, values, rule),) = grid.gather(f, [center], r, kind, 32)
+            assert rows.tolist() == [0]
+            assert values.shape == (1, len(rule.weights)) == (1, len(rule.offsets))
+            for array in (rule.starts, rule.weights, rule.offsets):
+                assert not array.flags.writeable
             t = (np.array(center) - f.grid.lower) / h
-            node = np.round(t).astype(int)
-            reach = int(np.ceil(r / h)) + 1
-            lo, hi = np.maximum(node - reach, 0), np.minimum(node + reach + 1, f.grid.shape)
-            for a, (o, c) in enumerate(zip(offsets, center)):
-                assert o.ndim == 1 and not o.flags.writeable
-                assert_allclose(o, f.grid.axis(a)[lo[a] : hi[a]] - c, rtol=0.0, atol=1e-9 * h)
-            assert_allclose(values, f.values[tuple(map(slice, lo, hi))])
-            clipped = any(s < 2 * reach + 1 for s in weights.shape)
-            assert clipped == (center[0] == 1.0 - r or center[0] == -1.0 + r)
+            node = np.ravel_multi_index(tuple(np.round(t).astype(int)), f.grid.shape)
+            flat = (node + rule.starts[:, None] + np.arange(rule.length)).ravel()
+            assert ((flat >= 0) & (flat < f.grid.node_count)).all()
+            assert_allclose(rule.offsets, positions[flat] - center, rtol=0.0, atol=1e-9 * h)
+            assert_allclose(values[0], f.values.ravel()[flat], rtol=0.0, atol=0.0)
+            dist = np.linalg.norm(rule.offsets, axis=1)
+            if kind == "sup":
+                assert ((rule.weights > 0) == (dist <= r)).all()
+            if kind == "ball":
+                assert ((rule.weights > 0) == (dist < r + 0.5 * h)).all()
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_rule_runs_hold_every_nonzero_weight_once(self, n):
+        # the sphere rule gathers only its nonzero nodes; the ball and sup
+        # rules gather rows, so a run may also hold zero weights
+        f = kernel_field(n)
+        for kind in ("ball", "sphere", "sup"):
+            for center in [(0.0,) * n, (0.013,) * n]:
+                ((_, _, rule),) = grid.gather(f, [center], 6.3 * f.grid.h, kind, 32)
+                flat = (rule.starts[:, None] + np.arange(rule.length)).ravel()
+                assert len(np.unique(flat)) == len(flat)
+                if kind == "sphere":
+                    assert rule.length == 1 and (rule.weights != 0).all()
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_face_touching_sphere_samples_snap_to_the_face(self, n):
+        # at r = 4.3h a sample on the face x0 = 1 rounds to a hair beyond
+        # it; it is taken as on the face, so no weight leaves the grid
+        f = kernel_field(n)
+        r = 4.3 * f.grid.h
+        for center in [(1.0 - r,) + (0.0,) * (n - 1), (-1.0 + r,) + (0.5 * f.grid.h,) * (n - 1)]:
+            assert_matches_reference(f, BallSpec(center, r))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_blocks_do_not_change_values(self, n, monkeypatch):
+        # one centre per block and all centres in one block give the same
+        # bits, for node and off-node centres alike
+        f = kernel_field(n)
+        h, m = f.grid.h, KERNEL_GRIDS[n]
+        r = 5.4 * h
+        rng = np.random.default_rng(11)
+        nodes = f.grid.axis(0)[rng.integers(7, m - 7, size=(12, n))]
+        off_node = rng.uniform(-1.0 + r + h, 1.0 - r - h, size=(5, n))
+        centers = np.vstack([nodes, off_node, nodes[:2] + 0.5 * h])
+        kinds = ("ball", "sphere", "sup")
+        results = []
+        for limit in (1, 2**40):
+            monkeypatch.setattr(grid, "GATHER_BYTES", limit)
+            results.append([grid.apply_rule(f, centers, r, kind, 24) for kind in kinds])
+        for one, every in zip(*results):
+            assert np.array_equal(one, every)
+        # and a batch gives each centre what a one-centre call gives it
+        for kind, batched in zip(kinds, results[1]):
+            single = [grid.apply_rule(f, [c], r, kind, 24)[0] for c in centers]
+            assert np.array_equal(batched, single)
+
+    def test_batched_ball_outside_the_box_raises(self):
+        f = kernel_field(2)
+        r = 6.0 * f.grid.h
+        inside = [(0.0, 0.0), (0.5, -0.5)]
+        with pytest.raises(OutOfDomainError):
+            grid.apply_rule(f, [*inside, (1.0 - 0.5 * r, 0.0)], r, "ball")
+        with pytest.raises(OutOfDomainError):
+            grid.apply_rule(f, [*inside, (0.0, -1.0 + 0.9 * r)], r, "sphere")
+        with pytest.raises(ResolutionError):
+            grid.apply_rule(f, inside, 2.0 * f.grid.h, "sup")
+        with pytest.raises(GridError):
+            grid.apply_rule(f, [(0.0, 0.0, 0.0)], r, "ball")
 
     def test_sup_below_rule_floor_raises(self):
         g = centered_box(2, 1.0, 33)
