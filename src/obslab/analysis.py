@@ -195,16 +195,18 @@ def _sphere_integrals(field: ScalarField, points, matrices, r: float, samples: i
     stack ``matrices[k]``, as a (points, forms) array. The sphere rule's
     nodes are gathered once for all points and forms, and ``(u - p)^2`` is
     formed at them, p summed over their offsets y from x as (1/2) sum_ab
-    A_ab y_a y_b in (a, b) order, once per block for a form its points share."""
+    A_ab y_a y_b in (a, b) order, once per block for the points that share
+    a form."""
     n = field.grid.dimension
     out = np.empty(matrices.shape[:2])
     for rows, u, rule in gather(field, points, r, "sphere", samples):
-        y = rule.offsets
+        y = rule.offsets()
         for q in range(matrices.shape[1]):
             forms, which = np.unique(matrices[rows, q], axis=0, return_inverse=True)
-            p = sum(forms[:, a, b, None] * y[:, a] * y[:, b] for a, b in np.ndindex(n, n))
-            w = u - (0.5 * p)[which.ravel()]
-            out[rows, q] = np.vecdot(np.square(w, out=w), rule.weights)
+            for form, shared in zip(forms, which.ravel() == np.arange(len(forms))[:, None]):
+                w = u[shared]
+                w -= 0.5 * sum(form[a, b] * y[:, a] * y[:, b] for a, b in np.ndindex(n, n))
+                out[rows[shared], q] = np.vecdot(np.square(w, out=w), rule.weights)
     return out
 
 
@@ -241,8 +243,10 @@ def monneau_profile(
 ) -> Profile:
     """M across radii. The monotonicity statement assumes x0 is singular;
     at unclassified points the verdict is attached as advisory only."""
-    args = (delta, angular_samples, at_singular_point)
-    return monneau_profiles(field, [x0], [form], [radii], *args)[0][0]
+    (profiles,) = monneau_profiles(
+        field, [x0], [form], [radii], delta, angular_samples, at_singular_point
+    )
+    return profiles[0]
 
 
 def monneau_profiles(

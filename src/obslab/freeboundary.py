@@ -113,8 +113,7 @@ def growth_report(field: ScalarField, x0, radii) -> GrowthReport:
     NONDEGENERACY_SLACK)`` and bounded growth when the ratios are finite
     and stable (max/min <= 10).
     """
-    (report,) = growth_reports(field, [x0], [radii])
-    return report
+    return growth_reports(field, [x0], [radii])[0]
 
 
 def growth_reports(field: ScalarField, points, radii) -> list[GrowthReport]:

