@@ -501,17 +501,20 @@ class TestRuleKernels:
                 assert ((rule.weights > 0) == (dist < r + 0.5 * h)).all()
 
     @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_rule_runs_hold_every_nonzero_weight_once(self, n):
-        # the sphere rule gathers only its nonzero nodes; the ball and sup
-        # rules gather rows, so a run may also hold zero weights
+    def test_rule_gathers_each_node_once(self, n):
+        # runs never overlap; in 1D and 2D the sphere rule gathers only its
+        # nonzero nodes, while the ball and sup rules gather whole rows, so
+        # their runs may also hold zero weights
         f = kernel_field(n)
         for kind in ("ball", "sphere", "sup"):
             for center in [(0.0,) * n, (0.013,) * n]:
                 ((_, _, rule),) = grid.gather(f, [center], 6.3 * f.grid.h, kind, 32)
                 flat = (rule.starts[:, None] + np.arange(rule.length)).ravel()
                 assert len(np.unique(flat)) == len(flat)
-                if kind == "sphere":
+                if kind == "sphere" and n < 3:
                     assert rule.length == 1 and (rule.weights != 0).all()
+                if kind != "sphere" and n > 1:
+                    assert rule.length > 1 and (rule.weights == 0).any()
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_face_touching_sphere_samples_snap_to_the_face(self, n):
