@@ -190,33 +190,23 @@ def weiss_profiles(evaluator: WeissEvaluator, points, radii, delta=None) -> list
     return [_profile(grid, rs, values, delta) for rs, values in zip(radii, series)]
 
 
-def _sphere_integrals(field: ScalarField, points, matrices, r: float, samples: int) -> np.ndarray:
-    """int_{dB_r(x)} (u - p(. - x))^2 at each point x for each form p of its
-    stack ``matrices[k]``, as a (points, forms) array. The sphere rule's
-    nodes are gathered once for all points and forms, and ``(u - p)^2`` is
-    formed at them, p summed over their offsets y from x as (1/2) sum_ab
-    A_ab y_a y_b in (a, b) order, once per block for the points that share
-    a form."""
+def _sphere_integrals(field: ScalarField, points, forms, r: float, samples: int) -> np.ndarray:
+    """int_{dB_r(x)} (u - p(. - x))^2 at each point x for each form p, as a
+    (points, forms) array. ``forms`` is a (1, forms, n, n) stack of
+    matrices that every point shares, or a (points, forms, n, n) one. The
+    sphere rule's nodes are gathered once for all points and forms, and
+    ``(u - p)^2`` is formed at them, p summed over their offsets y from x as
+    (1/2) sum_ab A_ab y_a y_b in (a, b) order."""
     n = field.grid.dimension
-    out = np.empty(matrices.shape[:2])
+    out = np.empty((len(points), forms.shape[1]))
     for rows, u, rule in gather(field, points, r, "sphere", samples):
         y = rule.offsets()
-        for q in range(matrices.shape[1]):
-            forms, which = np.unique(matrices[rows, q], axis=0, return_inverse=True)
-            for form, shared in zip(forms, which.ravel() == np.arange(len(forms))[:, None]):
-                w = u[shared]
-                w -= 0.5 * sum(form[a, b] * y[:, a] * y[:, b] for a, b in np.ndindex(n, n))
-                out[rows[shared], q] = np.vecdot(np.square(w, out=w), rule.weights)
+        block = forms if len(forms) == 1 else forms[rows]
+        for q in range(forms.shape[1]):
+            a = block[:, q]
+            w = u - 0.5 * sum(a[:, i, j, None] * y[:, i] * y[:, j] for i, j in np.ndindex(n, n))
+            out[rows, q] = np.vecdot(np.square(w, out=w), rule.weights)
     return out
-
-
-def _sphere_series(field: ScalarField, points, matrices, radii, samples: int):
-    """:func:`_sphere_integrals` over each point's radii: the radii and one
-    (radii, forms) array per point."""
-    points = np.asarray(points, dtype=float)
-    return per_radius(
-        field.grid, radii, lambda k, r: _sphere_integrals(field, points[k], matrices[k], r, samples)
-    )
 
 
 def monneau(
@@ -227,8 +217,8 @@ def monneau(
     angular_samples: int = DEFAULT_ANGULAR_SAMPLES,
 ) -> float:
     """M(r, u, p) = r^-(n+3) int_{dB_r} (u - p)^2 with u translated to x0."""
-    matrices = form.require_blowup_form().matrix[None, None]
-    integral = _sphere_integrals(field, [x0], matrices, r, angular_samples)[0, 0]
+    forms = form.require_blowup_form().matrix[None, None]
+    integral = _sphere_integrals(field, [x0], forms, r, angular_samples)[0, 0]
     return float(integral) / r ** (field.grid.dimension + 3)
 
 
@@ -261,10 +251,13 @@ def monneau_profiles(
     """:func:`monneau_profile` at each point over its own radii (one
     sequence per point) against each of ``forms``: ``profiles[k][q]`` for
     point k and form q, one radius at a time for all points that use it."""
-    n = field.grid.dimension
-    stack = np.array([form.require_blowup_form().matrix for form in forms]).reshape(-1, n, n)
-    matrices = np.broadcast_to(stack, (len(radii), *stack.shape))
-    radii, series = _sphere_series(field, points, matrices, radii, angular_samples)
+    n, points = field.grid.dimension, np.asarray(points, dtype=float)
+    shared = np.array([form.require_blowup_form().matrix for form in forms]).reshape(1, -1, n, n)
+    radii, series = per_radius(
+        field.grid,
+        radii,
+        lambda k, r: _sphere_integrals(field, points[k], shared, r, angular_samples),
+    )
     profiles = []
     for rs, integrals in zip(radii, series):
         scaled = (integrals / np.array([r ** (n + 3) for r in rs])[:, None]).T
@@ -661,9 +654,13 @@ def frequency_lambdas(
     """:func:`frequency_lambda` at each point against its own form, over
     its own radii (one sequence per point), one radius at a time for all
     points that use it; the degeneracy floor is set once per field."""
-    n = field.grid.dimension
-    matrices = np.array([form.require_blowup_form().matrix for form in forms]).reshape(-1, 1, n, n)
-    radii, series = _sphere_series(field, points, matrices, radii, angular_samples)
+    n, points = field.grid.dimension, np.asarray(points, dtype=float)
+    own = np.array([form.require_blowup_form().matrix for form in forms]).reshape(-1, 1, n, n)
+    radii, series = per_radius(
+        field.grid,
+        radii,
+        lambda k, r: _sphere_integrals(field, points[k], own[k], r, angular_samples),
+    )
     scale = float(np.abs(field.values).max())
     floor = DEGENERACY_FLOOR_FACTOR * np.finfo(float).eps * max(scale, 1.0)
     return [_frequency(rs, integrals[:, 0], floor, n) for rs, integrals in zip(radii, series)]

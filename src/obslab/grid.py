@@ -4,9 +4,9 @@ Everything downstream (solvers, free-boundary extraction, monotonicity
 profiles, blow-up classification) is built on the primitives in this module:
 node-based scalar fields on an axis-aligned box in dimension 1, 2 or 3,
 second-order finite-difference stencils, multilinear interpolation, and
-the ball, sphere and sup rules: each kept as the runs of nodes that hold
-its nonzero weights, built once per radius and applied at many centres at
-once by one gather of the field at those nodes.
+the ball, sphere and sup rules: each kept as its nonzero weights and their
+nodes, built once per radius and applied at many centres at once by one
+gather of the field at those nodes.
 
 All operations are pure: fields are immutable snapshots.
 """
@@ -30,9 +30,8 @@ MIN_ANGULAR_SAMPLES = 16
 # A centre or a sphere sample this close to a node or grid line, in
 # spacings, is taken as on it.
 NODE_SNAP = 1e-9
-# Bytes of field values that one block of :func:`gather` holds. Blocks of
-# 2 MB raised the peak RSS of the isotropic3d_33 benchmark run by 12%, of
-# 512 kB by 6%.
+# Bytes that one block of :func:`gather` holds: the gathered field values
+# and their flat indices, 8 bytes each per node.
 GATHER_BYTES = 2**19
 
 
@@ -296,56 +295,33 @@ def _sphere_samples(n: int, r: float, m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _Rule(NamedTuple):
-    """A rule as runs of ``length`` nodes along the last axis, read-only:
-    each run's flat index offset (``starts``) and per-axis offset
-    (``first``) from the centre's node to its first node, the weight of
-    each gathered node run by run, the coordinates relative to the centre
-    of the node offsets -reach..reach per axis (``steps``), and the least
-    and greatest node offset per axis (``lo``, ``hi``)."""
+    """A rule's nonzero weights, read-only: the offset of each weight's node
+    from the centre's node, per axis (``nodes``), the weights, and the
+    centre's offset from its node in spacings (``offset``) on a grid of
+    spacing ``h``."""
 
-    starts: np.ndarray
-    first: np.ndarray
-    length: int
+    nodes: np.ndarray
     weights: np.ndarray
-    steps: tuple[np.ndarray, ...]
-    lo: np.ndarray
-    hi: np.ndarray
+    offset: np.ndarray
+    h: float
 
     def offsets(self) -> np.ndarray:
-        """Each gathered node's coordinates relative to the centre, one row
-        per node (built on demand: a rule of the ball or sup kind never
-        needs them)."""
-        reach = len(self.steps[0]) // 2
-        nodes = _run_nodes(self.first, self.length) + reach
-        return np.stack([s[c] for s, c in zip(self.steps, nodes.T)], axis=-1)
-
-
-def _run_nodes(first: np.ndarray, length: int) -> np.ndarray:
-    """The nodes of the runs of ``length`` along the last axis that start
-    at the rows of ``first``, run by run."""
-    nodes = np.repeat(first, length, axis=0)
-    nodes[:, -1] += np.tile(np.arange(length), len(first))
-    return nodes
+        """Each weight's node coordinates relative to the centre, one row
+        per node."""
+        return (self.nodes - self.offset) * self.h
 
 
 @functools.lru_cache(maxsize=32)
-def _rule(
-    kind: str, h: float, r: float, offset: tuple[float, ...], samples: int, shape: tuple[int, ...]
-) -> _Rule:
-    """The rule ``kind`` on a grid of ``shape``, built on the (2 reach + 1)^n
-    box of nodes around the centre's node, reach = ceil(r/h) + 1; ``offset``
-    is the centre minus that node, in spacings. ``ball``: ``clip(1/2 + (r -
-    d)/h, 0, 1) h^n`` at distance d (the exact partial-cell measure in 1D);
-    ``sup``: 1 on the closed ball; ``sphere``: the multilinear corner
-    weights of the samples, snapped to grid lines by ``NODE_SNAP``. Where
-    the nonzero weights fill at least half of their rows' joint column range
-    (ball and sup; sphere in 3D at a few spacings), each such row is one run
-    over that range, and a gather of whole rows is cheaper per node than one
-    of single nodes; otherwise (the 2D sphere) each nonzero weight is a run
-    of one node."""
+def _rule(kind: str, h: float, r: float, offset: tuple[float, ...], samples: int) -> _Rule:
+    """The rule ``kind``, built on the (2 reach + 1)^n box of nodes around
+    the centre's node, reach = ceil(r/h) + 1, and kept at its nonzero
+    weights; ``offset`` is the centre minus that node, in spacings.
+    ``ball``: ``clip(1/2 + (r - d)/h, 0, 1) h^n`` at distance d (the exact
+    partial-cell measure in 1D); ``sup``: 1 on the closed ball; ``sphere``:
+    the multilinear corner weights of the samples, snapped to grid lines by
+    ``NODE_SNAP``."""
     n = len(offset)
     reach = int(np.ceil(r / h)) + 1
-    steps = tuple((np.arange(-reach, reach + 1) - o) * h for o in offset)
     if kind == "sphere":
         directions, sample_weights = _sphere_samples(n, r, samples)
         t = reach + np.array(offset) + directions * (r / h)
@@ -355,19 +331,13 @@ def _rule(
         for index, w in _corners(base, t - base, sample_weights):
             np.add.at(weights, index, w)
     else:
+        steps = [(np.arange(-reach, reach + 1) - o) * h for o in offset]
         dist = np.sqrt(sum(m * m for m in np.meshgrid(*steps, indexing="ij")))
         inside = (dist <= r).astype(float)
         weights = {"sup": inside, "ball": np.clip(0.5 + (r - dist) / h, 0.0, 1.0) * h**n}[kind]
-    runs, length = np.argwhere(weights), 1
-    rows, left, right = np.unique(runs[:, :-1], axis=0), runs[:, -1].min(), runs[:, -1].max()
-    if 2 * len(runs) >= len(rows) * (right - left + 1):
-        runs, length = np.hstack([rows, np.full((len(rows), 1), left)]), int(right - left + 1)
-    cells = _run_nodes(runs, length)
-    strides = [int(np.prod(shape[a + 1 :])) for a in range(n)]
-    first = runs - reach
-    lo, hi = cells.min(axis=0) - reach, cells.max(axis=0) - reach
-    rule = _Rule(first @ strides, first, length, weights[tuple(cells.T)], steps, lo, hi)
-    for array in (rule.starts, rule.first, rule.weights, *rule.steps, rule.lo, rule.hi):
+    nodes = np.argwhere(weights)
+    rule = _Rule((nodes - reach).astype(np.int32), weights[tuple(nodes.T)], np.array(offset), h)
+    for array in rule[:3]:
         array.setflags(write=False)
     return rule
 
@@ -393,34 +363,31 @@ def gather(
     offset = np.where(np.abs(t - node) < NODE_SNAP, 0.0, t - node)
     samples = angular_samples if kind == "sphere" else 0
     values = field.values.ravel()
+    strides = np.array(field.values.strides) // values.itemsize
     groups, group = np.unique(offset, axis=0, return_inverse=True)
     for g, o in enumerate(groups):
         rows = np.flatnonzero(group.ravel() == g)
-        rule = _rule(kind, h, float(r), tuple(o.tolist()), samples, grid.shape)
-        if (node[rows] + rule.lo < 0).any() or (node[rows] + rule.hi >= shape).any():
+        rule = _rule(kind, h, float(r), tuple(o.tolist()), samples)
+        lo, hi = node[rows] + rule.nodes.min(axis=0), node[rows] + rule.nodes.max(axis=0)
+        if (lo < 0).any() or (hi >= shape).any():
             raise GridError(f"a node of the {kind} rule of radius {r} falls off the grid")
-        runs = np.lib.stride_tricks.sliding_window_view(values, rule.length)
-        base = np.ravel_multi_index(tuple(node[rows].T), grid.shape)
-        block = max(1, GATHER_BYTES // (values.itemsize * len(rule.weights)))
+        base, at = node[rows] @ strides, rule.nodes @ strides
+        block = max(1, GATHER_BYTES // (16 * len(at)))
         for start in range(0, len(rows), block):
-            at = base[start : start + block, None] + rule.starts
-            yield rows[start : start + block], runs[at].reshape(len(at), -1), rule
+            yield rows[start : start + block], values[base[start : start + block, None] + at], rule
 
 
 def apply_rule(
     field: ScalarField, centers, r: float, kind: str, angular_samples: int = DEFAULT_ANGULAR_SAMPLES
 ) -> np.ndarray:
     """The rule ``kind`` at each centre, as :func:`gather` takes it: the
-    weighted sum of the field (``ball``, ``sphere``) or its maximum over the
-    nodes of weight 1 (``sup``), one dot product or maximum per centre, so
-    the blocks do not change a value."""
+    weighted sum of the field (``ball``, ``sphere``) or its maximum
+    (``sup``), one dot product or maximum per centre, so the blocks do not
+    change a value."""
     centers = np.asarray(centers, dtype=float)
     out = np.empty(len(centers))
     for rows, values, rule in gather(field, centers, r, kind, angular_samples):
-        if kind == "sup":
-            out[rows] = np.max(values, axis=1, where=rule.weights > 0, initial=-np.inf)
-        else:
-            out[rows] = np.vecdot(values, rule.weights)
+        out[rows] = values.max(axis=1) if kind == "sup" else np.vecdot(values, rule.weights)
     return out
 
 

@@ -486,12 +486,12 @@ class TestRuleKernels:
             assert rows.tolist() == [0]
             offsets = rule.offsets()
             assert values.shape == (1, len(rule.weights)) == (1, len(offsets))
-            for array in (rule.starts, rule.first, rule.weights, *rule.steps):
+            for array in (rule.nodes, rule.weights, rule.offset):
                 assert not array.flags.writeable
             t = (np.array(center) - f.grid.lower) / h
-            node = np.ravel_multi_index(tuple(np.round(t).astype(int)), f.grid.shape)
-            flat = (node + rule.starts[:, None] + np.arange(rule.length)).ravel()
-            assert ((flat >= 0) & (flat < f.grid.node_count)).all()
+            cells = np.round(t).astype(int) + rule.nodes
+            assert ((cells >= 0) & (cells < f.grid.shape)).all()
+            flat = np.ravel_multi_index(tuple(cells.T), f.grid.shape)
             assert_allclose(offsets, positions[flat] - center, rtol=0.0, atol=1e-9 * h)
             assert_allclose(values[0], f.values.ravel()[flat], rtol=0.0, atol=0.0)
             dist = np.linalg.norm(offsets, axis=1)
@@ -502,19 +502,23 @@ class TestRuleKernels:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_rule_gathers_each_node_once(self, n):
-        # runs never overlap; in 1D and 2D the sphere rule gathers only its
-        # nonzero nodes, while the ball and sup rules gather whole rows, so
-        # their runs may also hold zero weights
+        # every rule gathers each of its nodes once and only the nodes of
+        # its nonzero weights, and drops no weight: the sup and ball rules
+        # hold every node of their support, the sphere rule all the weight
+        # of its samples
         f = kernel_field(n)
-        for kind in ("ball", "sphere", "sup"):
-            for center in [(0.0,) * n, (0.013,) * n]:
-                ((_, _, rule),) = grid.gather(f, [center], 6.3 * f.grid.h, kind, 32)
-                flat = (rule.starts[:, None] + np.arange(rule.length)).ravel()
-                assert len(np.unique(flat)) == len(flat)
-                if kind == "sphere" and n < 3:
-                    assert rule.length == 1 and (rule.weights != 0).all()
-                if kind != "sphere" and n > 1:
-                    assert rule.length > 1 and (rule.weights == 0).any()
+        r = 6.3 * f.grid.h
+        for center in [(0.0,) * n, (0.013,) * n]:
+            dist = np.linalg.norm(f.grid.node_positions() - center, axis=1)
+            for kind, support in [("sup", dist <= r), ("ball", dist < r + 0.5 * f.grid.h)]:
+                ((_, _, rule),) = grid.gather(f, [center], r, kind)
+                assert len(np.unique(rule.nodes, axis=0)) == len(rule.nodes) == support.sum()
+                assert (rule.weights != 0).all()
+            ((_, _, rule),) = grid.gather(f, [center], r, "sphere", 32)
+            assert len(np.unique(rule.nodes, axis=0)) == len(rule.nodes)
+            assert (rule.weights != 0).all()
+            _, sample_weights = grid._sphere_samples(n, r, 32)
+            assert_allclose(rule.weights.sum(), sample_weights.sum(), rtol=1e-13)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_face_touching_sphere_samples_snap_to_the_face(self, n):
