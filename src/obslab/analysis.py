@@ -99,7 +99,8 @@ def calibrate_weiss_constant(dimension: int, nodes: int = 121, angular_samples: 
     """
     grid = centered_box(dimension, 1.1, nodes)
     field = polynomial(QuadraticForm.isotropic(dimension)).sample(grid)
-    return weiss_energy(field, (0.0,) * dimension, 1.0, angular_samples=angular_samples)
+    evaluator = WeissEvaluator(field, angular_samples)
+    return float(evaluator.at([(0.0,) * dimension], 1.0)[0])
 
 
 def default_profile_delta(dimension: int, h: float, r_min: float) -> float:
@@ -140,8 +141,8 @@ def _profile(grid: GridSpec, radii, values, delta, advisory: bool = False) -> Pr
 
 class WeissEvaluator:
     """Precomputes the |grad u|^2 + 2u and u^2 integrand fields so that W
-    can be evaluated cheaply at many (x0, r) pairs of the same field: at
-    one point, or at many centres and one radius at once."""
+    can be evaluated cheaply at many (x0, r) pairs of the same field, at
+    many centres and one radius at once."""
 
     def __init__(self, field: ScalarField, angular_samples: int = DEFAULT_ANGULAR_SAMPLES):
         self.field = field
@@ -151,9 +152,6 @@ class WeissEvaluator:
         self.bulk = ScalarField(field.grid, grad_sq + 2.0 * field.values)
         self.surface = ScalarField(field.grid, field.values * field.values)
 
-    def __call__(self, x0, r: float) -> float:
-        return float(self.at([x0], r)[0])
-
     def at(self, centers, r: float) -> np.ndarray:
         """W(r) around each of the ``(m, dimension)`` centres."""
         n, r = self.field.grid.dimension, float(r)
@@ -162,32 +160,19 @@ class WeissEvaluator:
         return bulk - 2.0 * surf
 
 
-def weiss_energy(
-    field: ScalarField, x0, r: float, angular_samples: int = DEFAULT_ANGULAR_SAMPLES
-) -> float:
-    """W(r, u) centered at x0."""
-    return WeissEvaluator(field, angular_samples)(x0, r)
-
-
 def weiss_profile(
     field: ScalarField,
-    x0,
+    points,
     radii,
     delta: float | None = None,
     angular_samples: int = DEFAULT_ANGULAR_SAMPLES,
-    _evaluator: WeissEvaluator | None = None,
-) -> Profile:
-    """W across radii with a NonDecreasing/Violated verdict."""
-    ev = _evaluator if _evaluator is not None else WeissEvaluator(field, angular_samples)
-    return weiss_profiles(ev, [x0], [radii], delta)[0]
-
-
-def weiss_profiles(evaluator: WeissEvaluator, points, radii, delta=None) -> list[Profile]:
-    """:func:`weiss_profile` at each point over its own radii (one sequence
-    per point), one radius at a time for all points that use it."""
-    points, grid = np.asarray(points, dtype=float), evaluator.field.grid
-    radii, series = per_radius(grid, radii, lambda k, r: evaluator.at(points[k], r))
-    return [_profile(grid, rs, values, delta) for rs, values in zip(radii, series)]
+) -> list[Profile]:
+    """W across radii with a NonDecreasing/Violated verdict at each point,
+    over its own radii (one sequence per point), one radius at a time for
+    all points that use it."""
+    evaluator, points = WeissEvaluator(field, angular_samples), np.asarray(points, dtype=float)
+    radii, series = per_radius(field.grid, radii, lambda k, r: evaluator.at(points[k], r))
+    return [_profile(field.grid, rs, values, delta) for rs, values in zip(radii, series)]
 
 
 def _sphere_integrals(field: ScalarField, points, forms, r: float, samples: int) -> np.ndarray:
@@ -209,37 +194,7 @@ def _sphere_integrals(field: ScalarField, points, forms, r: float, samples: int)
     return out
 
 
-def monneau(
-    field: ScalarField,
-    x0,
-    form: QuadraticForm,
-    r: float,
-    angular_samples: int = DEFAULT_ANGULAR_SAMPLES,
-) -> float:
-    """M(r, u, p) = r^-(n+3) int_{dB_r} (u - p)^2 with u translated to x0."""
-    forms = form.require_blowup_form().matrix[None, None]
-    integral = _sphere_integrals(field, [x0], forms, r, angular_samples)[0, 0]
-    return float(integral) / r ** (field.grid.dimension + 3)
-
-
 def monneau_profile(
-    field: ScalarField,
-    x0,
-    form: QuadraticForm,
-    radii,
-    delta: float | None = None,
-    angular_samples: int = DEFAULT_ANGULAR_SAMPLES,
-    at_singular_point: bool = False,
-) -> Profile:
-    """M across radii. The monotonicity statement assumes x0 is singular;
-    at unclassified points the verdict is attached as advisory only."""
-    (profiles,) = monneau_profiles(
-        field, [x0], [form], [radii], delta, angular_samples, at_singular_point
-    )
-    return profiles[0]
-
-
-def monneau_profiles(
     field: ScalarField,
     points,
     forms,
@@ -248,9 +203,12 @@ def monneau_profiles(
     angular_samples: int = DEFAULT_ANGULAR_SAMPLES,
     at_singular_point: bool = False,
 ) -> list[list[Profile]]:
-    """:func:`monneau_profile` at each point over its own radii (one
-    sequence per point) against each of ``forms``: ``profiles[k][q]`` for
-    point k and form q, one radius at a time for all points that use it."""
+    """M(r, u, p) = r^-(n+3) int_{dB_r} (u - p)^2, u translated to each
+    point, across the point's own radii (one sequence per point) against
+    each of ``forms``: ``profiles[k][q]`` for point k and form q, one radius
+    at a time for all points that use it. The monotonicity statement
+    assumes the points are singular; otherwise each verdict is attached as
+    advisory only."""
     n, points = field.grid.dimension, np.asarray(points, dtype=float)
     shared = np.array([form.require_blowup_form().matrix for form in forms]).reshape(1, -1, n, n)
     radii, series = per_radius(
@@ -633,27 +591,16 @@ class FrequencyEstimate:
 
 
 def frequency_lambda(
-    field: ScalarField,
-    x0,
-    form: QuadraticForm,
-    radii,
-    angular_samples: int = DEFAULT_ANGULAR_SAMPLES,
-) -> FrequencyEstimate:
-    """Decay exponent of N(r) = (r^(1-n) int_{dB_r} w^2)^(1/2), w = u - p.
+    field: ScalarField, points, forms, radii, angular_samples: int = DEFAULT_ANGULAR_SAMPLES
+) -> list[FrequencyEstimate]:
+    """Decay exponent of N(r) = (r^(1-n) int_{dB_r} w^2)^(1/2), w = u - p,
+    at each point against its own form p, over its own radii (one sequence
+    per point), one radius at a time for all points that use it.
 
     Least-squares slope of log N against log r; undefined (not an error)
     when any sphere norm sits at the degeneracy floor, which is the w == 0
-    case up to roundoff.
+    case up to roundoff. The floor is set once per field.
     """
-    return frequency_lambdas(field, [x0], [form], [radii], angular_samples)[0]
-
-
-def frequency_lambdas(
-    field: ScalarField, points, forms, radii, angular_samples: int = DEFAULT_ANGULAR_SAMPLES
-) -> list[FrequencyEstimate]:
-    """:func:`frequency_lambda` at each point against its own form, over
-    its own radii (one sequence per point), one radius at a time for all
-    points that use it; the degeneracy floor is set once per field."""
     n, points = field.grid.dimension, np.asarray(points, dtype=float)
     own = np.array([form.require_blowup_form().matrix for form in forms]).reshape(-1, 1, n, n)
     radii, series = per_radius(

@@ -235,7 +235,7 @@ def _nondecreasing_all(entries) -> bool:
 def _growth(run: _Run):
     entries, rows = [], []
     points, radii = run.admissible(1)
-    for point, rep in zip(points, freeboundary.growth_reports(run.field, points, radii)):
+    for point, rep in zip(points, freeboundary.growth_report(run.field, points, radii)):
         entries.append(_entry(rep))
         pairs = zip(rep.radii, rep.ratios)
         rows += [(*point, r, ratio, rep.nondegenerate, rep.bounded) for r, ratio in pairs]
@@ -248,8 +248,9 @@ def _growth(run: _Run):
 
 def _weiss(run: _Run):
     points, radii = run.admissible(2)
-    evaluator = analysis.WeissEvaluator(run.field, run.settings.angular_samples)
-    profiles = analysis.weiss_profiles(evaluator, points, radii)
+    profiles = analysis.weiss_profile(
+        run.field, points, radii, angular_samples=run.settings.angular_samples
+    )
     entries, rows = [], []
     for point, profile in zip(points, profiles):
         entries.append(_entry(profile, point=list(point)))
@@ -283,7 +284,7 @@ def _monneau(run: _Run):
     points, radii = run.admissible(2, run.singular_forms() if singular else None)
     probes = analysis.probe_forms(run.field.grid.dimension, run.seed) if points else []
     samples = run.settings.angular_samples
-    profiles = analysis.monneau_profiles(
+    profiles = analysis.monneau_profile(
         run.field, points, probes, radii, angular_samples=samples, at_singular_point=singular
     )
     entries, rows = [], []
@@ -301,7 +302,7 @@ def _frequency(run: _Run):
     fitted blow-up forms."""
     forms = run.singular_forms()
     points, radii = run.admissible(2, forms)
-    estimates = analysis.frequency_lambdas(
+    estimates = analysis.frequency_lambda(
         run.field, points, [forms[p] for p in points], radii, run.settings.angular_samples
     )
     entries, rows = [], []

@@ -7,9 +7,10 @@ are those with at least one face neighbor in each phase, reported as node
 positions (sub-grid interface reconstruction is deliberately avoided:
 every downstream diagnostic averages over balls of radius >= 4h).
 
-``growth_report`` measures ``sup_{B_r} u / r^2`` across radii at a point:
-the upper constant checks bounded quadratic growth, the lower one the
-non-degeneracy bound with the dimensional constant ``1/(2n)``.
+``growth_report`` measures ``sup_{B_r} u / r^2`` across radii at many
+points at once, each over its own radii: the upper constant checks bounded
+quadratic growth, the lower one the non-degeneracy bound with the
+dimensional constant ``1/(2n)``.
 """
 
 from __future__ import annotations
@@ -105,20 +106,15 @@ def extract_free_boundary(contact: ContactSet) -> FreeBoundarySet:
     return FreeBoundarySet(grid=contact.grid, indices=indices, points=points)
 
 
-def growth_report(field: ScalarField, x0, radii) -> GrowthReport:
-    """Quadratic growth ratios sup_{B_r(x0)} u / r^2 over the given radii
-    (as :func:`grid.require_radii` admits them).
+def growth_report(field: ScalarField, points, radii) -> list[GrowthReport]:
+    """Quadratic growth ratios sup_{B_r(x)} u / r^2 at each point x over
+    its own radii (one sequence per point, as :func:`grid.require_radii`
+    admits them), one radius at a time for all points that use it.
 
     Flags non-degeneracy when the smallest ratio clears ``(1/(2n)) * (1 -
     NONDEGENERACY_SLACK)`` and bounded growth when the ratios are finite
     and stable (max/min <= 10).
     """
-    return growth_reports(field, [x0], [radii])[0]
-
-
-def growth_reports(field: ScalarField, points, radii) -> list[GrowthReport]:
-    """:func:`growth_report` at each point over its own radii (one sequence
-    per point), one radius at a time for all points that use it."""
     points = np.asarray(points, dtype=float)
     radii, sups = per_radius(field.grid, radii, lambda k, r: apply_rule(field, points[k], r, "sup"))
     n = field.grid.dimension

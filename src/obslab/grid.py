@@ -165,13 +165,20 @@ class BallSpec:
             raise GridError(f"ball radius must be positive, got {self.radius}")
 
 
+def _outside_box(grid: GridSpec, centers: np.ndarray, r) -> np.ndarray:
+    """Whether the ball of radius ``r`` around each centre (one per row)
+    leaves the box: the one in-box test. ``r`` may be a column of radii
+    around one centre."""
+    return ((centers - r < grid.lower) | (centers + r > grid.upper)).any(axis=-1)
+
+
 def require_balls_in_box(grid: GridSpec, centers, r: float) -> np.ndarray:
     """The centres as an ``(m, dimension)`` array; raises unless the ball of
     radius ``r`` around each lies in the box."""
     centers = np.asarray(centers, dtype=float)
     if centers.ndim != 2 or centers.shape[1] != grid.dimension:
         raise GridError(f"ball centres must have shape (m, {grid.dimension}), got {centers.shape}")
-    outside = ((centers - r < grid.lower) | (centers + r > grid.upper)).any(axis=1)
+    outside = _outside_box(grid, centers, r)
     if outside.any():
         center = tuple(centers[np.argmax(outside)].tolist())
         raise OutOfDomainError(f"ball B_{r}({center}) is not contained in the grid box")
@@ -201,12 +208,11 @@ def require_radii(grid: GridSpec, radii) -> np.ndarray:
 
 
 def admissible_radii(grid: GridSpec, point, radii) -> list[float]:
-    """The radii whose balls around ``point`` stay inside the box and that
-    are at least ``MIN_RADIUS_FACTOR * h``."""
-    margin = min(
-        min(point[a] - grid.lower[a], grid.upper[a] - point[a]) for a in range(grid.dimension)
-    )
-    return [r for r in radii if MIN_RADIUS_FACTOR * grid.h <= r <= margin]
+    """The radii, at least ``MIN_RADIUS_FACTOR * h``, whose balls around
+    ``point`` :func:`require_balls_in_box` admits."""
+    radii, floor = list(radii), MIN_RADIUS_FACTOR * grid.h
+    outside = _outside_box(grid, np.asarray(point, dtype=float), np.array(radii)[:, None])
+    return [r for r, out in zip(radii, outside) if floor <= r and not out]
 
 
 def neighbor_sum(u: np.ndarray) -> np.ndarray:

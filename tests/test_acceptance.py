@@ -14,16 +14,13 @@ import pytest
 from conftest import TOL, max_norm_error
 from obslab.analysis import (
     ClassifierConfig,
-    WeissEvaluator,
     classify_point,
     default_profile_delta,
     frequency_lambda,
-    monneau,
     monneau_profile,
     probe_forms,
     stratify,
     weiss_constant,
-    weiss_energy,
     weiss_profile,
 )
 from obslab.cli import main as cli_main
@@ -159,8 +156,7 @@ class TestCriterion5:
         points = interface_points(solution, margin=0.31)
         floor = (1.0 / (2.0 * grid.dimension)) * 0.85
         worst = math.inf
-        for p in points:
-            rep = growth_report(solution, p, radii)
+        for rep in growth_report(solution, points, [radii] * len(points)):
             worst = min(worst, rep.lower_constant)
         ok = len(points) > 0 and worst >= floor
         report(
@@ -179,27 +175,31 @@ class TestCriterion6:
         grid2 = centered_box(2, 1.0, 513)
         c2 = math.pi / 8
         worst = 0.0
+        origin2, origin1 = [(0.0, 0.0)], [(0.0,)]
+
+        def weiss_values(field, origin):
+            return weiss_profile(field, origin, [radii])[0].values
+
         for k, form in enumerate(probe_forms(2, seed=0)):
-            field = polynomial(form).sample(grid2)
-            evaluator = WeissEvaluator(field)
-            for r in radii:
-                rel = abs(evaluator((0.0, 0.0), r) - c2) / c2
+            values = weiss_values(polynomial(form).sample(grid2), origin2)
+            for r, value in zip(radii, values):
+                rel = abs(value - c2) / c2
                 worst = max(worst, rel)
                 if rel > 0.02:
                     failures.append(f"2D form {k} r={r}: {rel:.3%}")
-        hs2 = WeissEvaluator(halfspace([1.0, 0.0]).sample(grid2))
-        for r in radii:
-            rel = abs(hs2((0.0, 0.0), r) - c2 / 2) / (c2 / 2)
+        hs2 = weiss_values(halfspace([1.0, 0.0]).sample(grid2), origin2)
+        for r, value in zip(radii, hs2):
+            rel = abs(value - c2 / 2) / (c2 / 2)
             worst = max(worst, rel)
             if rel > 0.02:
                 failures.append(f"2D halfspace r={r}: {rel:.3%}")
         # n = 1 analogues at h = 1/256
         grid1 = centered_box(1, 1.0, 513)
-        p1 = WeissEvaluator(polynomial(QuadraticForm.isotropic(1)).sample(grid1))
-        h1 = WeissEvaluator(halfspace([1.0]).sample(grid1))
-        for r in radii:
-            rel_p = abs(p1((0.0,), r) - 1 / 3) * 3
-            rel_h = abs(h1((0.0,), r) - 1 / 6) * 6
+        p1 = weiss_values(polynomial(QuadraticForm.isotropic(1)).sample(grid1), origin1)
+        h1 = weiss_values(halfspace([1.0]).sample(grid1), origin1)
+        for r, value_p, value_h in zip(radii, p1, h1):
+            rel_p = abs(value_p - 1 / 3) * 3
+            rel_h = abs(value_h - 1 / 6) * 6
             worst = max(worst, rel_p, rel_h)
             if rel_p > 0.02:
                 failures.append(f"1D quadratic r={r}: {rel_p:.3%}")
@@ -232,9 +232,8 @@ class TestCriterion7:
         for label, field in solved_fields:
             delta = default_profile_delta(field.grid.dimension, field.grid.h, radii[0])
             delta_used = delta
-            evaluator = WeissEvaluator(field)
-            for p in interface_points(field, margin=radii[-1] + 2 * field.grid.h):
-                profile = weiss_profile(field, p, radii, delta=delta, _evaluator=evaluator)
+            points = interface_points(field, margin=radii[-1] + 2 * field.grid.h)
+            for profile in weiss_profile(field, points, [radii] * len(points), delta=delta):
                 total += 1
                 if not profile.nondecreasing:
                     worst_drop = max(worst_drop, profile.violation_amount)
@@ -256,17 +255,18 @@ class TestCriterion8:
         cn = weiss_constant(2)
         radii = [0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4]
         worst_excess = -math.inf
-        for r in radii:
+        ((own,),) = monneau_profile(solution, [(0.0, 0.0)], [form], [radii])
+        for r, value in zip(radii, own.values):
             quad_tol = max(0.02 * cn, 5 * (grid.h / r) * cn)
-            value = monneau(solution, (0.0, 0.0), form, r)
             worst_excess = max(worst_excess, value - 5 * quad_tol)
         delta = default_profile_delta(2, grid.h, radii[0])
         probe_ok = True
         probe_detail = []
-        for k, probe in enumerate(probe_forms(2, seed=0)):
-            profile = monneau_profile(
-                solution, (0.0, 0.0), probe, radii, delta=delta, at_singular_point=True
-            )
+        (probe_profiles,) = monneau_profile(
+            solution, [(0.0, 0.0)], probe_forms(2, seed=0), [radii], delta=delta,
+            at_singular_point=True,
+        )
+        for k, profile in enumerate(probe_profiles):
             probe_ok &= profile.nondecreasing
             if not profile.nondecreasing:
                 probe_detail.append(f"probe {k} violated by {profile.violation_amount:.2e}")
@@ -331,15 +331,16 @@ class TestCriterion10:
         grid = centered_box(2, 1.0, 257)
         radii = [0.1, 0.15, 0.2, 0.3, 0.4]
         form1 = QuadraticForm.diagonal([1.0, 0.0])
-        est2 = frequency_lambda(halfspace([1.0, 0.0]).sample(grid), (0.0, 0.0), form1, radii)
+        origin = [(0.0, 0.0)]
+        (est2,) = frequency_lambda(halfspace([1.0, 0.0]).sample(grid), origin, [form1], [radii])
         form2 = QuadraticForm.diagonal([0.6, 0.4])
         pts = grid.node_positions()
         cubic = 0.05 * (pts[:, 0] ** 3 - 3.0 * pts[:, 0] * pts[:, 1] ** 2)
         perturbed = ScalarField(
             grid, polynomial(form2).sample(grid).values + cubic.reshape(grid.shape)
         )
-        est3 = frequency_lambda(perturbed, (0.0, 0.0), form2, radii)
-        est0 = frequency_lambda(polynomial(form2).sample(grid), (0.0, 0.0), form2, radii)
+        (est3,) = frequency_lambda(perturbed, origin, [form2], [radii])
+        (est0,) = frequency_lambda(polynomial(form2).sample(grid), origin, [form2], [radii])
         ok = (
             est2.defined
             and abs(est2.lambda_star - 2.0) <= 0.05

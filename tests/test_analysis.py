@@ -15,14 +15,12 @@ from obslab.analysis import (
     contact_strip_halfwidth,
     default_profile_delta,
     frequency_lambda,
-    monneau,
     monneau_profile,
     probe_forms,
     rescale_blowup,
     stratify,
     unit_ball_nodes,
     weiss_constant,
-    weiss_energy,
     weiss_profile,
 )
 from obslab.fixtures import QuadraticForm, halfspace, one_d, polynomial, radial
@@ -45,6 +43,11 @@ from obslab.solver import SolverConfig, normalized_problem, solve
 C2 = math.pi / 8.0
 
 
+def weiss_at(field, x0, r):
+    """W(r) around one centre."""
+    return WeissEvaluator(field).at([x0], r)[0]
+
+
 @pytest.fixture(scope="module")
 def radial_solution():
     grid = centered_box(2, 1.0, 129)
@@ -60,21 +63,21 @@ class TestWeissEnergy:
         for form in (QuadraticForm.diagonal([0.5, 0.5]), QuadraticForm.diagonal([1.0, 0.0])):
             field = polynomial(form).sample(grid)
             for r in (0.2, 0.35, 0.5):
-                assert weiss_energy(field, (0.0, 0.0), r) == pytest.approx(C2, rel=0.02)
+                assert weiss_at(field, (0.0, 0.0), r) == pytest.approx(C2, rel=0.02)
 
     def test_halfspace_half_constant_2d(self):
         grid = centered_box(2, 1.0, 257)
         field = halfspace([1.0, 0.0]).sample(grid)
         for r in (0.2, 0.35, 0.5):
-            assert weiss_energy(field, (0.0, 0.0), r) == pytest.approx(C2 / 2, rel=0.02)
+            assert weiss_at(field, (0.0, 0.0), r) == pytest.approx(C2 / 2, rel=0.02)
 
     def test_one_dimensional_constants(self):
         grid = centered_box(1, 1.0, 257)
         poly = polynomial(QuadraticForm.isotropic(1)).sample(grid)
         hs = halfspace([1.0]).sample(grid)
         for r in (0.2, 0.35, 0.5):
-            assert weiss_energy(poly, (0.0,), r) == pytest.approx(1 / 3, rel=0.02)
-            assert weiss_energy(hs, (0.0,), r) == pytest.approx(1 / 6, rel=0.02)
+            assert weiss_at(poly, (0.0,), r) == pytest.approx(1 / 3, rel=0.02)
+            assert weiss_at(hs, (0.0,), r) == pytest.approx(1 / 6, rel=0.02)
 
     def test_frozen_c3_matches_fresh_calibration(self):
         value = calibrate_weiss_constant(3, nodes=111, angular_samples=48)
@@ -84,20 +87,20 @@ class TestWeissEnergy:
         grid = centered_box(2, 1.0, 33)
         field = polynomial(QuadraticForm.isotropic(2)).sample(grid)
         with pytest.raises(ResolutionError):
-            weiss_energy(field, (0.0, 0.0), 2.0 * grid.h)
+            weiss_at(field, (0.0, 0.0), 2.0 * grid.h)
 
     def test_solved_radial_regular_point_half_constant(self, radial_solution):
         # evaluated at the exact circle point: W there is sensitive to the
         # base-point offset (the u^2 term dives once u(x0) > 0), so nodal
         # interface points a few h off the circle do not witness this claim
-        assert weiss_energy(radial_solution, (0.4, 0.0), 0.1) == pytest.approx(C2 / 2, rel=0.10)
+        assert weiss_at(radial_solution, (0.4, 0.0), 0.1) == pytest.approx(C2 / 2, rel=0.10)
 
 
 class TestWeissProfile:
     def test_homogeneous_fixture_constant_profile(self):
         grid = centered_box(2, 1.0, 257)
         field = polynomial(QuadraticForm.diagonal([0.7, 0.3])).sample(grid)
-        profile = weiss_profile(field, (0.0, 0.0), [0.15, 0.2, 0.3, 0.4, 0.5])
+        (profile,) = weiss_profile(field, [(0.0, 0.0)], [[0.15, 0.2, 0.3, 0.4, 0.5]])
         assert profile.nondecreasing
         # scale invariance: spread within delta
         assert profile.values.max() - profile.values.min() <= profile.delta
@@ -106,10 +109,10 @@ class TestWeissProfile:
         grid = radial_solution.grid
         fb = extract_free_boundary(extract_contact_set(radial_solution))
         radii = [0.1, 0.15, 0.2, 0.25, 0.3]
-        evaluator = WeissEvaluator(radial_solution)
-        for point in fb.points[:: max(1, len(fb) // 16)]:
-            profile = weiss_profile(radial_solution, point, radii, _evaluator=evaluator)
-            assert profile.nondecreasing
+        points = fb.points[:: max(1, len(fb) // 16)]
+        profiles = weiss_profile(radial_solution, points, [radii] * len(points))
+        assert len(profiles) == len(points)
+        assert all(profile.nondecreasing for profile in profiles)
 
     def test_corrupted_field_flagged(self):
         # a bump near the base point inflates W at small radii, breaking
@@ -119,7 +122,7 @@ class TestWeissProfile:
         pts = grid.node_positions()
         bump = 0.05 * np.exp(-np.sum((pts - [0.05, 0.0]) ** 2, axis=1) / 0.03**2)
         corrupted = ScalarField(grid, base.values + bump.reshape(grid.shape))
-        profile = weiss_profile(corrupted, (0.0, 0.0), [0.1, 0.2, 0.3, 0.4])
+        (profile,) = weiss_profile(corrupted, [(0.0, 0.0)], [[0.1, 0.2, 0.3, 0.4]])
         assert profile.verdict == "violated"
         assert profile.violation_amount > profile.delta
 
@@ -129,20 +132,25 @@ class TestWeissProfile:
         )
 
 
+def monneau_values(field, x0, form, radii, **kwargs):
+    """M(r) against one form around one centre, one value per radius."""
+    return monneau_profile(field, [x0], [form], [radii], **kwargs)[0][0].values
+
+
 class TestMonneau:
     def test_exact_polynomial_is_zero(self):
         grid = centered_box(2, 1.0, 129)
         form = QuadraticForm.diagonal([0.6, 0.4])
         field = polynomial(form).sample(grid)
-        for r in (0.2, 0.4):
-            assert monneau(field, (0.0, 0.0), form, r) == pytest.approx(0.0, abs=1e-28)
+        values = monneau_values(field, (0.0, 0.0), form, [0.2, 0.4])
+        assert_allclose(values, 0.0, rtol=0, atol=1e-28)
 
     def test_exact_polynomial_is_zero_3d(self):
         grid = centered_box(3, 1.0, 33)
         for form in (QuadraticForm.diagonal([0.5, 0.3, 0.2]), probe_forms(3, seed=2)[-1]):
             field = polynomial(form).sample(grid)
-            for r in (0.3, 0.5):
-                assert monneau(field, (0.0, 0.0, 0.0), form, r) == pytest.approx(0.0, abs=1e-28)
+            values = monneau_values(field, (0.0, 0.0, 0.0), form, [0.3, 0.5])
+            assert_allclose(values, 0.0, rtol=0, atol=1e-28)
 
     def test_distinct_forms_constant_profile(self):
         # u - p is 2-homogeneous, so M is r-independent up to quadrature
@@ -150,7 +158,7 @@ class TestMonneau:
         q = QuadraticForm.diagonal([0.8, 0.2])
         p = QuadraticForm.diagonal([0.5, 0.5])
         field = polynomial(q).sample(grid)
-        profile = monneau_profile(field, (0.0, 0.0), p, [0.15, 0.25, 0.35, 0.45])
+        ((profile,),) = monneau_profile(field, [(0.0, 0.0)], [p], [[0.15, 0.25, 0.35, 0.45]])
         assert profile.nondecreasing
         spread = profile.values.max() - profile.values.min()
         assert spread <= 0.02 * profile.values.max() + 1e-12
@@ -161,15 +169,15 @@ class TestMonneau:
         from obslab.fixtures import FixtureError
 
         with pytest.raises(FixtureError):
-            monneau(field, (0.0, 0.0), QuadraticForm.diagonal([0.2, 0.2]), 0.2)
+            monneau_values(field, (0.0, 0.0), QuadraticForm.diagonal([0.2, 0.2]), [0.2])
 
     def test_advisory_flag(self):
         grid = centered_box(2, 1.0, 129)
         form = QuadraticForm.isotropic(2)
         field = polynomial(form).sample(grid)
-        advisory = monneau_profile(field, (0.0, 0.0), form, [0.2, 0.3])
-        confirmed = monneau_profile(
-            field, (0.0, 0.0), form, [0.2, 0.3], at_singular_point=True
+        ((advisory,),) = monneau_profile(field, [(0.0, 0.0)], [form], [[0.2, 0.3]])
+        ((confirmed,),) = monneau_profile(
+            field, [(0.0, 0.0)], [form], [[0.2, 0.3]], at_singular_point=True
         )
         assert advisory.advisory and not confirmed.advisory
 
@@ -181,9 +189,10 @@ class TestMonneau:
         boundary = polynomial(form).sample(grid)
         result = solve(normalized_problem(grid, boundary.values), SolverConfig(tol=1e-8))
         cn = weiss_constant(2)
-        for r in (0.1, 0.2, 0.3, 0.4):
+        radii = [0.1, 0.2, 0.3, 0.4]
+        for r, value in zip(radii, monneau_values(result.solution, (0.0, 0.0), form, radii)):
             quad_tol = max(0.02 * cn, 5 * (grid.h / r) * cn)
-            assert monneau(result.solution, (0.0, 0.0), form, r) <= 5 * quad_tol
+            assert value <= 5 * quad_tol
 
 
 def reference_sphere_series(field, x0, form, radii, samples):
@@ -216,9 +225,9 @@ class TestSphereSeries:
         for x0 in (node, off_node, clipped):
             for form in probe_forms(n, seed=4):
                 expected = reference_sphere_series(field, x0, form, radii, 24)
-                values = [monneau(field, x0, form, r, angular_samples=24) for r in radii]
+                values = monneau_values(field, x0, form, radii, angular_samples=24)
                 assert_allclose(values, expected / radii ** (n + 3), rtol=1e-12, atol=0.0)
-                est = frequency_lambda(field, x0, form, radii, angular_samples=24)
+                (est,) = frequency_lambda(field, [x0], [form], [radii], angular_samples=24)
                 norms = np.sqrt(expected * radii ** (1 - n))
                 assert_allclose(est.sphere_norms, norms, rtol=1e-12, atol=0.0)
 
@@ -443,7 +452,7 @@ class TestFrequency:
         grid = centered_box(2, 1.0, 257)
         field = halfspace([1.0, 0.0]).sample(grid)
         form = QuadraticForm.diagonal([1.0, 0.0])
-        est = frequency_lambda(field, (0.0, 0.0), form, [0.1, 0.15, 0.2, 0.3, 0.4])
+        (est,) = frequency_lambda(field, [(0.0, 0.0)], [form], [[0.1, 0.15, 0.2, 0.3, 0.4]])
         assert est.defined
         assert est.lambda_star == pytest.approx(2.0, abs=0.05)
         assert est.r_squared >= 0.999
@@ -455,7 +464,7 @@ class TestFrequency:
         cubic = 0.05 * (pts[:, 0] ** 3 - 3.0 * pts[:, 0] * pts[:, 1] ** 2)
         values = polynomial(form).sample(grid).values + cubic.reshape(grid.shape)
         field = ScalarField(grid, values)
-        est = frequency_lambda(field, (0.0, 0.0), form, [0.1, 0.15, 0.2, 0.3, 0.4])
+        (est,) = frequency_lambda(field, [(0.0, 0.0)], [form], [[0.1, 0.15, 0.2, 0.3, 0.4]])
         assert est.defined
         assert est.lambda_star == pytest.approx(3.0, abs=0.05)
 
@@ -463,7 +472,7 @@ class TestFrequency:
         grid = centered_box(2, 1.0, 129)
         form = QuadraticForm.diagonal([0.6, 0.4])
         field = polynomial(form).sample(grid)
-        est = frequency_lambda(field, (0.0, 0.0), form, [0.1, 0.2, 0.3])
+        (est,) = frequency_lambda(field, [(0.0, 0.0)], [form], [[0.1, 0.2, 0.3]])
         assert not est.defined
         assert est.lambda_star is None
 
@@ -573,11 +582,13 @@ class TestRadiusRule:
 
     GRID = centered_box(2, 1.0, 129)  # 4h = 0.0625: only the 2h series is too fine
     PROFILES = {
-        "growth": growth_report,
-        "weiss": weiss_profile,
-        "monneau": lambda f, x0, radii: monneau_profile(f, x0, QuadraticForm.isotropic(2), radii),
+        "growth": lambda f, x0, radii: growth_report(f, [x0], [radii]),
+        "weiss": lambda f, x0, radii: weiss_profile(f, [x0], [radii]),
+        "monneau": lambda f, x0, radii: monneau_profile(
+            f, [x0], [QuadraticForm.isotropic(2)], [radii]
+        ),
         "frequency": lambda f, x0, radii: frequency_lambda(
-            f, x0, QuadraticForm.isotropic(2), radii
+            f, [x0], [QuadraticForm.isotropic(2)], [radii]
         ),
     }
 

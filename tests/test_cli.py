@@ -179,6 +179,21 @@ class TestDiagnoseCommand:
         assert census["singular"] > 0 and census["regular"] == 0
         assert census["singular_by_stratum"] == {"1": census["singular"]}
 
+    def test_radius_admitted_at_the_face_is_not_refused(self, tmp_path, capsys):
+        # the interface node near 0.2 on [-0.9, 1.3] lies 1.1 from both faces
+        # up to rounding: a radius of 1.1 is admitted or left out by the
+        # test the quadratures apply, never refused after admission
+        out = tmp_path / "out"
+        payload = one_d_config(out)
+        payload["problem"].update(
+            lower=[-0.9], upper=[1.3], nodes_per_axis=33, boundary={"fixture": "one_d", "a": 0.1}
+        )
+        payload["diagnostics"] = {"selection": ALL_DIAGNOSTICS, "radii": [0.3, 1.1]}
+        assert main(["diagnose", "--config", write_config(tmp_path / "c.json", payload)]) == 0
+        assert capsys.readouterr().err == ""
+        growth = json.loads((out / "report.json").read_text())["diagnostics"]["growth"]
+        assert len(growth) == 4
+
     def test_empty_selection_empty_report(self, tmp_path):
         out = tmp_path / "out"
         payload = radial_config(out, [])
@@ -467,28 +482,28 @@ def assert_close(value, expected, rtol=1e-12):
 
 class TestBatchedDiagnostics:
     """``diagnose`` runs growth, Weiss, Monneau and frequency one radius at a
-    time over all points; each entry must be what the per-point public
-    function gives at its point."""
+    time over all points; each entry must be what the same function gives
+    with its point alone."""
 
     def assert_matches_per_point(self, out, samples):
         report = json.loads((out / "report.json").read_text())
         diagnostics = report["diagnostics"]
         field = read_field(out / "solution.field")
         for entry in diagnostics["growth"]:
-            rep = freeboundary.growth_report(field, entry["point"], entry["radii"])
+            (rep,) = freeboundary.growth_report(field, [entry["point"]], [entry["radii"]])
             assert_close(entry["ratios"], rep.ratios)
             assert (entry["nondegenerate"], entry["bounded"]) == (rep.nondegenerate, rep.bounded)
         for entry in diagnostics["weiss"]:
-            profile = analysis.weiss_profile(
-                field, entry["point"], entry["radii"], angular_samples=samples
+            (profile,) = analysis.weiss_profile(
+                field, [entry["point"]], [entry["radii"]], angular_samples=samples
             )
             assert_close(entry["values"], profile.values)
             assert entry["verdict"] == profile.verdict
         singular = "classification" in diagnostics
         for entry in diagnostics["monneau"]:
             probe = QuadraticForm.from_matrix(entry["probe"])
-            profile = analysis.monneau_profile(
-                field, entry["point"], probe, entry["radii"], angular_samples=samples,
+            ((profile,),) = analysis.monneau_profile(
+                field, [entry["point"]], [probe], [entry["radii"]], angular_samples=samples,
                 at_singular_point=singular,
             )
             assert_close(entry["values"], profile.values, rtol=1e-12)
@@ -500,8 +515,8 @@ class TestBatchedDiagnostics:
         }
         for entry in diagnostics.get("frequency", ()):
             form = QuadraticForm.from_matrix(matrices[tuple(entry["point"])])
-            estimate = analysis.frequency_lambda(
-                field, entry["point"], form, entry["radii"], angular_samples=samples
+            (estimate,) = analysis.frequency_lambda(
+                field, [entry["point"]], [form], [entry["radii"]], angular_samples=samples
             )
             assert entry["defined"] == estimate.defined
             assert_close(entry["sphere_norms"], estimate.sphere_norms)
@@ -532,7 +547,7 @@ class TestBatchedDiagnostics:
         field = polynomial(probes[-1]).sample(grid)
         points = [(0.0, 0.0, 0.0), (0.125, 0.0, -0.0625), (0.25, 0.25, 0.0)]
         radii = [[0.3, 0.4, 0.5]] * len(points)
-        profiles = analysis.monneau_profiles(field, points, probes, radii)
+        profiles = analysis.monneau_profile(field, points, probes, radii)
         assert (profiles[0][-1].values == 0.0).all()
         assert all((p.values > 0.0).all() for p in profiles[1])
 

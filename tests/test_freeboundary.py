@@ -141,7 +141,7 @@ class TestGrowthReport:
         grid = centered_box(2, 1.0, 257)
         field = halfspace([1.0, 0.0]).sample(grid)
         radii = [0.1, 0.2, 0.3, 0.4]
-        rep = growth_report(field, (0.0, 0.0), radii)
+        (rep,) = growth_report(field, [(0.0, 0.0)], [radii])
         # nodal sup lags the true sup by O(h r): ratio error O(h/r)
         for r, ratio in zip(radii, rep.ratios):
             assert abs(ratio - 0.5) <= 1.2 * grid.h / r
@@ -152,7 +152,7 @@ class TestGrowthReport:
         # non-degeneracy constant is attained, so the slack is what passes it
         grid = centered_box(2, 1.0, 257)
         field = polynomial(QuadraticForm.diagonal([0.5, 0.5])).sample(grid)
-        rep = growth_report(field, (0.0, 0.0), [0.1, 0.2, 0.3, 0.4])
+        (rep,) = growth_report(field, [(0.0, 0.0)], [[0.1, 0.2, 0.3, 0.4]])
         assert np.allclose(rep.ratios, 0.25, atol=0.02)
         assert rep.nondegenerate
         assert rep.upper_constant <= 1.0
@@ -164,8 +164,10 @@ class TestGrowthReport:
         # FB nodes sit up to ~3h off the exact circle; sup/r^2 inflates by
         # (1 + delta/r)^2, so the C_upper <= 1 bound needs r >= 8h
         radii = np.linspace(8 * grid.h, 0.3, 8)
-        for point in fb.points[:: max(1, len(fb.points) // 24)]:
-            rep = growth_report(field, point, radii)
+        points = fb.points[:: max(1, len(fb.points) // 24)]
+        reports = growth_report(field, points, [radii] * len(points))
+        assert len(reports) == len(points)
+        for rep in reports:
             assert rep.nondegenerate
             assert rep.upper_constant <= 1.0
 
@@ -173,4 +175,4 @@ class TestGrowthReport:
         grid = centered_box(2, 1.0, 65)
         field = radial(0.4).sample(grid)
         with pytest.raises(ResolutionError):
-            growth_report(field, (0.4, 0.0), [2 * grid.h])
+            growth_report(field, [(0.4, 0.0)], [[2 * grid.h]])

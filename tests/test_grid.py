@@ -13,12 +13,14 @@ from obslab.grid import (
     OutOfDomainError,
     ResolutionError,
     ScalarField,
+    admissible_radii,
     ball_integral,
     centered_box,
     field_from_function,
     gradient,
     interior_laplacian,
     interpolate_many,
+    require_balls_in_box,
     sphere_integral,
     sup_on_ball,
 )
@@ -228,6 +230,29 @@ class TestBallIntegral:
             assert ball_integral(ScalarField(g, lo), ball) <= ball_integral(
                 ScalarField(g, np.maximum(v1, v2)), ball
             ) + 1e-12
+
+
+class TestAdmissibleRadii:
+    def test_admitted_radii_pass_the_box_check(self):
+        # boxes with decimal corners, and radii that are the decimal
+        # distances from a node to the faces: where rounding decides
+        # whether the ball touches or crosses the face
+        rng = np.random.default_rng(5)
+        admitted = 0
+        for _ in range(200):
+            n = int(rng.integers(1, 4))
+            lower = rng.integers(-30, 10, n) / 10
+            nodes = rng.integers(2, 9, n) * 4 + 1
+            h = float(rng.integers(5, 40)) / 10 / (nodes[0] - 1)
+            g = GridSpec(lower, lower + h * (nodes - 1), nodes)
+            nodes_drawn = g.node_positions()[rng.choice(g.node_count, 10)]
+            for point in nodes_drawn:
+                distances = (*(point - g.lower), *(g.upper - point))
+                radii = sorted({round(float(d), 9) for d in distances} - {0.0})
+                for r in admissible_radii(g, point, radii):
+                    require_balls_in_box(g, [point], r)
+                    admitted += 1
+        assert admitted > 300
 
 
 class TestSphereIntegral:

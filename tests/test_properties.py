@@ -98,7 +98,7 @@ def test_weiss_energy_is_pi_over_8_on_quadratic_profiles(form):
     # W(r, p) = c_2 = pi/8 for every unit-trace PSD quadratic p
     evaluator = WeissEvaluator(polynomial(form).sample(centered_box(2, 1.0, 257)))
     for r in (0.2, 0.35, 0.5):
-        assert abs(evaluator((0.0, 0.0), r) - math.pi / 8.0) <= 0.02 * math.pi / 8.0
+        assert abs(evaluator.at([(0.0, 0.0)], r)[0] - math.pi / 8.0) <= 0.02 * math.pi / 8.0
 
 
 @st.composite
