@@ -12,20 +12,29 @@ complementarity system ``min(v - obstacle, source - lap_h v) = 0``.
 
 Both are convex quadratic programs over a box constraint, solved either by
 projected SOR (node-wise Gauss-Seidel minimization followed by projection,
-in red-black order on contiguous parity sub-lattices) or by projected
-gradient (full-field step then projection, with Nesterov momentum and
-adaptive restart). Inputs are nodal samples; smoothness classes of the
-continuum data have no discrete meaning here and are not represented.
+in red-black order) or by projected gradient (full-field step then
+projection, with Nesterov momentum and adaptive restart). Inputs are nodal
+samples; smoothness classes of the continuum data have no discrete meaning
+here and are not represented.
+
+PSOR keeps each parity sub-lattice as one flat array, all padded to one
+shape, so that every neighbour is a constant flat shift and every ufunc of a
+sweep runs on one contiguous range; the ring and pad nodes inside a range
+get their stored values back after each update (:class:`_ParityLattice`).
 
 The stopping rule is the complementarity residual in max-norm,
 ``max |min(u - obstacle, source - lap_h u)|`` over interior nodes (PSOR
-reuses the black update's neighbour sums for it).
+reuses the black update's neighbour sums for it). Divisions by 2n and by
+``h * h`` are multiplies by the reciprocal when that is exact (a power of
+two), which rounds every quotient as the divide would.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,49 +137,81 @@ def _boundary_mask(shape: tuple[int, ...]) -> np.ndarray:
 
 
 class _ParityLattice:
-    """``u`` as its 2^n parity sub-lattices ``u[p_0::2, ..., p_{n-1}::2]``, each a
-    contiguous copy. Along axis ``a`` the neighbours of sub-lattice ``p`` are two
-    shifted slices of the one with ``p_a`` flipped, so each red-black colour (even
-    index sum first) is a set of whole sub-lattices. A sweep allocates no arrays."""
+    """``u`` as its 2^n parity sub-lattices ``u[p_0::2, ..., p_{n-1}::2]``, each
+    one flat array padded to the common shape ``ceil(m_a / 2)`` per axis (pad
+    cells hold 0). With ``S_a`` the padded stride of axis ``a``, the neighbours
+    of sub-lattice ``p`` along ``a`` are the one with ``p_a`` flipped at the
+    constant flat shifts ``(-S_a, 0)`` if ``p_a = 0`` and ``(0, +S_a)`` if
+    ``p_a = 1``. So every ufunc of a sweep runs on one contiguous range
+    ``[start, stop)`` per sub-lattice, from its first interior node to its last.
+    The ring and pad nodes inside that range are listed once; an update gives
+    them their stored values back, and the residual counts them as 0.
+    Sub-lattices with no interior nodes are never updated. Each red-black
+    colour (even index sum first) is a set of whole sub-lattices; a sweep
+    allocates no arrays."""
 
     def __init__(self, u: np.ndarray, obstacle: np.ndarray | None = None):
+        self.pad = tuple((m + 1) // 2 for m in u.shape)
+        strides = [math.prod(self.pad[a + 1 :]) for a in range(u.ndim)]
         parities = list(itertools.product((0, 1), repeat=u.ndim))
         self.where = [tuple(slice(q, None, 2) for q in p) for p in parities]
-        self.parts = {p: np.ascontiguousarray(u[w]) for p, w in zip(parities, self.where)}
+        self.parts = {p: self._padded(u[w]) for p, w in zip(parities, self.where)}
+        self.mean = _divisor(2.0 * u.ndim)
         self.colors: tuple[list, list] = ([], [])
         for p, w in zip(parities, self.where):
-            inner = tuple(slice(1 - q, (m - q) // 2) for q, m in zip(p, u.shape))
-            nodes = self.parts[p][inner]
+            first = [1 - q for q in p]
+            last = [(m - 2 - q) // 2 for q, m in zip(p, u.shape)]
+            if any(f > l for f, l in zip(first, last)):
+                continue
+            start = sum(f * s for f, s in zip(first, strides))
+            n = sum(l * s for l, s in zip(last, strides)) + 1 - start
+            nodes = self.parts[p][start : start + n]
             pairs = []
-            for a, (q, n) in enumerate(zip(p, nodes.shape)):
+            for a, (q, s) in enumerate(zip(p, strides)):
                 other = self.parts[p[:a] + (1 - q,) + p[a + 1 :]]
-                shifted = (inner[:a] + (slice(d, d + n),) + inner[a + 1 :] for d in (0, 1))
-                pairs.append(tuple(other[s] for s in shifted))
-            fixed = None if obstacle is None else obstacle[w][inner].copy()
-            self.colors[sum(p) % 2].append((nodes, fixed, pairs, *np.empty((2, *nodes.shape))))
+                lo = start - (1 - q) * s
+                pairs.append((other[lo : lo + n], other[lo + s : lo + s + n]))
+            inside = functools.reduce(
+                np.logical_and.outer,
+                [(np.arange(m) >= f) & (np.arange(m) <= l) for m, f, l in zip(self.pad, first, last)],
+            )
+            edge = np.flatnonzero(~inside.ravel()[start : start + n])
+            fixed = None if obstacle is None else self._padded(obstacle[w])[start : start + n]
+            block = (nodes, fixed, pairs, edge, nodes[edge], *np.empty((2, n)))
+            self.colors[sum(p) % 2].append(block)
+
+    def _padded(self, values: np.ndarray) -> np.ndarray:
+        flat = np.zeros(self.pad)
+        flat[tuple(slice(0, m) for m in values.shape)] = values
+        return flat.ravel()
 
     def store(self, u: np.ndarray) -> None:
-        for w, values in zip(self.where, self.parts.values()):
-            u[w] = values
+        for w, flat in zip(self.where, self.parts.values()):
+            u[w] = flat.reshape(self.pad)[tuple(slice(0, m) for m in u[w].shape)]
 
     def sweep(self, omega: float, c0: float) -> None:
         """Move each interior node ``omega`` of the way to (neighbour mean - c0)."""
-        for nodes, fixed, pairs, total, work in self.colors[0] + self.colors[1]:
+        scale, by = self.mean
+        for nodes, fixed, pairs, edge, kept, total, work in self.colors[0] + self.colors[1]:
             _sum_pairs(pairs, total, work)
-            gs = np.subtract(np.divide(total, 2.0 * nodes.ndim, out=work), c0, out=work)
+            gs = np.subtract(scale(total, by, out=work), c0, out=work)
             np.multiply(gs, omega, out=gs)
             np.multiply(nodes, 1.0 - omega, out=nodes)
             np.add(nodes, gs, out=nodes)
             if fixed is not None:
                 np.maximum(nodes, fixed, out=nodes)
+            nodes[edge] = kept
 
     def residual(self, source: float, h: float) -> float:
         """The complementarity residual after a sweep. It reuses the sweep's
         black neighbour sums: no red node moves after the black update."""
-        for _, _, pairs, total, work in self.colors[0]:
+        for _, _, pairs, _, _, total, work in self.colors[0]:
             _sum_pairs(pairs, total, work)
-        blocks = self.colors[0] + self.colors[1]
-        return max(_kkt_max(u, psi, total, source, h, work) for u, psi, _, total, work in blocks)
+        nd = len(self.pad)
+        return max(
+            _kkt_max(u, psi, total, source, h, nd, work, edge)
+            for u, psi, _, edge, _, total, work in self.colors[0] + self.colors[1]
+        )
 
 
 def _sum_pairs(pairs, out: np.ndarray, work: np.ndarray) -> None:
@@ -180,14 +221,33 @@ def _sum_pairs(pairs, out: np.ndarray, work: np.ndarray) -> None:
         np.add(out, np.add(lo, hi, out=work), out=out)
 
 
-def _kkt_max(u, obstacle, total, source: float, h: float, work=None) -> float:
-    """``max |min(u - obstacle, source - lap_h u)|`` over the nodes ``u`` (0 if
-    none), whose neighbour sums ``total`` are overwritten; the one formula."""
-    lap = np.multiply(u, 2.0 * u.ndim, out=work)
+def _divisor(divisor: float):
+    """``(ufunc, operand)`` with ``ufunc(x, operand, out=...)`` equal to
+    ``x / divisor``: a multiply by the reciprocal when that is exact, i.e.
+    ``divisor`` is a power of two with a finite reciprocal, else a divide. Both
+    round the same exact quotient once, so they agree bit for bit, subnormal
+    results included."""
+    reciprocal = 1.0 / divisor
+    if math.frexp(divisor)[0] == 0.5 and math.isfinite(reciprocal):
+        return np.multiply, reciprocal
+    return np.divide, divisor
+
+
+def _kkt_max(u, obstacle, total, source: float, h: float, nd: int, work=None, edge=None) -> float:
+    """``max |min(u - obstacle, source - lap_h u)|`` over the nodes ``u`` of an
+    ``nd``-dimensional grid (0 if none), whose neighbour sums ``total`` are
+    overwritten; the one formula. On a :class:`_ParityLattice` range ``u`` is
+    flat, and its ring and pad positions ``edge`` count as 0. The division by
+    ``h * h`` follows :func:`_divisor`, and the max is ``np.maximum.reduce``,
+    without ``np.max``'s Python wrapper."""
+    lap = np.multiply(u, 2.0 * nd, out=work)
     np.subtract(total, lap, out=total)
-    kkt = np.subtract(source, np.divide(total, h * h, out=total), out=total)
-    gap = np.minimum(np.subtract(u, obstacle, out=lap), kkt, out=lap)
-    return float(np.max(np.abs(gap, out=gap), initial=0.0))
+    scale, by = _divisor(h * h)
+    kkt = np.subtract(source, scale(total, by, out=total), out=total)
+    gap = np.abs(np.minimum(np.subtract(u, obstacle, out=lap), kkt, out=lap), out=lap)
+    if edge is not None:
+        gap[edge] = 0.0
+    return float(np.maximum.reduce(gap, axis=None, initial=0.0))
 
 
 def default_initial_guess(problem: ObstacleProblemSpec) -> ScalarField:
@@ -303,7 +363,7 @@ def _projected_gradient_steps(u, problem, config):
             t = t_next
         x = x_new
         u[core] = x
-        yield _kkt_max(u[core], psi_core, neighbor_sum(u), source, h)
+        yield _kkt_max(u[core], psi_core, neighbor_sum(u), source, h, nd)
 
 
 def _trapezoid_weights(shape: tuple[int, ...], plain_axis: int | None = None) -> np.ndarray:
@@ -353,6 +413,9 @@ def complementarity_residual(field: ScalarField, problem: ObstacleProblemSpec) -
     """
     if field.grid != problem.grid:
         raise GridError("field is not on the problem grid")
-    core = field.grid.interior_slices()
+    grid = field.grid
+    core = grid.interior_slices()
     u = field.values
-    return _kkt_max(u[core], problem.obstacle[core], neighbor_sum(u), problem.source, field.grid.h)
+    return _kkt_max(
+        u[core], problem.obstacle[core], neighbor_sum(u), problem.source, grid.h, grid.dimension
+    )

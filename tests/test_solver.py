@@ -26,7 +26,7 @@ from obslab.solver import (
     normalized_problem,
     solve,
 )
-from obslab.solver import _ParityLattice
+from obslab.solver import _divisor, _ParityLattice
 
 TOL = 1e-8
 
@@ -243,7 +243,10 @@ class TestResidualHistory:
 def small_problem(dimension, nodes, form):
     """A small problem whose solution has a nonempty contact set. ``nodes``
     is one count for a cube on [-1, 1]^n, or one count per axis for a box
-    centred at 0 with the first axis on [-1, 1]."""
+    centred at 0 with the first axis on [-1, 1]. The ``"ring"`` form is
+    normalized with seeded, non-constant ring data in [0, 3), so that a sweep
+    that moves a ring node, or a residual that counts one, shows; its contact
+    set may be empty."""
     if isinstance(nodes, int):
         grid = centered_box(dimension, 1.0, nodes)
     else:
@@ -251,6 +254,9 @@ def small_problem(dimension, nodes, form):
         grid = GridSpec(tuple(-x for x in half), half, nodes)
     if form == "normalized":
         return normalized_problem(grid, np.full(grid.shape, 0.1))
+    if form == "ring":
+        rng = np.random.default_rng(grid.node_count)
+        return normalized_problem(grid, rng.uniform(0.0, 3.0, grid.shape))
     dome = field_from_function(grid, lambda p: 0.3 - np.sum(p * p, axis=1))
     return general_problem(grid, dome, np.zeros(grid.shape))
 
@@ -332,6 +338,13 @@ LAYOUT_CASES = SMALL_CASES + [
 ]
 
 
+# Every LAYOUT_CASES shape with ring data that a leak would disturb.
+RING_CASES = [
+    (dimension, nodes, "ring")
+    for dimension, nodes in dict.fromkeys((d, n) for d, n, _ in LAYOUT_CASES)
+]
+
+
 def case_id(value):
     return "x".join(map(str, value)) if isinstance(value, tuple) else None
 
@@ -340,7 +353,7 @@ class TestStridedSweep:
     """PSOR on the parity-split lattice against a full-interior update with
     parity masks, bit for bit."""
 
-    @pytest.mark.parametrize("dimension, nodes, form", LAYOUT_CASES, ids=case_id)
+    @pytest.mark.parametrize("dimension, nodes, form", LAYOUT_CASES + RING_CASES, ids=case_id)
     def test_initial_guess_equals_masked_reference(self, dimension, nodes, form):
         problem = small_problem(dimension, nodes, form)
         expected = masked_initial_guess(problem)
@@ -358,6 +371,16 @@ class TestStridedSweep:
         core = problem.grid.interior_slices()
         assert (u[core] == problem.obstacle[core]).any()  # the projection was active
 
+    @pytest.mark.parametrize("dimension, nodes, form", RING_CASES, ids=case_id)
+    def test_ring_data_stays_put(self, dimension, nodes, form):
+        problem = small_problem(dimension, nodes, form)
+        start = default_initial_guess(problem)
+        result = solve(problem, SolverConfig(tol=1e-10), start)
+        u = start.values.copy()
+        history = masked_psor(problem, u, omega=1.8, tol=1e-10)
+        assert np.array_equal(result.solution.values, u)
+        assert np.array_equal(result.residual_history, history)
+
 
 class TestSharedResidual:
     @pytest.mark.parametrize("dimension, nodes, form", SMALL_CASES)
@@ -372,11 +395,36 @@ class TestSharedResidual:
         assert complementarity_residual(field, problem) == expected
 
     @pytest.mark.parametrize("method", [PSOR, PROJECTED_GRADIENT])
-    @pytest.mark.parametrize("dimension, nodes, form", LAYOUT_CASES, ids=case_id)
+    @pytest.mark.parametrize("dimension, nodes, form", LAYOUT_CASES + RING_CASES, ids=case_id)
     def test_in_loop_residual_is_the_public_one(self, dimension, nodes, form, method):
         problem = small_problem(dimension, nodes, form)
         result = solve(problem, SolverConfig(method=method, tol=1e-10))
         assert result.residual_history[-1] == complementarity_residual(result.solution, problem)
+
+
+def divisors():
+    """Every divisor the solver scales by: 2n, and h * h on the layout grids."""
+    spacings = sorted({small_problem(d, n, form).grid.h for d, n, form in LAYOUT_CASES})
+    return [2.0 * n for n in (1, 2, 3)] + [h * h for h in spacings]
+
+
+class TestExactReciprocal:
+    @pytest.mark.parametrize("divisor", divisors())
+    def test_equals_divide_bit_for_bit(self, divisor):
+        rng = np.random.default_rng(15)
+        x = rng.uniform(-4.0, 4.0, 4096) * 2.0 ** rng.integers(-1074, 8, 4096).astype(float)
+        expected = np.divide(x, divisor)
+        assert (np.abs(expected[expected != 0.0]) < np.finfo(float).tiny).sum() > 100  # subnormal
+        ufunc, operand = _divisor(divisor)
+        got = ufunc(x, operand, out=np.empty_like(x))
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+    def test_only_powers_of_two_multiply(self):
+        assert {_divisor(d)[0] for d in (2.0, 4.0, 1 / 64, 1 / 16, 1.0)} == {np.multiply}
+        hs = (2 / 15, 2 / 17, 2 / 3)
+        divides = (6.0, 3.0, *(h * h for h in hs), 2.0**-1074)  # the last one's 1/d overflows
+        assert {_divisor(d)[0] for d in divides} == {np.divide}
+        assert all(_divisor(d)[1] == d for d in divides)
 
 
 class TestSpecFields:
