@@ -44,6 +44,15 @@ def git(*args: str, cwd: Path = ROOT) -> str:
     ).stdout.strip()
 
 
+def checkout(rev: str, tree: Path) -> str:
+    """Clone this repository into ``tree`` (``git clone --shared``, which
+    registers nothing here) with commit ``rev`` checked out; its hash."""
+    commit = git("rev-parse", "--verify", f"{rev}^{{commit}}")
+    git("clone", "--quiet", "--shared", "--no-checkout", str(ROOT), str(tree))
+    git("checkout", "--quiet", "--detach", commit, cwd=tree)
+    return commit
+
+
 def drop_bytecode(tree: Path) -> None:
     for part in CODE:
         for cache in list((tree / part).rglob("__pycache__")):
@@ -105,9 +114,7 @@ def main(argv=None) -> int:
 
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         base_tree = Path(tmp) / "base"
-        base_commit = git("rev-parse", "--verify", f"{args.base}^{{commit}}")
-        git("clone", "--quiet", "--shared", "--no-checkout", str(ROOT), str(base_tree))
-        git("checkout", "--quiet", "--detach", base_commit, cwd=base_tree)
+        base_commit = checkout(args.base, base_tree)
         trees = {"base": base_tree, "change": ROOT}
         for tree in trees.values():
             drop_bytecode(tree)

@@ -24,15 +24,10 @@ import sys
 import tempfile
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
+from bench_pairs import ROOT, checkout
+
 WORKLOADS = ROOT / "perfbench" / "workloads"
 SEEDS = (0, 3)
-
-
-def git(*args: str, cwd: Path = ROOT) -> str:
-    return subprocess.run(
-        ["git", *args], cwd=cwd, capture_output=True, text=True, check=True
-    ).stdout.strip()
 
 
 def diagnose(tree: Path, config: Path, seed: int, out: Path) -> None:
@@ -50,14 +45,12 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("base", metavar="REV", help="git revision to compare against")
     args = parser.parse_args(argv)
-    base_commit = git("rev-parse", "--verify", f"{args.base}^{{commit}}")
     configs = sorted(WORKLOADS.glob("*.json"))
 
     with tempfile.TemporaryDirectory(prefix="same_outputs_") as tmp:
         tmp = Path(tmp)
         base_tree = tmp / "tree"
-        git("clone", "--quiet", "--shared", "--no-checkout", str(ROOT), str(base_tree))
-        git("checkout", "--quiet", "--detach", base_commit, cwd=base_tree)
+        base_commit = checkout(args.base, base_tree)
         trees = {"base": base_tree, "change": ROOT}
         for side, tree in trees.items():
             for config in configs:
