@@ -13,10 +13,12 @@ diagnostics:
 * a classifier fitting the half-space model ``(1/2)[(e.x)_+]^2`` against
   the quadratic model ``(1/2)<Ax, x>`` (A PSD, unit trace) on the rescaled
   field, with stratum = kernel dimension of the fitted matrix. It works
-  block-wise: the blow-ups of a block of points are stacked, the
-  half-space directions are searched in lockstep over the block and the
-  quadratic model is fitted on one cached factorization of its design.
-  Each point's arithmetic is its own, so the blocks do not change results;
+  in array passes: one availability test for all points, then blocks of
+  stacked blow-ups, whose half-space directions are searched in lockstep
+  and whose quadratic fits share one cached factorization of the design
+  and one stacked projection onto the cone, then W at all fitted points
+  in one call. Each point's arithmetic is its own, so the blocks do not
+  change results;
 * a log-log slope estimator for the decay exponent of the sphere norms of
   ``w = u - p``, whose homogeneity ``lambda*`` controls how fast u settles
   onto its quadratic profile (``2 + alpha = lambda*``).
@@ -28,6 +30,7 @@ produce exact zeros rather than interpolation residue.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 from dataclasses import dataclass
@@ -35,14 +38,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .freeboundary import FreeBoundarySet
-from .fixtures import DEFAULT_EIGEN_TOL, QuadraticForm, polynomial
+from .fixtures import DEFAULT_EIGEN_TOL, QuadraticForm, polynomial, project_to_blowup_cone
 from .grid import (
     DEFAULT_ANGULAR_SAMPLES,
     MIN_ANGULAR_SAMPLES,
-    GridError,
     GridSpec,
     ResolutionError,
     ScalarField,
+    _outside_box,
+    _outside_error,
     apply_rule,
     ball_integral,  # noqa: F401 -- wrapped by name in perfbench/tracer.py
     centered_box,
@@ -234,15 +238,24 @@ def unit_ball_nodes(dimension: int) -> np.ndarray:
     return pts
 
 
-def rescale_blowup(field: ScalarField, x0, r: float) -> np.ndarray:
-    """u_{x0,r}(x) = u(x0 + r x) / r^2 at the :func:`unit_ball_nodes`."""
-    grid = field.grid
+def _require_blowup_radius(grid: GridSpec, r: float) -> None:
     floor = BLOWUP_RADIUS_FACTOR * grid.h
     if r < floor:
         raise ResolutionError(f"blow-up radius {r} < {BLOWUP_RADIUS_FACTOR:g}h = {floor}")
-    require_balls_in_box(grid, [x0], float(r))
+
+
+def rescale_blowup(field: ScalarField, centers, r: float) -> np.ndarray:
+    """u_{x0,r}(x) = u(x0 + r x) / r^2 at the :func:`unit_ball_nodes`, one
+    row per centre x0 of the ``(m, dimension)`` ``centers``. Rows are filled
+    one centre at a time, so only one row's sample positions are held."""
+    grid = field.grid
+    _require_blowup_radius(grid, r)
+    centers = require_balls_in_box(grid, centers, float(r))
     pts = unit_ball_nodes(grid.dimension)
-    return interpolate_many(field, np.asarray(x0, dtype=float) + r * pts) / (r * r)
+    out = np.empty((len(centers), len(pts)))
+    for row, x0 in zip(out, centers):
+        np.divide(interpolate_many(field, x0 + r * pts), r * r, out=row)
+    return out
 
 
 @dataclass(frozen=True)
@@ -415,19 +428,22 @@ def _quadratic_coefficients(dimension: int, values: np.ndarray) -> np.ndarray:
     return coefs
 
 
-def _fit_singular(dimension: int, values: np.ndarray) -> list[tuple[QuadraticForm, float]]:
+def _fit_singular(dimension: int, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Linear least squares for the symmetric matrix of (1/2)<Ax, x> on a
-    ``(B, m)`` block of blow-ups, then projection of each row's matrix onto
-    the unit-trace PSD cone; each residual is measured after projection."""
+    ``(B, m)`` block of blow-ups, projected onto the unit-trace PSD cone by
+    :func:`project_to_blowup_cone`: a ``(B, n, n)`` stack of matrices and
+    ``(B,)`` residuals measured after projection, both NaN in a row whose
+    fit has no positive eigenvalue. Each step is one stacked call that
+    works matrix by matrix, so a row's result does not depend on the block."""
     points = unit_ball_nodes(dimension)
-    upper = np.triu_indices(dimension, 1)
-    fits = []
-    for row, coef in zip(values, _quadratic_coefficients(dimension, values)):
-        matrix = np.diag(coef[:dimension])
-        matrix[upper] = matrix[upper[::-1]] = coef[dimension:]
-        form = QuadraticForm.from_matrix(matrix).project_to_blowup_form()
-        fits.append((form, float(np.linalg.norm(row - form.evaluate(points)))))
-    return fits
+    coefs = _quadratic_coefficients(dimension, values)
+    matrices = np.zeros((len(values), dimension, dimension))
+    diagonal, (a, b) = np.arange(dimension), np.triu_indices(dimension, 1)
+    matrices[:, diagonal, diagonal] = coefs[:, :dimension]
+    matrices[:, a, b] = matrices[:, b, a] = coefs[:, dimension:]
+    matrices = project_to_blowup_cone(matrices)
+    models = 0.5 * np.einsum("mi,bij,mj->bm", points, matrices, points)
+    return matrices, _row_norms(values - models)
 
 
 def classify_point(
@@ -439,11 +455,9 @@ def classify_point(
     reliable radius; the lower normalized residual wins, with the Weiss
     value (near c_n/2 for half-space profiles, near c_n for quadratic
     ones) breaking near-ties, and an honest Undetermined verdict when
-    both signals sit in the margin bands. The same block path as
-    :func:`stratify`, with a block of one point.
+    both signals sit in the margin bands. The path of :func:`stratify`.
     """
-    weiss = WeissEvaluator(field, config.angular_samples)
-    (result,) = _classify(field, [x0], config, weiss)
+    (result,) = _classify(field, [x0], config)
     return result
 
 
@@ -452,133 +466,94 @@ def stratify(
     fb: FreeBoundarySet,
     config: ClassifierConfig = ClassifierConfig(),
 ) -> tuple[list[Classification], dict]:
-    """Classify every free-boundary point and tally the census.
-
-    Points are fitted in blocks of ``BLOCK_SAMPLES`` blow-up samples; each
-    point's arithmetic is its own, so the blocks do not change the result.
-    Per-point failures become Undetermined entries (partial results are
-    allowed); the census is a deterministic reduction independent of
-    evaluation order.
-    """
-    weiss = WeissEvaluator(field, config.angular_samples)
-    results = _classify(field, fb.points, config, weiss)
+    """Classify every free-boundary point (see :func:`_classify`) and tally
+    the census, a deterministic reduction independent of evaluation order.
+    A point without a blow-up or without a quadratic fit is Undetermined."""
+    results = _classify(field, fb.points, config)
     return results, census(results)
 
 
-def _classify(
-    field: ScalarField, x0s, config: ClassifierConfig, weiss: WeissEvaluator
-) -> list[Classification]:
-    """Classifications of the points ``x0s``, their blow-ups fitted
-    together in blocks of ``BLOCK_SAMPLES`` samples."""
-    grid = field.grid
-    n = grid.dimension
+def _classify(field: ScalarField, x0s, config: ClassifierConfig) -> list[Classification]:
+    """Classifications of the points ``x0s`` in array passes: the blow-up's
+    availability at every point in one test, the available points' blow-ups
+    fitted in blocks of ``BLOCK_SAMPLES`` samples, and W at all of them in
+    one call. Each point's arithmetic is its own, so the blocks do not
+    change a result."""
+    grid, n = field.grid, field.grid.dimension
     r = BLOWUP_RADIUS_FACTOR * grid.h if config.blowup_radius is None else config.blowup_radius
+    centers = np.asarray(x0s, dtype=float).reshape(len(x0s), n)
+    points = [tuple(x0) for x0 in centers.tolist()]
+    try:
+        _require_blowup_radius(grid, r)
+    except ResolutionError as exc:
+        return [_undetermined(x0, None, None, f"blow-up unavailable: {exc}") for x0 in points]
+    available = ~_outside_box(grid, centers, float(r))
+    centers = centers[available]
+    scales, reg_residuals, sing_residuals = np.empty((3, len(centers)))
+    directions, matrices = np.empty((len(centers), n)), np.empty((len(centers), n, n))
     block = max(1, BLOCK_SAMPLES // len(unit_ball_nodes(n)))
-    results: list[Classification] = []
-    for start in range(0, len(x0s), block):
-        x0_block = [tuple(float(c) for c in x0) for x0 in x0s[start : start + block]]
-        entries: list[Classification | None] = []
-        fitted, scales = [], []
-        # filled row by row: stacking a list of rows would hold both copies
-        blowups = np.empty((len(x0_block), len(unit_ball_nodes(n))))
-        for x0 in x0_block:
-            try:
-                values = rescale_blowup(field, x0, r)
-            except (ResolutionError, GridError) as exc:
-                entries.append(_undetermined(x0, None, None, f"blow-up unavailable: {exc}"))
-                continue
-            scale = float(np.linalg.norm(values))
-            if scale <= 0.0:
-                entries.append(_undetermined(x0, None, r, "rescaled field vanishes identically"))
-                continue
-            fitted.append(len(entries))
-            entries.append(None)  # filled in once the block is fitted
-            blowups[len(scales)] = values
-            scales.append(scale)
-        if scales:
-            values = blowups[: len(scales)]
-            directions, reg_residuals = _fit_regular(n, values)
-            singular_fits = _fit_singular(n, values)
-            weiss_values = weiss.at([x0_block[k] for k in fitted], r)
-            for i, k in enumerate(fitted):
-                form, sing_residual = singular_fits[i]
-                entries[k] = _verdict(
-                    x0_block[k], r, float(weiss_values[i]), config, directions[i],
-                    reg_residuals[i] / scales[i], form, sing_residual / scales[i],
-                )
-        results += entries
-    return results
+    for start in range(0, len(centers), block):
+        rows = slice(start, start + block)
+        values = rescale_blowup(field, centers[rows], r)
+        scales[rows] = _row_norms(values)
+        directions[rows], reg_residuals[rows] = _fit_regular(n, values)
+        matrices[rows], sing_residuals[rows] = _fit_singular(n, values)
+    weiss = WeissEvaluator(field, config.angular_samples).at(centers, r)
+    fits = zip(scales, weiss, directions, reg_residuals, matrices, sing_residuals)
+    return [
+        _verdict(x0, r, config, *next(fits))
+        if ok
+        else _undetermined(x0, None, None, f"blow-up unavailable: {_outside_error(x0, float(r))}")
+        for x0, ok in zip(points, available)
+    ]
 
 
 def _undetermined(x0, weiss_value, r, reason: str, fit_residual=None) -> Classification:
-    return Classification(
-        point=x0,
-        verdict=UNDETERMINED,
-        weiss_value=weiss_value,
-        blowup_radius=r,
-        fit_residual=fit_residual,
-        reason=reason,
-    )
+    return Classification(x0, UNDETERMINED, weiss_value, r, fit_residual, reason=reason)
 
 
 def _verdict(
-    x0, r, weiss_value, config, direction, reg_residual, form, sing_residual
+    x0, r, config, scale, weiss_value, direction, reg_residual, matrix, sing_residual
 ) -> Classification:
-    """One point's verdict from its normalized fit residuals and W at the
-    blow-up radius (always defined: the blow-up's ball lies in the box)."""
-    reg_residual, sing_residual = float(reg_residual), float(sing_residual)
-    margin = config.residual_margin
-    if abs(reg_residual - sing_residual) >= margin:
+    """One point's verdict from its blow-up's norm ``scale``, W at the
+    blow-up radius (always defined: the blow-up's ball lies in the box) and
+    its two fits, whose residuals are normalized by ``scale`` here."""
+    if scale <= 0.0:
+        return _undetermined(x0, None, r, "rescaled field vanishes identically")
+    weiss_value = float(weiss_value)
+    if math.isnan(sing_residual):
+        return _undetermined(x0, weiss_value, r, "quadratic fit has no positive eigenvalue")
+    reg_residual, sing_residual = float(reg_residual / scale), float(sing_residual / scale)
+    if abs(reg_residual - sing_residual) >= config.residual_margin:
         regular_wins = reg_residual < sing_residual
     else:
         # near-tie: consult the Weiss value against the midpoint 3 c_n / 4
         cn = weiss_constant(len(x0))
         midpoint = 0.75 * cn
         if abs(weiss_value - midpoint) < config.weiss_margin * cn:
-            return _undetermined(
-                x0,
-                weiss_value,
-                r,
-                f"fit residuals within margin ({reg_residual:.3g} vs {sing_residual:.3g}) "
-                "and Weiss value inconclusive",
-                fit_residual=min(reg_residual, sing_residual),
-            )
+            reason = f"fit residuals within margin ({reg_residual:.3g} vs {sing_residual:.3g}) "
+            reason += "and Weiss value inconclusive"
+            return _undetermined(x0, weiss_value, r, reason, min(reg_residual, sing_residual))
         regular_wins = weiss_value < midpoint
 
     if regular_wins:
-        return Classification(
-            point=x0,
-            verdict=REGULAR,
-            weiss_value=weiss_value,
-            blowup_radius=r,
-            fit_residual=reg_residual,
-            direction=tuple(float(c) for c in direction),
-        )
-    return Classification(
-        point=x0,
-        verdict=SINGULAR,
-        weiss_value=weiss_value,
-        blowup_radius=r,
-        fit_residual=sing_residual,
-        form=form,
-        stratum=form.kernel_dimension(config.eigen_tol),
-    )
+        direction = tuple(float(c) for c in direction)
+        return Classification(x0, REGULAR, weiss_value, r, reg_residual, direction=direction)
+    form = QuadraticForm(matrix)
+    stratum = form.kernel_dimension(config.eigen_tol)
+    return Classification(x0, SINGULAR, weiss_value, r, sing_residual, form=form, stratum=stratum)
 
 
 def census(classifications: list[Classification]) -> dict:
-    out = {"total": len(classifications), "regular": 0, "singular": 0, "undetermined": 0}
-    strata: dict[str, int] = {}
-    for c in classifications:
-        if c.verdict == REGULAR:
-            out["regular"] += 1
-        elif c.verdict == SINGULAR:
-            out["singular"] += 1
-            key = str(c.stratum)
-            strata[key] = strata.get(key, 0) + 1
-        else:
-            out["undetermined"] += 1
-    out["singular_by_stratum"] = dict(sorted(strata.items()))
-    return out
+    verdicts = collections.Counter(c.verdict for c in classifications)
+    strata = collections.Counter(str(c.stratum) for c in classifications if c.verdict == SINGULAR)
+    return {
+        "total": len(classifications),
+        "regular": verdicts[REGULAR],
+        "singular": verdicts[SINGULAR],
+        "undetermined": verdicts[UNDETERMINED],
+        "singular_by_stratum": dict(sorted(strata.items())),
+    }
 
 
 @dataclass(frozen=True)

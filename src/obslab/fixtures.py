@@ -87,14 +87,11 @@ class QuadraticForm:
         return self
 
     def project_to_blowup_form(self) -> "QuadraticForm":
-        """Nearest-cone projection: clip negative eigenvalues, renormalize trace to 1."""
-        eigs, vecs = np.linalg.eigh(self.matrix)
-        eigs = np.clip(eigs, 0.0, None)
-        total = eigs.sum()
-        if total <= 0.0:
+        """Nearest-cone projection (:func:`project_to_blowup_cone`)."""
+        (m,) = project_to_blowup_cone(self.matrix[None])
+        if np.isnan(m).any():
             raise FixtureError("cannot project: all eigenvalues nonpositive")
-        eigs /= total
-        return QuadraticForm.from_matrix((vecs * eigs) @ vecs.T)
+        return QuadraticForm(m)
 
     def kernel_dimension(self, eigen_tol: float = DEFAULT_EIGEN_TOL) -> int:
         """Number of eigenvalues below eigen_tol (relative to unit trace)."""
@@ -106,6 +103,18 @@ class QuadraticForm:
 
     def frobenius_distance(self, other: "QuadraticForm") -> float:
         return float(np.linalg.norm(self.matrix - other.matrix))
+
+
+def project_to_blowup_cone(matrices: np.ndarray) -> np.ndarray:
+    """Nearest-cone projection of a ``(B, n, n)`` stack of symmetric
+    matrices, one stacked call per step: clip negative eigenvalues,
+    renormalize the trace to 1, symmetrize. NaN where nothing is positive."""
+    eigs, vecs = np.linalg.eigh(matrices)
+    eigs = np.clip(eigs, 0.0, None)
+    with np.errstate(invalid="ignore"):  # 0 / 0 where nothing is positive
+        eigs /= eigs.sum(axis=-1, keepdims=True)
+    m = (vecs * eigs[..., None, :]) @ vecs.mT
+    return (m + m.mT) / 2.0
 
 
 @dataclass(frozen=True)

@@ -180,9 +180,12 @@ def require_balls_in_box(grid: GridSpec, centers, r: float) -> np.ndarray:
         raise GridError(f"ball centres must have shape (m, {grid.dimension}), got {centers.shape}")
     outside = _outside_box(grid, centers, r)
     if outside.any():
-        center = tuple(centers[np.argmax(outside)].tolist())
-        raise OutOfDomainError(f"ball B_{r}({center}) is not contained in the grid box")
+        raise _outside_error(tuple(centers[np.argmax(outside)].tolist()), r)
     return centers
+
+
+def _outside_error(center: tuple, r: float) -> OutOfDomainError:
+    return OutOfDomainError(f"ball B_{r}({center}) is not contained in the grid box")
 
 
 def require_increasing(radii) -> np.ndarray:
@@ -215,19 +218,24 @@ def admissible_radii(grid: GridSpec, point, radii) -> list[float]:
     return [r for r, out in zip(radii, outside) if floor <= r and not out]
 
 
+def neighbor_pairs(u: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The views ``(u[x - e_a], u[x + e_a])`` over the interior nodes of
+    ``u`` (shape ``m - 2`` per axis), axis by axis."""
+    core = (slice(1, -1),) * u.ndim
+    pairs = []
+    for a in range(u.ndim):
+        lo = core[:a] + (slice(None, -2),) + core[a + 1 :]
+        hi = core[:a] + (slice(2, None),) + core[a + 1 :]
+        pairs.append((u[lo], u[hi]))
+    return pairs
+
+
 def neighbor_sum(u: np.ndarray) -> np.ndarray:
     """Sum of the 2n axis neighbours of each interior node of ``u`` (shape
     ``m - 2`` per axis). Terms are added axis by axis,
     ``u[x - e_a] + u[x + e_a]`` first, so every caller sees the same rounding.
     """
-    core = (slice(1, -1),) * u.ndim
-    total = None
-    for a in range(u.ndim):
-        lo = core[:a] + (slice(None, -2),) + core[a + 1 :]
-        hi = core[:a] + (slice(2, None),) + core[a + 1 :]
-        term = u[lo] + u[hi]
-        total = term if total is None else total + term
-    return total
+    return functools.reduce(np.add, [lo + hi for lo, hi in neighbor_pairs(u)])
 
 
 def interior_laplacian(u: np.ndarray, h: float) -> np.ndarray:

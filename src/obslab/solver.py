@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridError, GridSpec, ScalarField, interior_laplacian, neighbor_sum
+from .grid import GridError, GridSpec, ScalarField, neighbor_pairs, neighbor_sum
 
 
 class SolverError(RuntimeError):
@@ -340,30 +340,36 @@ def _psor_steps(u, problem, config):
 
 def _projected_gradient_steps(u, problem, config):
     """Accelerated projected gradient steps from ``u``, yielding the
-    residual of each iterate, which ``u`` holds."""
-    nd = u.ndim
-    h = problem.grid.h
-    source = problem.source
+    residual of each iterate, which ``u`` holds. The steps run in three
+    preallocated buffers, by ``out=`` ufuncs in the operation order of
+    ``interior_laplacian`` and the plain step expressions."""
+    nd, h, source = u.ndim, problem.grid.h, problem.source
     core = (slice(1, -1),) * nd
     psi_core = problem.obstacle[core]
     step = h * h / (4.0 * nd)  # 1 / lambda_max bound of the scaled Hessian
-    x = u[core].copy()
     y = u.copy()  # full array whose interior holds the extrapolated point
+    y_core, u_core = y[core], u[core]
+    y_pairs, u_pairs = neighbor_pairs(y), neighbor_pairs(u)
+    x_new, total, work = (np.empty_like(u_core) for _ in range(3))  # u_core is the iterate
     t = 1.0
     while True:
-        lap = interior_laplacian(y, h)
-        x_new = np.maximum(y[core] + step * (lap - source), psi_core)
+        _sum_pairs(y_pairs, total, work)  # interior_laplacian(y, h)
+        np.subtract(total, np.multiply(y_core, 2.0 * nd, out=work), out=total)
+        np.divide(total, h * h, out=total)
+        np.multiply(np.subtract(total, source, out=total), step, out=total)
+        np.maximum(np.add(y_core, total, out=x_new), psi_core, out=x_new)
         # adaptive restart on the gradient-mapping sign
-        if np.vdot(y[core] - x_new, x_new - x) > 0.0:
+        np.subtract(x_new, u_core, out=total)
+        if np.vdot(np.subtract(y_core, x_new, out=work), total) > 0.0:
             t = 1.0
-            y[core] = x_new
+            np.copyto(y_core, x_new)
         else:
             t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-            y[core] = x_new + ((t - 1.0) / t_next) * (x_new - x)
+            np.add(x_new, np.multiply(total, (t - 1.0) / t_next, out=total), out=y_core)
             t = t_next
-        x = x_new
-        u[core] = x
-        yield _kkt_max(u[core], psi_core, neighbor_sum(u), source, h, nd)
+        np.copyto(u_core, x_new)
+        _sum_pairs(u_pairs, total, work)
+        yield _kkt_max(u_core, psi_core, total, source, h, nd, work)
 
 
 def _trapezoid_weights(shape: tuple[int, ...], plain_axis: int | None = None) -> np.ndarray:

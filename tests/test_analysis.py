@@ -236,7 +236,7 @@ class TestRescaleBlowup:
     def test_homogeneous_fixture_reproduced(self):
         grid = centered_box(2, 1.0, 257)
         field = halfspace([0.0, 1.0]).sample(grid)
-        rescaled = rescale_blowup(field, (0.0, 0.0), 0.25)
+        (rescaled,) = rescale_blowup(field, [(0.0, 0.0)], 0.25)
         exact = halfspace([0.0, 1.0]).evaluate(unit_ball_nodes(2))
         assert rescaled.shape == exact.shape
         assert np.abs(rescaled - exact).max() <= 5e-3
@@ -244,8 +244,8 @@ class TestRescaleBlowup:
     def test_radius_independence_on_homogeneous_fields(self):
         grid = centered_box(2, 1.0, 257)
         field = polynomial(QuadraticForm.diagonal([0.3, 0.7])).sample(grid)
-        a = rescale_blowup(field, (0.0, 0.0), 0.125)
-        b = rescale_blowup(field, (0.0, 0.0), 0.5)
+        (a,) = rescale_blowup(field, [(0.0, 0.0)], 0.125)
+        (b,) = rescale_blowup(field, [(0.0, 0.0)], 0.5)
         assert a.shape == b.shape == (len(unit_ball_nodes(2)),)
         assert np.abs(a - b).max() <= 5e-3
 
@@ -262,7 +262,7 @@ class TestRescaleBlowup:
         grid = centered_box(2, 1.0, 33)
         field = polynomial(QuadraticForm.isotropic(2)).sample(grid)
         with pytest.raises(ResolutionError):
-            rescale_blowup(field, (0.0, 0.0), 4.0 * grid.h)
+            rescale_blowup(field, [(0.0, 0.0)], 4.0 * grid.h)
 
 
 class TestClassifyPoint:
@@ -319,13 +319,46 @@ class TestClassifyPoint:
         coefs = analysis._quadratic_coefficients(n, values)
         assert_allclose(coefs, reference, rtol=1e-12, atol=1e-15)
         upper = np.triu_indices(n, 1)
-        for v, coef, (form, residual) in zip(values, reference, analysis._fit_singular(n, values)):
+        matrices, residuals = analysis._fit_singular(n, values)
+        forms = map(QuadraticForm, matrices)
+        for v, coef, form, residual in zip(values, reference, forms, residuals):
             matrix = np.diag(coef[:n])
             matrix[upper] = matrix[upper[::-1]] = coef[n:]
             expected = QuadraticForm.from_matrix(matrix).project_to_blowup_form()
             assert_allclose(form.matrix, expected.matrix, rtol=1e-12, atol=1e-15)
             expected_residual = np.linalg.norm(v - expected.evaluate(points))
             assert residual == pytest.approx(expected_residual, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_stacked_singular_fit_equals_row_by_row(self, n):
+        # one stacked fit of a block gives each row the bits of its own fit;
+        # a row whose fit has no positive eigenvalue (a negative constant)
+        # is NaN and leaves the other rows alone
+        rng = np.random.default_rng(10 + n)
+        points = analysis.unit_ball_nodes(n)
+        rows = []
+        for _ in range(5):
+            q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            form = QuadraticForm.from_matrix((q * rng.dirichlet(np.ones(n))) @ q.T)
+            rows.append(form.evaluate(points) + 1e-3 * rng.standard_normal(len(points)))
+        rows.insert(2, np.full(len(points), -0.3))
+        values = np.stack(rows)
+        matrices, residuals = analysis._fit_singular(n, values)
+        assert matrices.shape == (len(values), n, n) and residuals.shape == (len(values),)
+        for k in range(len(values)):
+            matrix, residual = analysis._fit_singular(n, values[k : k + 1])
+            assert matrix.tobytes() == matrices[k].tobytes()
+            assert residual.tobytes() == residuals[k].tobytes()
+        assert np.isnan(matrices[2]).all() and np.isnan(residuals[2])
+        assert np.isfinite(np.delete(residuals, 2)).all()
+
+    def test_fit_without_positive_eigenvalue_is_undetermined(self):
+        grid = centered_box(2, 1.0, 129)
+        values = np.full(grid.shape, -1.2 * grid.h**2)
+        values[64, 64] = 4.0 * grid.h**2
+        c = classify_point(ScalarField(grid, values), (0.0, grid.h))
+        assert c.verdict == "undetermined"
+        assert c.reason == "quadratic fit has no positive eigenvalue"
 
     def test_halfspace_directions_3d(self):
         grid = centered_box(3, 1.0, 33)

@@ -234,6 +234,25 @@ class TestDiagnoseCommand:
         assert captured.err.count("\n") == 1
         assert not out.exists()
 
+    def test_fit_without_positive_eigenvalue_is_undetermined(self, tmp_path):
+        # an admissible field (above -kappa h^2 at kappa = 2) whose only
+        # non-contact node is the origin: the quadratic fits of the blow-ups
+        # at its four neighbours have no positive eigenvalue
+        grid = centered_box(2, 1.0, 129)
+        values = np.full(grid.shape, -1.2 * grid.h**2)
+        values[64, 64] = 4.0 * grid.h**2
+        write_field(tmp_path / "u.field", ScalarField(grid, values))
+        out = tmp_path / "out"
+        payload = radial_config(out, ["classify"], nodes=129)
+        payload["diagnostics"]["solution_file"] = str(tmp_path / "u.field")
+        assert main(["diagnose", "--config", write_config(tmp_path / "c.json", payload)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        census = report["diagnostics"]["census"]
+        assert census["total"] == census["undetermined"] == 4
+        entries = report["diagnostics"]["classification"]
+        assert {e["reason"] for e in entries} == {"quadratic fit has no positive eigenvalue"}
+        assert report["checks"]["classification_all_determined"] is False
+
     @pytest.mark.parametrize(
         "boundary",
         [
