@@ -442,8 +442,9 @@ def _fit_singular(dimension: int, values: np.ndarray) -> tuple[np.ndarray, np.nd
     matrices[:, diagonal, diagonal] = coefs[:, :dimension]
     matrices[:, a, b] = matrices[:, b, a] = coefs[:, dimension:]
     matrices = project_to_blowup_cone(matrices)
-    models = 0.5 * np.einsum("mi,bij,mj->bm", points, matrices, points)
-    return matrices, _row_norms(values - models)
+    misfits = np.einsum("mi,bij,mj->bm", points, matrices, points)
+    misfits *= 0.5
+    return matrices, _row_norms(np.subtract(values, misfits, out=misfits))
 
 
 def classify_point(
@@ -489,6 +490,7 @@ def _classify(field: ScalarField, x0s, config: ClassifierConfig) -> list[Classif
         return [_undetermined(x0, None, None, f"blow-up unavailable: {exc}") for x0 in points]
     available = ~_outside_box(grid, centers, float(r))
     centers = centers[available]
+    weiss = WeissEvaluator(field, config.angular_samples)  # before the blocks: lower peak RSS
     scales, reg_residuals, sing_residuals = np.empty((3, len(centers)))
     directions, matrices = np.empty((len(centers), n)), np.empty((len(centers), n, n))
     block = max(1, BLOCK_SAMPLES // len(unit_ball_nodes(n)))
@@ -498,8 +500,7 @@ def _classify(field: ScalarField, x0s, config: ClassifierConfig) -> list[Classif
         scales[rows] = _row_norms(values)
         directions[rows], reg_residuals[rows] = _fit_regular(n, values)
         matrices[rows], sing_residuals[rows] = _fit_singular(n, values)
-    weiss = WeissEvaluator(field, config.angular_samples).at(centers, r)
-    fits = zip(scales, weiss, directions, reg_residuals, matrices, sing_residuals)
+    fits = zip(scales, weiss.at(centers, r), directions, reg_residuals, matrices, sing_residuals)
     return [
         _verdict(x0, r, config, *next(fits))
         if ok

@@ -235,7 +235,7 @@ def neighbor_sum(u: np.ndarray) -> np.ndarray:
     ``m - 2`` per axis). Terms are added axis by axis,
     ``u[x - e_a] + u[x + e_a]`` first, so every caller sees the same rounding.
     """
-    return functools.reduce(np.add, [lo + hi for lo, hi in neighbor_pairs(u)])
+    return functools.reduce(np.add, (lo + hi for lo, hi in neighbor_pairs(u)))
 
 
 def interior_laplacian(u: np.ndarray, h: float) -> np.ndarray:
