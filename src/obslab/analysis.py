@@ -14,7 +14,7 @@ diagnostics:
   the quadratic model ``(1/2)<Ax, x>`` (A PSD, unit trace) on the rescaled
   field, with stratum = kernel dimension of the fitted matrix. It works
   in array passes: one availability test for all points, then blocks of
-  stacked blow-ups, whose half-space directions are searched in lockstep
+  stacked blow-ups, whose half-space directions are fitted in lockstep
   and whose quadratic fits share one cached factorization of the design
   and one stacked projection onto the cone, then W at all fitted points
   in one call. Each point's arithmetic is its own, so the blocks do not
@@ -66,13 +66,14 @@ C3_CALIBRATION_TOL = 5e-4
 WEISS_CONSTANTS = {1: 1.0 / 3.0, 2: math.pi / 8.0, 3: C3_CALIBRATED}
 
 # Nodes per axis of the fixed [-1, 1]^n grid that blow-ups are sampled on,
-# the smallest blow-up radius in node spacings, the number of start
-# directions of the half-space fit and of golden-section steps per angle,
-# and the number of seeded random forms among Monneau's probes.
+# the smallest blow-up radius in node spacings, the start directions and
+# golden-section steps of the 2D half-space fit, the Newton steps of the 3D
+# one, and the number of seeded random forms among Monneau's probes.
 REF_NODES = 33
 BLOWUP_RADIUS_FACTOR = 8.0
 DIRECTION_STARTS = 64
 GOLDEN_ITERATIONS = 40
+NEWTON_STEPS = 6
 RANDOM_PROBES = 2
 DEGENERACY_FLOOR_FACTOR = 100.0
 
@@ -297,24 +298,12 @@ class Classification:
 def _unit_directions(n: int, count: int) -> np.ndarray:
     if n == 1:
         return np.array([[1.0], [-1.0]])
-    if n == 2:
-        theta = 2.0 * np.pi * np.arange(count) / count
-        return np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-    # Fibonacci sphere
-    k = np.arange(count) + 0.5
-    phi = np.pi * (1.0 + math.sqrt(5.0)) * k
-    z = 1.0 - 2.0 * k / count
-    s = np.sqrt(np.maximum(1.0 - z * z, 0.0))
-    return np.stack([s * np.cos(phi), s * np.sin(phi), z], axis=-1)
+    return _angles_to_units(2.0 * np.pi * np.arange(count) / count)
 
 
 def _angles_to_units(angles: np.ndarray) -> np.ndarray:
-    """Unit vectors of a ``(B, 1)`` block of azimuths (2D) or a ``(B, 2)``
-    block of polar and azimuthal angles (3D)."""
-    if angles.shape[1] == 1:
-        return np.stack([np.cos(angles[:, 0]), np.sin(angles[:, 0])], axis=-1)
-    t, p = angles[:, 0], angles[:, 1]
-    return np.stack([np.sin(t) * np.cos(p), np.sin(t) * np.sin(p), np.cos(t)], axis=-1)
+    """Unit vectors of a ``(B,)`` block of azimuths."""
+    return np.stack([np.cos(angles), np.sin(angles)], axis=-1)
 
 
 def _golden_section(fn, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -356,11 +345,12 @@ def _half_space_misfits(points: np.ndarray, values: np.ndarray, directions: np.n
 
 def _fit_regular(dimension: int, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares directions of the half-space model for a ``(B, m)``
-    block of blow-ups, with their residuals: multi-start search plus
-    golden-section refinement of each direction's angles, run in lockstep
-    over the block. One pass in 2D, three passes alternating between polar
-    and azimuthal angle in 3D, each pass searching a quarter of the
-    previous window."""
+    block of blow-ups, with their residuals, in lockstep over the block. 1D:
+    the better of +-1. 2D: the best of ``DIRECTION_STARTS`` directions, its
+    azimuth refined by golden section (the pinned 2D directions carry its
+    rounding). 3D: :func:`_newton_directions`, from a closed-form start."""
+    if dimension == 3:
+        return _newton_directions(values)
     points = unit_ball_nodes(dimension)
     candidates = _unit_directions(dimension, DIRECTION_STARTS)
     scores = np.stack(
@@ -370,25 +360,51 @@ def _fit_regular(dimension: int, values: np.ndarray) -> tuple[np.ndarray, np.nda
     best = np.argmin(scores, axis=1)  # first index on ties
     if dimension == 1:
         return candidates[best], scores[np.arange(len(best)), best]
-    if dimension == 2:
-        starts = [[math.atan2(e[1], e[0])] for e in candidates]
-        half, passes = 2.0 * math.pi / DIRECTION_STARTS, 1
-    else:
-        starts = [[math.acos(np.clip(e[2], -1.0, 1.0)), math.atan2(e[1], e[0])] for e in candidates]
-        half, passes = math.pi * 2.0 / math.sqrt(DIRECTION_STARTS), 3
-    angles = np.array(starts)[best]
-    for _ in range(passes):
-        for k in range(angles.shape[1]):
+    half = 2.0 * math.pi / DIRECTION_STARTS
+    theta = np.array([math.atan2(e[1], e[0]) for e in candidates])[best]
 
-            def along(t: np.ndarray) -> np.ndarray:
-                trial = angles.copy()
-                trial[:, k] = t
-                return _half_space_misfits(points, values, _angles_to_units(trial))
+    def along(t: np.ndarray) -> np.ndarray:
+        return _half_space_misfits(points, values, _angles_to_units(t))
 
-            angles[:, k] = _golden_section(along, angles[:, k] - half, angles[:, k] + half)
-        half /= 4.0
-    directions = _angles_to_units(angles)
+    theta = _golden_section(along, theta - half, theta + half)
+    directions = _angles_to_units(theta)
     return directions, _half_space_misfits(points, values, directions)
+
+
+def _newton_directions(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 3D half-space fit: min (1/2)||r||^2 over unit e, r = V - (1/2)[(e.x)_+]^2
+    at the unit-ball nodes x. It starts from e = normalize(V @ x), the normal
+    of a half-space profile (the first axis where that vanishes), takes
+    ``NEWTON_STEPS`` steps on the sphere and returns each row's best iterate.
+    A step uses g = -sum r (e.x)_+ x and the Hessian P (sum ((e.x)_+^2 -
+    r 1{e.x > 0}) x x^T) P - (e.g) P, P = I - e e^T, or Gauss-Newton's
+    P (sum (e.x)_+^2 x x^T) P where that is not positive definite. Products
+    are stacked row by row, so the block does not change a row."""
+    points = unit_ball_nodes(3)
+    pairs = (points[:, :, None] * points[:, None, :]).reshape(len(points), 9)
+    moment = np.matmul(values[:, None, :], points)[:, 0]
+    norm = _row_norms(moment)[:, None]
+    e = np.divide(moment, norm, out=np.eye(3)[np.zeros(len(values), dtype=int)], where=norm > 0)
+    best, misfits = e.copy(), _half_space_misfits(points, values, e)
+    for _ in range(NEWTON_STEPS):
+        p = np.maximum(np.matmul(points, e[:, :, None])[..., 0], 0.0)
+        weights = np.empty((len(e), 3, len(points)))  # of x x^T in the Hessians, then of x in g
+        square = np.square(p, out=weights[:, 0])
+        r = np.subtract(values, 0.5 * square, out=weights[:, 2])
+        np.multiply(r, p > 0.0, out=weights[:, 1])
+        g = -np.matmul(np.multiply(r, p, out=r)[:, None, :], points)[:, 0]
+        gauss, curvature = np.matmul(weights[:, :2], pairs).reshape(-1, 2, 3, 3).swapaxes(0, 1)
+        outer = e[:, :, None] * e[:, None, :]  # added to both matrices: the step stays tangent
+        proj = np.eye(3) - outer
+        newton = proj @ (gauss - curvature) @ proj - np.vecdot(e, g)[:, None, None] * proj + outer
+        definite = np.linalg.eigvalsh(newton)[:, :1, None] > 0.0
+        newton = np.where(definite, newton, proj @ gauss @ proj + outer)
+        e = e + np.linalg.solve(newton, -(proj @ g[..., None]))[..., 0]
+        e /= _row_norms(e)[:, None]
+        current = _half_space_misfits(points, values, e)
+        better = current <= misfits
+        best[better], misfits[better] = e[better], current[better]
+    return best, misfits
 
 
 def _quadratic_design(dimension: int) -> np.ndarray:

@@ -14,7 +14,6 @@ All operations are pure: fields are immutable snapshots.
 from __future__ import annotations
 
 import functools
-import itertools
 import reprlib
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -266,28 +265,29 @@ def interpolate_many(field: ScalarField, points: np.ndarray) -> np.ndarray:
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != nd:
         raise GridError(f"points must have shape (m, {nd}), got {points.shape}")
-    lower = np.array(grid.lower)
-    upper = np.array(grid.upper)
+    lower, upper = np.array(grid.lower), np.array(grid.upper)
     eps = 1e-12 * max(abs(v) for v in (*grid.lower, *grid.upper, 1.0))
     if (points < lower - eps).any() or (points > upper + eps).any():
         raise OutOfDomainError("interpolation point outside the grid box")
 
     t = (points - lower) / grid.h
     base = np.clip(np.floor(t).astype(int), 0, np.array(grid.shape) - 2)
-    result = np.zeros(points.shape[0])
-    for index, weight in _corners(base, t - base, np.ones(points.shape[0])):
-        result += weight * field.values[index]
+    values, strides = field.values.ravel(), np.array(field.values.strides) // field.values.itemsize
+    result, flat = np.zeros(points.shape[0]), base @ strides
+    for corner, weight in _corners(t - base, np.ones(points.shape[0])):
+        result += weight * values[flat + corner @ strides]
     return result
 
 
-def _corners(base: np.ndarray, frac: np.ndarray, weights: np.ndarray):
-    """Each multilinear corner of the ``(m, n)`` cells ``base`` at offsets
-    ``frac``: its node index and ``weights`` times its corner weight."""
-    for corner in itertools.product((0, 1), repeat=base.shape[1]):
-        w = weights.copy()
-        for a, bit in enumerate(corner):
-            w *= frac[:, a] if bit else 1.0 - frac[:, a]
-        yield tuple((base + corner).T), w
+def _corners(frac: np.ndarray, weights: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The multilinear corners of cells at the ``(m, n)`` offsets ``frac``
+    in ``itertools.product`` order: each one's 0/1 offset per axis and
+    ``weights`` times its weight, ((w f_0) f_1) f_2 from shared partial products."""
+    corners = [(np.zeros(0, dtype=int), weights)]
+    for f in frac.T:
+        sides = (1.0 - f, f)
+        corners = [(np.append(c, bit), w * sides[bit]) for c, w in corners for bit in (0, 1)]
+    return corners
 
 
 def _sphere_samples(n: int, r: float, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -342,8 +342,8 @@ def _rule(kind: str, h: float, r: float, offset: tuple[float, ...], samples: int
         t = np.where(np.abs(t - np.round(t)) < NODE_SNAP, np.round(t), t)
         base = np.floor(t).astype(int)
         weights = np.zeros((2 * reach + 1,) * n)
-        for index, w in _corners(base, t - base, sample_weights):
-            np.add.at(weights, index, w)
+        for corner, w in _corners(t - base, sample_weights):
+            np.add.at(weights, tuple((base + corner).T), w)
     else:
         steps = [(np.arange(-reach, reach + 1) - o) * h for o in offset]
         dist = np.sqrt(sum(m * m for m in np.meshgrid(*steps, indexing="ij")))
@@ -376,8 +376,7 @@ def gather(
     node = np.round(t).astype(int)
     offset = np.where(np.abs(t - node) < NODE_SNAP, 0.0, t - node)
     samples = angular_samples if kind == "sphere" else 0
-    values = field.values.ravel()
-    strides = np.array(field.values.strides) // values.itemsize
+    values, strides = field.values.ravel(), np.array(field.values.strides) // field.values.itemsize
     groups, group = np.unique(offset, axis=0, return_inverse=True)
     for g, o in enumerate(groups):
         rows = np.flatnonzero(group.ravel() == g)

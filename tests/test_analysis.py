@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -396,6 +397,92 @@ class TestClassifyPoint:
         c = classify_point(field, (0.0, -0.99))
         assert c.verdict == "undetermined"
         assert "blow-up unavailable" in c.reason
+
+
+@pytest.fixture(scope="module")
+def halfspace_blowups_3d():
+    """Blow-ups at the origin of half-space fixtures on 33^3, each as it is
+    and with a seeded noise of 1e-3, one row per blow-up."""
+    grid = centered_box(3, 1.0, 33)
+    rng = np.random.default_rng(7)
+    rows = []
+    for e in ([1, 0, 0], [0, 0, 1], [1, 1, 1], [0.3, -0.5, 0.8], [-0.2, 0.9, -0.4]):
+        field = halfspace(np.array(e) / np.linalg.norm(e)).sample(grid)
+        blowup = rescale_blowup(field, [(0.0, 0.0, 0.0)], 8 * grid.h)[0]
+        rows += [blowup, blowup + 1e-3 * rng.standard_normal(len(blowup))]
+    return np.stack(rows)
+
+
+class TestHalfSpaceFit3D:
+    def test_tangential_gradient_vanishes(self, halfspace_blowups_3d):
+        # the gradient of (1/2)||V - (1/2)[(e.x)_+]^2||^2 on the sphere
+        values, points = halfspace_blowups_3d, unit_ball_nodes(3)
+        directions, residuals = analysis._fit_regular(3, values)
+        for v, e, residual in zip(values, directions, residuals):
+            assert np.linalg.norm(e) == pytest.approx(1.0, abs=1e-14)
+            p = np.maximum(points @ e, 0.0)
+            r = v - 0.5 * p * p
+            assert residual == pytest.approx(np.linalg.norm(r), rel=1e-14)
+            g = -(r * p) @ points
+            assert np.linalg.norm(g - (g @ e) * e) <= 1e-10 * (v @ v)
+
+    def test_no_random_direction_fits_better(self, halfspace_blowups_3d):
+        values, points = halfspace_blowups_3d, unit_ball_nodes(3)
+        _, residuals = analysis._fit_regular(3, values)
+        trials = np.random.default_rng(500).standard_normal((500, 3))
+        trials /= np.linalg.norm(trials, axis=1, keepdims=True)
+        for v, residual in zip(values, residuals):
+            for chunk in np.split(trials, 10):
+                models = 0.5 * np.maximum(chunk @ points.T, 0.0) ** 2
+                assert residual <= np.linalg.norm(v - models, axis=1).min()
+
+    def test_returns_each_rows_best_iterate(self, halfspace_blowups_3d, monkeypatch):
+        # one residual at the start and one per Newton step, and each row
+        # keeps its least, also on noisy quadratic blow-ups, where the steps
+        # do not settle at the first minimum they meet
+        rng = np.random.default_rng(4)
+        points = unit_ball_nodes(3)
+        rows = list(halfspace_blowups_3d)
+        for _ in range(12):
+            q = rng.standard_normal((3, 3))
+            form = QuadraticForm.from_matrix(q @ q.T / np.trace(q @ q.T))
+            rows.append(form.evaluate(points) + 0.03 * rng.standard_normal(len(points)))
+        misfits, calls = analysis._half_space_misfits, []
+
+        def recorded(*args):
+            calls.append(misfits(*args))
+            return calls[-1]
+
+        monkeypatch.setattr(analysis, "_half_space_misfits", recorded)
+        directions, residuals = analysis._fit_regular(3, np.stack(rows))
+        assert len(calls) == 1 + analysis.NEWTON_STEPS
+        assert residuals.tobytes() == np.min(calls, axis=0).tobytes()
+        assert misfits(points, np.stack(rows), directions).tobytes() == residuals.tobytes()
+
+    def test_stacked_fit_equals_row_by_row(self, halfspace_blowups_3d):
+        values = np.vstack([halfspace_blowups_3d, np.zeros(halfspace_blowups_3d.shape[1])])
+        directions, residuals = analysis._fit_regular(3, values)
+        for k in range(len(values)):
+            direction, residual = analysis._fit_regular(3, values[k : k + 1])
+            assert direction.tobytes() == directions[k].tobytes()
+            assert residual.tobytes() == residuals[k].tobytes()
+
+    def test_even_blowups_start_finite(self):
+        # the isotropic polynomial's blow-up at the origin is even, so its
+        # moment sum V x vanishes up to rounding; a blow-up that vanishes
+        # has a moment of exactly zero
+        grid = centered_box(3, 1.0, 33)
+        field = polynomial(QuadraticForm.isotropic(3)).sample(grid)
+        even = rescale_blowup(field, [(0.0, 0.0, 0.0)], 8 * grid.h)
+        values = np.vstack([even, np.zeros_like(even)])
+        moment = values @ unit_ball_nodes(3)
+        assert np.abs(moment[0]).max() <= 1e-12 * np.abs(values[0]).sum()
+        assert not moment[1].any()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            directions, residuals = analysis._fit_regular(3, values)
+        assert np.isfinite(directions).all() and np.isfinite(residuals).all()
+        assert_allclose(np.linalg.norm(directions, axis=1), 1.0, rtol=0.0, atol=1e-14)
 
 
 class TestStratify:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from obslab import grid
+from obslab import analysis, grid
 from obslab.grid import (
     BallSpec,
     GridError,
@@ -178,6 +178,79 @@ class TestInterpolate:
         f = ScalarField(g, np.zeros(g.shape))
         with pytest.raises(OutOfDomainError):
             interpolate_one(f, (1.5, 0.0))
+
+
+def reference_corners(base, frac, weights):
+    """Each multilinear corner of the ``(m, n)`` cells ``base`` at offsets
+    ``frac``: its node index as a tuple of index arrays, and ``weights``
+    times its corner weight multiplied up one axis at a time."""
+    for corner in itertools.product((0, 1), repeat=base.shape[1]):
+        w = weights.copy()
+        for a, bit in enumerate(corner):
+            w *= frac[:, a] if bit else 1.0 - frac[:, a]
+        yield tuple((base + corner).T), w
+
+
+def reference_interpolate_many(field, points):
+    """Multilinear interpolation by tuple indexing of the field, one corner
+    at a time: the reference that ``interpolate_many``'s gather by flat
+    index must match bit for bit."""
+    grid = field.grid
+    t = (np.asarray(points, dtype=float) - np.array(grid.lower)) / grid.h
+    base = np.clip(np.floor(t).astype(int), 0, np.array(grid.shape) - 2)
+    result = np.zeros(len(t))
+    for index, weight in reference_corners(base, t - base, np.ones(len(t))):
+        result += weight * field.values[index]
+    return result
+
+
+# 15 and 17 nodes per axis on centred and off-centre boxes, so h is not a
+# power of two and the node coordinates are not symmetric about zero
+GATHER_GRIDS = [
+    (n, GridSpec(lower=(lo,) * n, upper=(lo + h * (m - 1),) * n, nodes_per_axis=(m,) * n))
+    for n in (1, 2, 3)
+    for lo, h, m in ((-1.0, 2.0 / 14.0, 15), (0.3, 0.1, 17), (-2.7, 0.37, 15))
+]
+
+
+class TestFlatGather:
+    @staticmethod
+    def probes(g, rng):
+        """Blow-up stencils, random points, points on cell faces and on the
+        upper and lower box faces (where the cell index is clipped)."""
+        n, lower, upper = g.dimension, np.array(g.lower), np.array(g.upper)
+        center = lower + g.h * (np.array(g.shape) // 2)
+        ball = 3.0 * g.h * analysis.unit_ball_nodes(n)
+        stencils = [center + ball, center + 0.37 * g.h + ball]
+        random = rng.uniform(lower, upper, size=(200, n))
+        faces = random.copy()
+        faces[:, 0] = lower[0] + g.h * rng.integers(0, g.shape[0], size=len(faces))
+        boxes = np.array(list(itertools.product(*zip(lower, upper))))
+        on_upper = random.copy()
+        on_upper[:, -1] = upper[-1]
+        return np.concatenate([*stencils, random, faces, boxes, on_upper, lower + 0.0 * random])
+
+    @pytest.mark.parametrize("n, g", GATHER_GRIDS)
+    def test_matches_tuple_indexing_bit_for_bit(self, n, g):
+        rng = np.random.default_rng(n)
+        f = ScalarField(g, rng.standard_normal(g.shape))
+        points = self.probes(g, rng)
+        expected = reference_interpolate_many(f, points)
+        assert interpolate_many(f, points).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_corner_weights_match_one_axis_at_a_time(self, n):
+        # the sphere rule's weights come from the same corners, with sample
+        # weights that are not one
+        rng = np.random.default_rng(20 + n)
+        frac, weights = rng.random((50, n)), rng.random(50)
+        base = rng.integers(0, 5, size=(50, n))
+        ours = grid._corners(frac, weights)
+        reference = list(reference_corners(base, frac, weights))
+        assert len(ours) == len(reference) == 2**n
+        for (corner, w), (index, w_ref) in zip(ours, reference):
+            assert all((base[:, a] + corner[a] == index[a]).all() for a in range(n))
+            assert w.tobytes() == w_ref.tobytes()
 
 
 class TestBallIntegral:
