@@ -295,12 +295,6 @@ class Classification:
     reason: str | None = None  # undetermined: why
 
 
-def _unit_directions(n: int, count: int) -> np.ndarray:
-    if n == 1:
-        return np.array([[1.0], [-1.0]])
-    return _angles_to_units(2.0 * np.pi * np.arange(count) / count)
-
-
 def _angles_to_units(angles: np.ndarray) -> np.ndarray:
     """Unit vectors of a ``(B,)`` block of azimuths."""
     return np.stack([np.cos(angles), np.sin(angles)], axis=-1)
@@ -352,7 +346,8 @@ def _fit_regular(dimension: int, values: np.ndarray) -> tuple[np.ndarray, np.nda
     if dimension == 3:
         return _newton_directions(values)
     points = unit_ball_nodes(dimension)
-    candidates = _unit_directions(dimension, DIRECTION_STARTS)
+    azimuths = 2.0 * np.pi * np.arange(DIRECTION_STARTS) / DIRECTION_STARTS
+    candidates = np.array([[1.0], [-1.0]]) if dimension == 1 else _angles_to_units(azimuths)
     scores = np.stack(
         [_row_norms(values - 0.5 * np.square(np.maximum(points @ e, 0.0))) for e in candidates],
         axis=1,
@@ -381,16 +376,21 @@ def _newton_directions(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     P (sum (e.x)_+^2 x x^T) P where that is not positive definite. Products
     are stacked row by row, so the block does not change a row."""
     points = unit_ball_nodes(3)
-    pairs = (points[:, :, None] * points[:, None, :]).reshape(len(points), 9)
+    pairs = np.einsum("mi,mj->mij", points, points).reshape(len(points), 9)
     moment = np.matmul(values[:, None, :], points)[:, 0]
     norm = _row_norms(moment)[:, None]
     e = np.divide(moment, norm, out=np.eye(3)[np.zeros(len(values), dtype=int)], where=norm > 0)
-    best, misfits = e.copy(), _half_space_misfits(points, values, e)
-    for _ in range(NEWTON_STEPS):
+    best, misfits = e.copy(), np.full(len(values), np.inf)
+    weights = np.empty((len(e), 3, len(points)))  # of x x^T in the Hessians, then of x in g
+    for step in range(NEWTON_STEPS + 1):
         p = np.maximum(np.matmul(points, e[:, :, None])[..., 0], 0.0)
-        weights = np.empty((len(e), 3, len(points)))  # of x x^T in the Hessians, then of x in g
         square = np.square(p, out=weights[:, 0])
         r = np.subtract(values, 0.5 * square, out=weights[:, 2])
+        current = _row_norms(r)  # as _half_space_misfits(points, values, e), bit for bit
+        better = current <= misfits
+        best[better], misfits[better] = e[better], current[better]
+        if step == NEWTON_STEPS:
+            return best, misfits
         np.multiply(r, p > 0.0, out=weights[:, 1])
         g = -np.matmul(np.multiply(r, p, out=r)[:, None, :], points)[:, 0]
         gauss, curvature = np.matmul(weights[:, :2], pairs).reshape(-1, 2, 3, 3).swapaxes(0, 1)
@@ -401,10 +401,6 @@ def _newton_directions(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         newton = np.where(definite, newton, proj @ gauss @ proj + outer)
         e = e + np.linalg.solve(newton, -(proj @ g[..., None]))[..., 0]
         e /= _row_norms(e)[:, None]
-        current = _half_space_misfits(points, values, e)
-        better = current <= misfits
-        best[better], misfits[better] = e[better], current[better]
-    return best, misfits
 
 
 def _quadratic_design(dimension: int) -> np.ndarray:

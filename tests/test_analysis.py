@@ -437,9 +437,10 @@ class TestHalfSpaceFit3D:
                 assert residual <= np.linalg.norm(v - models, axis=1).min()
 
     def test_returns_each_rows_best_iterate(self, halfspace_blowups_3d, monkeypatch):
-        # one residual at the start and one per Newton step, and each row
-        # keeps its least, also on noisy quadratic blow-ups, where the steps
-        # do not settle at the first minimum they meet
+        # after k steps each row holds its least residual so far, so the
+        # residual never rises with k, also on noisy quadratic blow-ups,
+        # where the steps do not settle at the first minimum they meet; the
+        # residual is _half_space_misfits at the returned direction
         rng = np.random.default_rng(4)
         points = unit_ball_nodes(3)
         rows = list(halfspace_blowups_3d)
@@ -447,17 +448,16 @@ class TestHalfSpaceFit3D:
             q = rng.standard_normal((3, 3))
             form = QuadraticForm.from_matrix(q @ q.T / np.trace(q @ q.T))
             rows.append(form.evaluate(points) + 0.03 * rng.standard_normal(len(points)))
-        misfits, calls = analysis._half_space_misfits, []
-
-        def recorded(*args):
-            calls.append(misfits(*args))
-            return calls[-1]
-
-        monkeypatch.setattr(analysis, "_half_space_misfits", recorded)
-        directions, residuals = analysis._fit_regular(3, np.stack(rows))
-        assert len(calls) == 1 + analysis.NEWTON_STEPS
-        assert residuals.tobytes() == np.min(calls, axis=0).tobytes()
-        assert misfits(points, np.stack(rows), directions).tobytes() == residuals.tobytes()
+        values, fits = np.stack(rows), []
+        for steps in range(analysis.NEWTON_STEPS + 1):
+            monkeypatch.setattr(analysis, "NEWTON_STEPS", steps)
+            fits.append(analysis._fit_regular(3, values))
+        for (_, before), (_, after) in zip(fits, fits[1:]):
+            assert (after <= before).all()
+        directions, residuals = fits[-1]
+        assert (residuals[-12:] < fits[0][1][-12:]).all()  # the steps improve on the start
+        misfits = analysis._half_space_misfits(points, values, directions)
+        assert misfits.tobytes() == residuals.tobytes()
 
     def test_stacked_fit_equals_row_by_row(self, halfspace_blowups_3d):
         values = np.vstack([halfspace_blowups_3d, np.zeros(halfspace_blowups_3d.shape[1])])
