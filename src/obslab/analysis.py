@@ -9,16 +9,17 @@ diagnostics:
 * the scaled sphere distance
   ``M(r, u, p) = r^-(n+3) int_{dB_r} (u - p)^2`` to a quadratic profile p,
   nondecreasing in r at singular points;
-* the blow-up rescaling ``u(x0 + r x) / r^2`` at fixed unit-ball nodes;
+* the blow-up rescaling ``u(x0 + r x) / r^2`` at fixed unit-ball nodes,
+  through one multilinear rule per centre offset from its node;
 * a classifier fitting the half-space model ``(1/2)[(e.x)_+]^2`` against
   the quadratic model ``(1/2)<Ax, x>`` (A PSD, unit trace) on the rescaled
   field, with stratum = kernel dimension of the fitted matrix. It works
-  in array passes: one availability test for all points, then blocks of
-  stacked blow-ups, whose half-space directions are fitted in lockstep
-  and whose quadratic fits share one cached factorization of the design
-  and one stacked projection onto the cone, then W at all fitted points
-  in one call. Each point's arithmetic is its own, so the blocks do not
-  change results;
+  in array passes: one availability test and one W call for all points,
+  then blocks of stacked blow-ups, sampled by a rule built once per call,
+  whose half-space directions are fitted in lockstep and whose quadratic
+  fits share one design, one cached factorization of it and one stacked
+  projection onto the cone. Each point's arithmetic is its own, so the
+  blocks do not change results;
 * a log-log slope estimator for the decay exponent of the sphere norms of
   ``w = u - p``, whose homogeneity ``lambda*`` controls how fast u settles
   onto its quadratic profile (``2 + alpha = lambda*``).
@@ -34,6 +35,7 @@ import collections
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,7 +54,8 @@ from .grid import (
     centered_box,
     gather,
     gradient,
-    interpolate_many,
+    interpolate_many,  # noqa: F401 -- wrapped by name in perfbench/tracer.py
+    multilinear_sampler,
     per_radius,
     require_balls_in_box,
     sphere_integral,  # noqa: F401 -- wrapped by name in perfbench/tracer.py
@@ -245,18 +248,29 @@ def _require_blowup_radius(grid: GridSpec, r: float) -> None:
         raise ResolutionError(f"blow-up radius {r} < {BLOWUP_RADIUS_FACTOR:g}h = {floor}")
 
 
-def rescale_blowup(field: ScalarField, centers, r: float) -> np.ndarray:
-    """u_{x0,r}(x) = u(x0 + r x) / r^2 at the :func:`unit_ball_nodes`, one
-    row per centre x0 of the ``(m, dimension)`` ``centers``. Rows are filled
-    one centre at a time, so only one row's sample positions are held."""
+def _blowup_sampler(field: ScalarField, centers, r: float):
+    """:func:`rescale_blowup` as a function of a block of the centres (a
+    slice or an index array): the rule is built here, once."""
     grid = field.grid
     _require_blowup_radius(grid, r)
     centers = require_balls_in_box(grid, centers, float(r))
-    pts = unit_ball_nodes(grid.dimension)
-    out = np.empty((len(centers), len(pts)))
-    for row, x0 in zip(out, centers):
-        np.divide(interpolate_many(field, x0 + r * pts), r * r, out=row)
-    return out
+    sample = multilinear_sampler(field, centers, unit_ball_nodes(grid.dimension) * (r / grid.h))
+
+    def blowups(block) -> np.ndarray:
+        values = sample(block)
+        values /= r * r
+        return values
+
+    return blowups
+
+
+def rescale_blowup(field: ScalarField, centers, r: float) -> np.ndarray:
+    """u_{x0,r}(x) = u(x0 + r x) / r^2 at the :func:`unit_ball_nodes`, one
+    row per centre x0 of the ``(m, dimension)`` ``centers``, through one
+    :func:`grid.multilinear_sampler` rule per centre offset from its node:
+    shifting the field and the centres by whole nodes keeps every bit, and
+    on power-of-two spacings the values are :func:`interpolate_many`'s."""
+    return _blowup_sampler(field, centers, r)(slice(None))
 
 
 @dataclass(frozen=True)
@@ -337,15 +351,32 @@ def _half_space_misfits(points: np.ndarray, values: np.ndarray, directions: np.n
     return _row_norms(d)
 
 
-def _fit_regular(dimension: int, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+class _FitArrays(NamedTuple):
+    """The :func:`unit_ball_nodes` x, the quadratic design and (3D) the
+    products x x^T, one row of 9 per node: built once per classify call,
+    not cached (cached, the 3D design raised peak RSS by 2 MB)."""
+
+    points: np.ndarray
+    design: np.ndarray
+    pairs: np.ndarray | None
+
+
+def _fit_arrays(dimension: int) -> _FitArrays:
+    points, pairs = unit_ball_nodes(dimension), None
+    if dimension == 3:
+        pairs = np.einsum("mi,mj->mij", points, points).reshape(len(points), 9)
+    return _FitArrays(points, _quadratic_design(dimension), pairs)
+
+
+def _fit_regular(arrays: _FitArrays, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares directions of the half-space model for a ``(B, m)``
     block of blow-ups, with their residuals, in lockstep over the block. 1D:
     the better of +-1. 2D: the best of ``DIRECTION_STARTS`` directions, its
     azimuth refined by golden section (the pinned 2D directions carry its
     rounding). 3D: :func:`_newton_directions`, from a closed-form start."""
+    points, dimension = arrays.points, arrays.points.shape[1]
     if dimension == 3:
-        return _newton_directions(values)
-    points = unit_ball_nodes(dimension)
+        return _newton_directions(arrays, values)
     azimuths = 2.0 * np.pi * np.arange(DIRECTION_STARTS) / DIRECTION_STARTS
     candidates = np.array([[1.0], [-1.0]]) if dimension == 1 else _angles_to_units(azimuths)
     scores = np.stack(
@@ -366,7 +397,7 @@ def _fit_regular(dimension: int, values: np.ndarray) -> tuple[np.ndarray, np.nda
     return directions, _half_space_misfits(points, values, directions)
 
 
-def _newton_directions(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _newton_directions(arrays: _FitArrays, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The 3D half-space fit: min (1/2)||r||^2 over unit e, r = V - (1/2)[(e.x)_+]^2
     at the unit-ball nodes x. It starts from e = normalize(V @ x), the normal
     of a half-space profile (the first axis where that vanishes), takes
@@ -375,8 +406,7 @@ def _newton_directions(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     r 1{e.x > 0}) x x^T) P - (e.g) P, P = I - e e^T, or Gauss-Newton's
     P (sum (e.x)_+^2 x x^T) P where that is not positive definite. Products
     are stacked row by row, so the block does not change a row."""
-    points = unit_ball_nodes(3)
-    pairs = np.einsum("mi,mj->mij", points, points).reshape(len(points), 9)
+    points, pairs = arrays.points, arrays.pairs
     moment = np.matmul(values[:, None, :], points)[:, 0]
     norm = _row_norms(moment)[:, None]
     e = np.divide(moment, norm, out=np.eye(3)[np.zeros(len(values), dtype=int)], where=norm > 0)
@@ -414,20 +444,19 @@ def _quadratic_design(dimension: int) -> np.ndarray:
 @functools.lru_cache(maxsize=3)
 def _gram_factor(dimension: int) -> np.ndarray:
     """The lower Cholesky factor, read-only, of the Gram matrix of
-    :func:`_quadratic_design`; one per dimension. The design itself is
-    rebuilt for each block: cached, its 17,077 x 6 array in 3D raised the
-    peak RSS of a 3D run by about 2 MB."""
+    :func:`_quadratic_design`; one per dimension, cached for the process.
+    The design itself is not (see :class:`_FitArrays`)."""
     design = _quadratic_design(dimension)
     factor = np.linalg.cholesky(design.T @ design)
     factor.setflags(write=False)
     return factor
 
 
-def _quadratic_coefficients(dimension: int, values: np.ndarray) -> np.ndarray:
+def _quadratic_coefficients(arrays: _FitArrays, values: np.ndarray) -> np.ndarray:
     """Least-squares coefficients of :func:`_quadratic_design` for each row
     of a ``(B, m)`` block of blow-ups: the normal equations, solved on the
     cached :func:`_gram_factor` with one step of iterative refinement."""
-    design, factor = _quadratic_design(dimension), _gram_factor(dimension)
+    design, factor = arrays.design, _gram_factor(arrays.points.shape[1])
 
     def solve(rows: np.ndarray) -> np.ndarray:
         # stacked products and solves run row by row, so a row's arithmetic
@@ -440,22 +469,35 @@ def _quadratic_coefficients(dimension: int, values: np.ndarray) -> np.ndarray:
     return coefs
 
 
-def _fit_singular(dimension: int, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _quadratic_models(points: np.ndarray, matrices: np.ndarray) -> np.ndarray:
+    """(1/2)<Ax, x> at the ``(m, n)`` points x for each of a ``(B, n, n)``
+    stack of matrices A: A_ij x_i x_j summed over (i, j) in ``np.ndindex``
+    order in one buffer, on contiguous columns of x, which equals
+    ``0.5 * np.einsum("mi,bij,mj->bm", x, A, x)`` bit for bit, faster."""
+    columns, shape = np.ascontiguousarray(points.T), (len(matrices), len(points))
+    models, term = np.zeros(shape), np.empty(shape)
+    for i, j in np.ndindex(len(columns), len(columns)):
+        np.multiply(columns[i], matrices[:, i, j, None], out=term)
+        models += np.multiply(term, columns[j], out=term)
+    models *= 0.5
+    return models
+
+
+def _fit_singular(arrays: _FitArrays, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Linear least squares for the symmetric matrix of (1/2)<Ax, x> on a
     ``(B, m)`` block of blow-ups, projected onto the unit-trace PSD cone by
     :func:`project_to_blowup_cone`: a ``(B, n, n)`` stack of matrices and
     ``(B,)`` residuals measured after projection, both NaN in a row whose
     fit has no positive eigenvalue. Each step is one stacked call that
     works matrix by matrix, so a row's result does not depend on the block."""
-    points = unit_ball_nodes(dimension)
-    coefs = _quadratic_coefficients(dimension, values)
+    dimension = arrays.points.shape[1]
+    coefs = _quadratic_coefficients(arrays, values)
     matrices = np.zeros((len(values), dimension, dimension))
     diagonal, (a, b) = np.arange(dimension), np.triu_indices(dimension, 1)
     matrices[:, diagonal, diagonal] = coefs[:, :dimension]
     matrices[:, a, b] = matrices[:, b, a] = coefs[:, dimension:]
     matrices = project_to_blowup_cone(matrices)
-    misfits = np.einsum("mi,bij,mj->bm", points, matrices, points)
-    misfits *= 0.5
+    misfits = _quadratic_models(arrays.points, matrices)
     return matrices, _row_norms(np.subtract(values, misfits, out=misfits))
 
 
@@ -502,17 +544,22 @@ def _classify(field: ScalarField, x0s, config: ClassifierConfig) -> list[Classif
         return [_undetermined(x0, None, None, f"blow-up unavailable: {exc}") for x0 in points]
     available = ~_outside_box(grid, centers, float(r))
     centers = centers[available]
-    weiss = WeissEvaluator(field, config.angular_samples)  # before the blocks: lower peak RSS
+    # W first, so that its fields are freed and its cached rules lie below
+    # the arrays that the blocks use; then the fits' arrays and the blow-up
+    # rule, once per call. This order gave the lowest peak RSS.
+    weiss = WeissEvaluator(field, config.angular_samples).at(centers, r)
+    arrays = _fit_arrays(n)
+    blowups = _blowup_sampler(field, centers, r)
     scales, reg_residuals, sing_residuals = np.empty((3, len(centers)))
     directions, matrices = np.empty((len(centers), n)), np.empty((len(centers), n, n))
     block = max(1, BLOCK_SAMPLES // len(unit_ball_nodes(n)))
     for start in range(0, len(centers), block):
         rows = slice(start, start + block)
-        values = rescale_blowup(field, centers[rows], r)
+        values = blowups(rows)
         scales[rows] = _row_norms(values)
-        directions[rows], reg_residuals[rows] = _fit_regular(n, values)
-        matrices[rows], sing_residuals[rows] = _fit_singular(n, values)
-    fits = zip(scales, weiss.at(centers, r), directions, reg_residuals, matrices, sing_residuals)
+        directions[rows], reg_residuals[rows] = _fit_regular(arrays, values)
+        matrices[rows], sing_residuals[rows] = _fit_singular(arrays, values)
+    fits = zip(scales, weiss, directions, reg_residuals, matrices, sing_residuals)
     return [
         _verdict(x0, r, config, *next(fits))
         if ok

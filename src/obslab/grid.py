@@ -356,6 +356,59 @@ def _rule(kind: str, h: float, r: float, offset: tuple[float, ...], samples: int
     return rule
 
 
+def _centre_offsets(grid: GridSpec, centers: np.ndarray):
+    """Each centre's nearest node, the distinct offsets from it in spacings
+    (0 within ``NODE_SNAP``), and each centre's index among the offsets."""
+    t = (centers - grid.lower) / grid.h
+    node = np.round(t).astype(int)
+    offset = np.where(np.abs(t - node) < NODE_SNAP, 0.0, t - node)
+    groups, group = np.unique(offset, axis=0, return_inverse=True)
+    return node, groups, group.ravel()
+
+
+def multilinear_sampler(field: ScalarField, centers, steps: np.ndarray):
+    """A function of a block of the ``(m, dimension)`` centres (a slice or
+    an index array) giving, one row per centre, the field interpolated at
+    the centre plus h times each of the ``(s, dimension)`` steps. The rule
+    of a centre offset (as :func:`gather` groups them) keeps each sample's
+    nonzero :func:`_corners`, in order, grouped by the axes with a nonzero
+    fraction, for one gather per corner slot; positions within ``NODE_SNAP``
+    of a grid line are on it. A sum starts at +0.0, which a dropped term 0 v
+    never changes, so exact positions give :func:`interpolate_many`'s bits."""
+    grid, n = field.grid, field.grid.dimension
+    node, groups, group = _centre_offsets(grid, np.asarray(centers, dtype=float))
+    values, strides = field.values.ravel(), np.array(field.values.strides) // field.values.itemsize
+    axes = [np.unique(s, return_inverse=True) for s in np.asarray(steps, dtype=float).T]
+    size, bases, rules = len(axes[0][1]), node @ strides, []  # rules: one per offset and pattern
+    for g, o in enumerate(groups):
+        t = np.stack([(o_a + at)[k] for o_a, (at, k) in zip(o, axes)], axis=1)
+        t = np.where(np.abs(t - np.round(t)) < NODE_SNAP, np.round(t), t)
+        low, rows = np.floor(t).astype(int), node[group == g]
+        frac, moving = t - low, t != low
+        reach = rows.min(0) + low.min(0), rows.max(0) + (low + moving).max(0)
+        if (reach[0] < 0).any() or (reach[1] >= grid.shape).any():
+            raise GridError("a multilinear corner falls off the grid")
+        pattern = moving @ (1 << np.arange(n))
+        for p in np.flatnonzero(np.bincount(pattern)):  # np.unique here raised peak RSS
+            columns, active = np.flatnonzero(pattern == p), np.flatnonzero(p >> np.arange(n) & 1)
+            corners = _corners(frac[columns][:, active], np.ones(len(columns)))
+            at = np.array([low[columns] @ strides + bits @ strides[active] for bits, _ in corners])
+            rules.append((g, columns, at.astype(np.int32), np.array([w for _, w in corners])))
+
+    def sample(block) -> np.ndarray:
+        block = np.arange(len(bases))[block]
+        out = np.empty((len(block), size))
+        for g, columns, at, weights in rules:
+            mine = np.flatnonzero(group[block] == g)[:, None]
+            base, total = bases[block[mine]], np.zeros((len(mine), len(columns)))
+            for corner, weight in zip(at, weights):
+                total += weight * values[base + corner]
+            out[mine, columns] = total
+        return out
+
+    return sample
+
+
 def gather(
     field: ScalarField, centers, r: float, kind: str, angular_samples: int = DEFAULT_ANGULAR_SAMPLES
 ):
@@ -372,14 +425,11 @@ def gather(
     h, shape = grid.h, np.array(grid.shape)
     if r < MIN_RULE_RADIUS_FACTOR * h:
         raise ResolutionError(f"radius {r} < {MIN_RULE_RADIUS_FACTOR:g}h: quadrature unreliable")
-    t = (centers - grid.lower) / h
-    node = np.round(t).astype(int)
-    offset = np.where(np.abs(t - node) < NODE_SNAP, 0.0, t - node)
+    node, groups, group = _centre_offsets(grid, centers)
     samples = angular_samples if kind == "sphere" else 0
     values, strides = field.values.ravel(), np.array(field.values.strides) // field.values.itemsize
-    groups, group = np.unique(offset, axis=0, return_inverse=True)
     for g, o in enumerate(groups):
-        rows = np.flatnonzero(group.ravel() == g)
+        rows = np.flatnonzero(group == g)
         rule = _rule(kind, h, float(r), tuple(o.tolist()), samples)
         lo, hi = node[rows] + rule.nodes.min(axis=0), node[rows] + rule.nodes.max(axis=0)
         if (lo < 0).any() or (hi >= shape).any():

@@ -34,9 +34,12 @@ from obslab.freeboundary import (
 from obslab.grid import (
     BallSpec,
     GridError,
+    GridSpec,
     ResolutionError,
     ScalarField,
     centered_box,
+    interpolate_many,
+    multilinear_sampler,
     sphere_integral,
 )
 from obslab.solver import SolverConfig, normalized_problem, solve
@@ -266,6 +269,121 @@ class TestRescaleBlowup:
             rescale_blowup(field, [(0.0, 0.0)], 4.0 * grid.h)
 
 
+def reference_rescale_blowup(field, centers, r):
+    """The per-centre sampling that the multilinear rule replaced: each row
+    interpolated on its own at x0 + r x, then divided by r^2."""
+    pts = unit_ball_nodes(field.grid.dimension)
+    out = np.empty((len(centers), len(pts)))
+    for row, x0 in zip(out, np.asarray(centers, dtype=float)):
+        np.divide(interpolate_many(field, x0 + r * pts), r * r, out=row)
+    return out
+
+
+def blowup_centres(grid, factor, rng, count, offsets):
+    """``count`` centres whose balls of radius ``factor * h`` lie in the box:
+    nodes plus one of ``offsets`` (in spacings) per axis, led by the two
+    centres whose balls touch the lower and the upper faces."""
+    n, lower, r = grid.dimension, np.array(grid.lower), factor * grid.h
+    low, high = int(np.ceil(factor + 0.5)), grid.shape[0] - 1 - int(np.ceil(factor + 0.5))
+    nodes = rng.integers(low, high + 1, size=(count - 2, n))
+    steps = rng.choice(offsets, size=(count - 2, n))
+    inner = lower + grid.h * (nodes + steps)
+    return np.vstack([lower + r, np.array(grid.upper) - r, inner])
+
+
+def blowup_field(grid, rng):
+    """Random values with exact and negative zeros among them."""
+    values = rng.standard_normal(grid.shape)
+    values[values > 1.5] = -0.0
+    values[values < -1.5] = 0.0
+    return ScalarField(grid, values)
+
+
+# spacings 2^-4 and 2^-5, on a centred and an off-centre box: every sample
+# position is exact, so the rule must give the per-centre values bit for bit
+DYADIC_GRIDS = [
+    GridSpec((lo,) * n, (lo + (m - 1) * h,) * n, (m,) * n)
+    for n in (1, 2, 3)
+    for lo, h, m in ((-1.0, 2.0**-4, 33), (-0.6875, 2.0**-5, 41))
+]
+# 15, 29, 57 and 61 nodes: spacings that are not powers of two
+ROUNDED_GRIDS = [
+    GridSpec((lo,) * n, (lo + (m - 1) * h,) * n, (m,) * n)
+    for n in (1, 2, 3)
+    for lo, h, m in ((-1.0, 2.0 / 14.0, 15), (-1.0, 2.0 / 28.0, 29), (0.3, 0.1, 57), (-2.7, 0.37, 61))
+]
+
+
+class TestBlowupRule:
+    @pytest.mark.parametrize("grid", DYADIC_GRIDS, ids=lambda g: f"{g.dimension}d-{g.shape[0]}")
+    @pytest.mark.parametrize("factor", [8.0, 5.0, 12.5])
+    def test_matches_per_centre_sampling_bit_for_bit(self, grid, factor):
+        # node and off-node centres (fractions other than 0 and 1/2 at 5h
+        # and 12.5h), blocks of 1, 3 and 82 centres and one out of order
+        rng = np.random.default_rng(int(factor * 10) + grid.dimension)
+        field, r = blowup_field(grid, rng), factor * grid.h
+        centres = blowup_centres(grid, factor, rng, 82, [0.0, 0.25, -0.375, 0.125])
+        expected = reference_rescale_blowup(field, centres, r)
+        sample = multilinear_sampler(field, centres, unit_ball_nodes(grid.dimension) * factor)
+        for block in (slice(0, 1), slice(1, 4), slice(None), np.array([81, 0, 40])):
+            assert (sample(block) / (r * r)).tobytes() == expected[block].tobytes()
+        if factor >= analysis.BLOWUP_RADIUS_FACTOR:
+            assert rescale_blowup(field, centres, r).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("grid", ROUNDED_GRIDS, ids=lambda g: f"{g.dimension}d-{g.shape[0]}")
+    def test_matches_per_centre_sampling_to_rounding(self, grid):
+        # the rule computes each sample's position from its centre's node,
+        # so it differs from x0 + r x by rounding only
+        rng = np.random.default_rng(grid.shape[0] + grid.dimension)
+        field = blowup_field(grid, rng)
+        for factor in (5.0, 8.0, 12.5):
+            if 2 * factor + 2 > grid.shape[0] - 1:
+                continue
+            r = factor * grid.h
+            centres = blowup_centres(grid, factor, rng, 12, [0.0, 0.3, -0.45])
+            expected = reference_rescale_blowup(field, centres, r)
+            actual = multilinear_sampler(field, centres, unit_ball_nodes(grid.dimension) * factor)
+            error = np.abs(actual(slice(None)) / (r * r) - expected).max(axis=1)
+            assert (error <= 1e-13 * np.abs(expected).max(axis=1)).all()
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_whole_node_shift_keeps_every_bit(self, n):
+        # the same values around a node give the same blow-up wherever the
+        # node lies; x0 + r x rounds differently at different x0
+        m, shift = 29, np.array([5, 3, 2][:n])
+        grid = GridSpec((-1.0,) * n, (1.0,) * n, (m,) * n)
+        rng = np.random.default_rng(30 + n)
+        wide = rng.standard_normal(tuple(m + shift))
+        near = ScalarField(grid, wide[tuple(slice(0, m) for _ in range(n))])
+        far = ScalarField(grid, wide[tuple(slice(s, s + m) for s in shift)])
+        r = analysis.BLOWUP_RADIUS_FACTOR * grid.h
+        nodes = rng.integers(9, m - 9 - shift.max(), size=(6, n))
+        at_far = grid.lower[0] + grid.h * nodes
+        at_near = grid.lower[0] + grid.h * (nodes + shift)
+        assert rescale_blowup(near, at_near, r).tobytes() == rescale_blowup(far, at_far, r).tobytes()
+
+    def test_corner_off_the_grid_raises(self):
+        grid = centered_box(2, 1.0, 33)
+        field = blowup_field(grid, np.random.default_rng(0))
+        with pytest.raises(GridError):
+            multilinear_sampler(field, [(0.0, 0.0)], unit_ball_nodes(2) * 17.0)
+
+
+class TestQuadraticModels:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("count", [1, 3, 82])
+    def test_equal_to_einsum_bit_for_bit(self, n, count):
+        # a row of NaN stands for a fit without a positive eigenvalue
+        rng = np.random.default_rng(10 * n + count)
+        points = unit_ball_nodes(n)
+        matrices = rng.standard_normal((count, n, n))
+        matrices = matrices + matrices.mT
+        matrices[count // 2] = np.nan
+        expected = np.einsum("mi,bij,mj->bm", points, matrices, points)
+        expected *= 0.5
+        assert analysis._quadratic_models(points, matrices).tobytes() == expected.tobytes()
+
+
 class TestClassifyPoint:
     def test_halfspace_directions(self):
         grid = centered_box(2, 1.0, 129)
@@ -317,10 +435,10 @@ class TestClassifyPoint:
         values = np.stack(rows)
         design = analysis._quadratic_design(n)
         reference = np.stack([np.linalg.lstsq(design, v, rcond=None)[0] for v in values])
-        coefs = analysis._quadratic_coefficients(n, values)
+        coefs = analysis._quadratic_coefficients(analysis._fit_arrays(n), values)
         assert_allclose(coefs, reference, rtol=1e-12, atol=1e-15)
         upper = np.triu_indices(n, 1)
-        matrices, residuals = analysis._fit_singular(n, values)
+        matrices, residuals = analysis._fit_singular(analysis._fit_arrays(n), values)
         forms = map(QuadraticForm, matrices)
         for v, coef, form, residual in zip(values, reference, forms, residuals):
             matrix = np.diag(coef[:n])
@@ -344,10 +462,10 @@ class TestClassifyPoint:
             rows.append(form.evaluate(points) + 1e-3 * rng.standard_normal(len(points)))
         rows.insert(2, np.full(len(points), -0.3))
         values = np.stack(rows)
-        matrices, residuals = analysis._fit_singular(n, values)
+        matrices, residuals = analysis._fit_singular(analysis._fit_arrays(n), values)
         assert matrices.shape == (len(values), n, n) and residuals.shape == (len(values),)
         for k in range(len(values)):
-            matrix, residual = analysis._fit_singular(n, values[k : k + 1])
+            matrix, residual = analysis._fit_singular(analysis._fit_arrays(n), values[k : k + 1])
             assert matrix.tobytes() == matrices[k].tobytes()
             assert residual.tobytes() == residuals[k].tobytes()
         assert np.isnan(matrices[2]).all() and np.isnan(residuals[2])
@@ -417,7 +535,7 @@ class TestHalfSpaceFit3D:
     def test_tangential_gradient_vanishes(self, halfspace_blowups_3d):
         # the gradient of (1/2)||V - (1/2)[(e.x)_+]^2||^2 on the sphere
         values, points = halfspace_blowups_3d, unit_ball_nodes(3)
-        directions, residuals = analysis._fit_regular(3, values)
+        directions, residuals = analysis._fit_regular(analysis._fit_arrays(3), values)
         for v, e, residual in zip(values, directions, residuals):
             assert np.linalg.norm(e) == pytest.approx(1.0, abs=1e-14)
             p = np.maximum(points @ e, 0.0)
@@ -428,7 +546,7 @@ class TestHalfSpaceFit3D:
 
     def test_no_random_direction_fits_better(self, halfspace_blowups_3d):
         values, points = halfspace_blowups_3d, unit_ball_nodes(3)
-        _, residuals = analysis._fit_regular(3, values)
+        _, residuals = analysis._fit_regular(analysis._fit_arrays(3), values)
         trials = np.random.default_rng(500).standard_normal((500, 3))
         trials /= np.linalg.norm(trials, axis=1, keepdims=True)
         for v, residual in zip(values, residuals):
@@ -451,7 +569,7 @@ class TestHalfSpaceFit3D:
         values, fits = np.stack(rows), []
         for steps in range(analysis.NEWTON_STEPS + 1):
             monkeypatch.setattr(analysis, "NEWTON_STEPS", steps)
-            fits.append(analysis._fit_regular(3, values))
+            fits.append(analysis._fit_regular(analysis._fit_arrays(3), values))
         for (_, before), (_, after) in zip(fits, fits[1:]):
             assert (after <= before).all()
         directions, residuals = fits[-1]
@@ -461,9 +579,9 @@ class TestHalfSpaceFit3D:
 
     def test_stacked_fit_equals_row_by_row(self, halfspace_blowups_3d):
         values = np.vstack([halfspace_blowups_3d, np.zeros(halfspace_blowups_3d.shape[1])])
-        directions, residuals = analysis._fit_regular(3, values)
+        directions, residuals = analysis._fit_regular(analysis._fit_arrays(3), values)
         for k in range(len(values)):
-            direction, residual = analysis._fit_regular(3, values[k : k + 1])
+            direction, residual = analysis._fit_regular(analysis._fit_arrays(3), values[k : k + 1])
             assert direction.tobytes() == directions[k].tobytes()
             assert residual.tobytes() == residuals[k].tobytes()
 
@@ -480,7 +598,7 @@ class TestHalfSpaceFit3D:
         assert not moment[1].any()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            directions, residuals = analysis._fit_regular(3, values)
+            directions, residuals = analysis._fit_regular(analysis._fit_arrays(3), values)
         assert np.isfinite(directions).all() and np.isfinite(residuals).all()
         assert_allclose(np.linalg.norm(directions, axis=1), 1.0, rtol=0.0, atol=1e-14)
 

@@ -14,12 +14,15 @@ Prints one line per differing or one-sided file and a summary line; exits 0
 if every file is byte-identical, 1 otherwise. For a ``report.json`` on both
 sides that differs, a second line names the first key path at which the
 two parsed reports differ and the largest relative difference between
-numbers at the same path.
+numbers at the same path. For a CSV file on both sides that differs, it
+names the first differing row and column and the largest relative
+difference between numeric cells at the same row and column.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import filecmp
 import json
 import os
@@ -73,11 +76,42 @@ def report_difference(base: Path, change: Path) -> str:
             first = path or "(top level)"
         numbers = [type(v) in (int, float) for v in (a, b)]
         if all(numbers) and a != b:
-            largest = max(largest, abs(a - b) / max(abs(a), abs(b)))
+            largest = max(largest, relative(a, b))
 
     walk(json.loads(base.read_text()), json.loads(change.read_text()), "")
     if first is None:
         return "  the parsed reports are equal; only their bytes differ"
+    return f"  first difference at {first}; largest relative number difference {largest:.3e}"
+
+
+def relative(a: float, b: float) -> float:
+    return abs(a - b) / max(abs(a), abs(b)) if a != b else 0.0
+
+
+def csv_difference(base: Path, change: Path) -> str:
+    """The first row (1 is the header) and column at which two CSV files
+    differ, and the largest relative difference ``|a - b| / max(|a|, |b|)``
+    between cells at the same row and column that both parse as numbers."""
+    with base.open(newline="") as fa, change.open(newline="") as fb:
+        a, b = list(csv.reader(fa)), list(csv.reader(fb))
+    first, largest = None, 0.0
+    for row, (ra, rb) in enumerate(zip(a, b), start=1):
+        for column, (x, y) in enumerate(zip(ra, rb)):
+            if x == y:
+                continue
+            if first is None:
+                name = a[0][column] if column < len(a[0]) else str(column)
+                first = f"row {row} column {name!r} ({x!r} vs {y!r})"
+            try:
+                largest = max(largest, relative(float(x), float(y)))
+            except ValueError:
+                pass
+        if len(ra) != len(rb) and first is None:
+            first = f"row {row} (length {len(ra)} vs {len(rb)})"
+    if len(a) != len(b) and first is None:
+        first = f"row count {len(a)} vs {len(b)}"
+    if first is None:
+        return "  the parsed rows are equal; only their bytes differ"
     return f"  first difference at {first}; largest relative number difference {largest:.3e}"
 
 
@@ -108,8 +142,11 @@ def main(argv=None) -> int:
         ]
         for name in differ:
             print(f"differs: {name}")
-            if name.name == "report.json" and (base / name).is_file() and (change / name).is_file():
+            both = (base / name).is_file() and (change / name).is_file()
+            if both and name.name == "report.json":
                 print(report_difference(base / name, change / name))
+            elif both and name.suffix == ".csv":
+                print(csv_difference(base / name, change / name))
     print(
         f"{len(names) - len(differ)} of {len(names)} output files byte-identical "
         f"({len(configs)} workloads x seeds {', '.join(map(str, SEEDS))}; base {base_commit[:12]})"
