@@ -17,7 +17,7 @@ diagnostics:
   in array passes: one availability test and one W call for all points,
   then blocks of stacked blow-ups, sampled by a rule built once per call,
   whose half-space directions are fitted in lockstep and whose quadratic
-  fits share one design, one cached factorization of it and one stacked
+  fits share one design, one factorization of it per call and one stacked
   projection onto the cone. Each point's arithmetic is its own, so the
   blocks do not change results;
 * a log-log slope estimator for the decay exponent of the sphere norms of
@@ -39,6 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import grid as grid_module
 from .freeboundary import FreeBoundarySet
 from .fixtures import DEFAULT_EIGEN_TOL, QuadraticForm, polynomial, project_to_blowup_cone
 from .grid import (
@@ -79,12 +80,6 @@ GOLDEN_ITERATIONS = 40
 NEWTON_STEPS = 6
 RANDOM_PROBES = 2
 DEGENERACY_FLOOR_FACTOR = 100.0
-
-# Blow-up samples per stacked (points x unit-ball nodes) block that the
-# classifier fits at once: 82 points in 2D, 3 in 3D. Smaller blocks pay the
-# lockstep search's Python overhead for fewer points; larger ones spill out
-# of cache and slow every elementwise step.
-BLOCK_SAMPLES = 2**16
 
 NONDECREASING = "nondecreasing"
 VIOLATED = "violated"
@@ -188,16 +183,14 @@ def _sphere_integrals(field: ScalarField, points, forms, r: float, samples: int)
     (points, forms) array. ``forms`` is a (1, forms, n, n) stack of
     matrices that every point shares, or a (points, forms, n, n) one. The
     sphere rule's nodes are gathered once for all points and forms, and
-    ``(u - p)^2`` is formed at them, p summed over their offsets y from x as
-    (1/2) sum_ab A_ab y_a y_b in (a, b) order."""
-    n = field.grid.dimension
+    ``(u - p)^2`` is formed at them, p by :func:`_quadratic_models` at their
+    offsets from x."""
     out = np.empty((len(points), forms.shape[1]))
     for rows, u, rule in gather(field, points, r, "sphere", samples):
         y = rule.offsets()
         block = forms if len(forms) == 1 else forms[rows]
         for q in range(forms.shape[1]):
-            a = block[:, q]
-            w = u - 0.5 * sum(a[:, i, j, None] * y[:, i] * y[:, j] for i, j in np.ndindex(n, n))
+            w = u - _quadratic_models(y, block[:, q])
             out[rows, q] = np.vecdot(np.square(w, out=w), rule.weights)
     return out
 
@@ -248,29 +241,19 @@ def _require_blowup_radius(grid: GridSpec, r: float) -> None:
         raise ResolutionError(f"blow-up radius {r} < {BLOWUP_RADIUS_FACTOR:g}h = {floor}")
 
 
-def _blowup_sampler(field: ScalarField, centers, r: float):
-    """:func:`rescale_blowup` as a function of a block of the centres (a
-    slice or an index array): the rule is built here, once."""
-    grid = field.grid
-    _require_blowup_radius(grid, r)
-    centers = require_balls_in_box(grid, centers, float(r))
-    sample = multilinear_sampler(field, centers, unit_ball_nodes(grid.dimension) * (r / grid.h))
-
-    def blowups(block) -> np.ndarray:
-        values = sample(block)
-        values /= r * r
-        return values
-
-    return blowups
-
-
 def rescale_blowup(field: ScalarField, centers, r: float) -> np.ndarray:
     """u_{x0,r}(x) = u(x0 + r x) / r^2 at the :func:`unit_ball_nodes`, one
     row per centre x0 of the ``(m, dimension)`` ``centers``, through one
     :func:`grid.multilinear_sampler` rule per centre offset from its node:
     shifting the field and the centres by whole nodes keeps every bit, and
     on power-of-two spacings the values are :func:`interpolate_many`'s."""
-    return _blowup_sampler(field, centers, r)(slice(None))
+    grid = field.grid
+    _require_blowup_radius(grid, r)
+    centers = require_balls_in_box(grid, centers, float(r))
+    steps = unit_ball_nodes(grid.dimension) * (r / grid.h)
+    values = multilinear_sampler(field, centers, steps)(slice(None))
+    values /= r * r
+    return values
 
 
 @dataclass(frozen=True)
@@ -352,20 +335,25 @@ def _half_space_misfits(points: np.ndarray, values: np.ndarray, directions: np.n
 
 
 class _FitArrays(NamedTuple):
-    """The :func:`unit_ball_nodes` x, the quadratic design and (3D) the
-    products x x^T, one row of 9 per node: built once per classify call,
-    not cached (cached, the 3D design raised peak RSS by 2 MB)."""
+    """The :func:`unit_ball_nodes` x, (3D) the products x x^T, one row of 9
+    per node, the design of (1/2)<Ax, x> at x, one column per entry of A on
+    and above the diagonal, and the lower Cholesky factor of its Gram
+    matrix: built once per classify call, in this order, and not cached (in
+    3D, a cached design or the design first raised peak RSS by 2-3 MB)."""
 
     points: np.ndarray
-    design: np.ndarray
     pairs: np.ndarray | None
+    design: np.ndarray
+    factor: np.ndarray
 
 
 def _fit_arrays(dimension: int) -> _FitArrays:
     points, pairs = unit_ball_nodes(dimension), None
     if dimension == 3:
         pairs = np.einsum("mi,mj->mij", points, points).reshape(len(points), 9)
-    return _FitArrays(points, _quadratic_design(dimension), pairs)
+    a, b = np.triu_indices(dimension, 1)
+    design = np.hstack([0.5 * points**2, points[:, a] * points[:, b]])
+    return _FitArrays(points, pairs, design, np.linalg.cholesky(design.T @ design))
 
 
 def _fit_regular(arrays: _FitArrays, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -433,30 +421,11 @@ def _newton_directions(arrays: _FitArrays, values: np.ndarray) -> tuple[np.ndarr
         e /= _row_norms(e)[:, None]
 
 
-def _quadratic_design(dimension: int) -> np.ndarray:
-    """The design of (1/2)<Ax, x> at the :func:`unit_ball_nodes`: one
-    column per entry of A on and above the diagonal."""
-    points = unit_ball_nodes(dimension)
-    a, b = np.triu_indices(dimension, 1)
-    return np.hstack([0.5 * points**2, points[:, a] * points[:, b]])
-
-
-@functools.lru_cache(maxsize=3)
-def _gram_factor(dimension: int) -> np.ndarray:
-    """The lower Cholesky factor, read-only, of the Gram matrix of
-    :func:`_quadratic_design`; one per dimension, cached for the process.
-    The design itself is not (see :class:`_FitArrays`)."""
-    design = _quadratic_design(dimension)
-    factor = np.linalg.cholesky(design.T @ design)
-    factor.setflags(write=False)
-    return factor
-
-
 def _quadratic_coefficients(arrays: _FitArrays, values: np.ndarray) -> np.ndarray:
-    """Least-squares coefficients of :func:`_quadratic_design` for each row
-    of a ``(B, m)`` block of blow-ups: the normal equations, solved on the
-    cached :func:`_gram_factor` with one step of iterative refinement."""
-    design, factor = arrays.design, _gram_factor(arrays.points.shape[1])
+    """Least-squares coefficients of the quadratic design in ``arrays`` for
+    each row of a ``(B, m)`` block of blow-ups: the normal equations, solved
+    on its Cholesky factor with one step of iterative refinement."""
+    design, factor = arrays.design, arrays.factor
 
     def solve(rows: np.ndarray) -> np.ndarray:
         # stacked products and solves run row by row, so a row's arithmetic
@@ -530,10 +499,11 @@ def stratify(
 
 def _classify(field: ScalarField, x0s, config: ClassifierConfig) -> list[Classification]:
     """Classifications of the points ``x0s`` in array passes: the blow-up's
-    availability at every point in one test, the available points' blow-ups
-    fitted in blocks of ``BLOCK_SAMPLES`` samples, and W at all of them in
-    one call. Each point's arithmetic is its own, so the blocks do not
-    change a result."""
+    availability at every point in one test, W at the available points in
+    one call, and their blow-ups sampled and fitted in blocks of at most
+    ``grid.GATHER_BYTES`` of values (82 points in 2D, 3 in 3D; larger blocks
+    spill out of cache). Each point's arithmetic is its own, so the blocks
+    do not change a result."""
     grid, n = field.grid, field.grid.dimension
     r = BLOWUP_RADIUS_FACTOR * grid.h if config.blowup_radius is None else config.blowup_radius
     centers = np.asarray(x0s, dtype=float).reshape(len(x0s), n)
@@ -549,13 +519,14 @@ def _classify(field: ScalarField, x0s, config: ClassifierConfig) -> list[Classif
     # rule, once per call. This order gave the lowest peak RSS.
     weiss = WeissEvaluator(field, config.angular_samples).at(centers, r)
     arrays = _fit_arrays(n)
-    blowups = _blowup_sampler(field, centers, r)
+    sample = multilinear_sampler(field, centers, arrays.points * (r / grid.h))
     scales, reg_residuals, sing_residuals = np.empty((3, len(centers)))
     directions, matrices = np.empty((len(centers), n)), np.empty((len(centers), n, n))
-    block = max(1, BLOCK_SAMPLES // len(unit_ball_nodes(n)))
+    block = max(1, grid_module.GATHER_BYTES // (8 * len(arrays.points)))
     for start in range(0, len(centers), block):
         rows = slice(start, start + block)
-        values = blowups(rows)
+        values = sample(rows)
+        values /= r * r
         scales[rows] = _row_norms(values)
         directions[rows], reg_residuals[rows] = _fit_regular(arrays, values)
         matrices[rows], sing_residuals[rows] = _fit_singular(arrays, values)

@@ -82,8 +82,8 @@ class GrowthReport:
 
 def extract_contact_set(field: ScalarField, kappa: float = DEFAULT_KAPPA) -> ContactSet:
     """Mask of nodes where the field is below kappa * h^2."""
-    if kappa <= 0.0:
-        raise GridError(f"kappa must be positive, got {kappa}")
+    if not 0.0 < kappa < np.inf:
+        raise GridError(f"kappa must satisfy 0 < kappa < inf, got {kappa}")
     eps = kappa * field.grid.h**2
     if float(field.values.min()) < -eps:
         raise NotANormalizedSolutionError(

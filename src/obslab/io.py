@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+import os
 import struct
 
 import numpy as np
@@ -48,22 +50,29 @@ def write_field(path, field: ScalarField) -> None:
 
 
 def read_field(path) -> ScalarField:
+    """The field of a :func:`write_field` file. The header's length, and the
+    payload size its node counts imply, must match the file's size."""
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         magic = fh.read(8)
         if magic != MAGIC:
             raise FieldFormatError(f"bad magic {magic!r} in {path}")
+        if size < 12:
+            raise FieldFormatError(f"truncated header in {path}")
         (n,) = struct.unpack("<I", fh.read(4))
         if n not in (1, 2, 3):
             raise FieldFormatError(f"bad dimension {n} in {path}")
+        header = 12 + 20 * n
+        if size < header:
+            raise FieldFormatError(f"truncated header in {path}")
         nodes = struct.unpack(f"<{n}I", fh.read(4 * n))
         lower = struct.unpack(f"<{n}d", fh.read(8 * n))
         upper = struct.unpack(f"<{n}d", fh.read(8 * n))
+        count = math.prod(nodes)
+        if size != header + 8 * count:
+            raise FieldFormatError(f"{path}: {size} bytes, header implies {header + 8 * count}")
         grid = GridSpec(lower=lower, upper=upper, nodes_per_axis=nodes)
-        count = int(np.prod(nodes))
-        raw = fh.read(8 * count)
-        if len(raw) != 8 * count:
-            raise FieldFormatError(f"truncated field file {path}")
-        values = np.frombuffer(raw, dtype="<f8").reshape(grid.shape)
+        values = np.frombuffer(fh.read(8 * count), dtype="<f8").reshape(grid.shape)
     return ScalarField(grid, values)
 
 

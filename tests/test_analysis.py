@@ -6,6 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from obslab import analysis
+from obslab import grid as grid_module
 from obslab.analysis import (
     C3_CALIBRATION_TOL,
     ClassifierConfig,
@@ -235,6 +236,30 @@ class TestSphereSeries:
                 norms = np.sqrt(expected * radii ** (1 - n))
                 assert_allclose(est.sphere_norms, norms, rtol=1e-12, atol=0.0)
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared", "per_point"])
+    def test_equal_to_inline_quadratic_bit_for_bit(self, n, shared):
+        # the reference forms p as the sum of A_ab y_a y_b over (a, b) in
+        # np.ndindex order, from 0, then halves it
+        grid = centered_box(n, 1.0, {1: 129, 2: 65, 3: 33}[n] - 2)
+        rng = np.random.default_rng(20 + n)
+        field = ScalarField(grid, rng.standard_normal(grid.shape))
+        points = rng.uniform(-0.3, 0.3, (5, n))
+        matrices = rng.standard_normal((1, 3, n, n) if shared else (5, 1, n, n))
+        forms = matrices + matrices.swapaxes(-1, -2)
+        r = 5.5 * grid.h
+        expected = np.empty((5, forms.shape[1]))
+        for rows, u, rule in grid_module.gather(field, points, r, "sphere", 24):
+            y = rule.offsets()
+            block = forms if shared else forms[rows]
+            for q in range(forms.shape[1]):
+                a = block[:, q]
+                p = sum(a[:, i, j, None] * y[:, i] * y[:, j] for i, j in np.ndindex(n, n))
+                w = u - 0.5 * p
+                expected[rows, q] = np.vecdot(np.square(w, out=w), rule.weights)
+        values = analysis._sphere_integrals(field, points, forms, r, 24)
+        assert values.tobytes() == expected.tobytes()
+
 
 class TestRescaleBlowup:
     def test_homogeneous_fixture_reproduced(self):
@@ -433,9 +458,9 @@ class TestClassifyPoint:
             rows.append(form.evaluate(points) + 1e-3 * rng.standard_normal(len(points)))
         rows.append(rng.random(len(points)))
         values = np.stack(rows)
-        design = analysis._quadratic_design(n)
-        reference = np.stack([np.linalg.lstsq(design, v, rcond=None)[0] for v in values])
-        coefs = analysis._quadratic_coefficients(analysis._fit_arrays(n), values)
+        arrays = analysis._fit_arrays(n)
+        reference = np.stack([np.linalg.lstsq(arrays.design, v, rcond=None)[0] for v in values])
+        coefs = analysis._quadratic_coefficients(arrays, values)
         assert_allclose(coefs, reference, rtol=1e-12, atol=1e-15)
         upper = np.triu_indices(n, 1)
         matrices, residuals = analysis._fit_singular(analysis._fit_arrays(n), values)
@@ -671,7 +696,7 @@ class TestStratify:
         default, _ = stratify(field, fb)
         assert {c.verdict for c in default} == verdicts
         for budget in (1, 10**9):  # one point a block, then every point in one
-            monkeypatch.setattr(analysis, "BLOCK_SAMPLES", budget)
+            monkeypatch.setattr(grid_module, "GATHER_BYTES", budget)
             assert bits(stratify(field, fb)[0]) == bits(default)
         for k in range(0, len(fb), max(1, len(fb) // 6)):
             assert bits([classify_point(field, fb.points[k])]) == bits([default[k]])

@@ -234,6 +234,30 @@ class TestDiagnoseCommand:
         assert captured.err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "damage", ["short_header", "overflowing_count", "trailing_bytes"]
+    )
+    def test_malformed_solution_file_exit_1(self, tmp_path, capsys, damage):
+        path = tmp_path / "bad.field"
+        write_field(path, ScalarField(centered_box(2, 1.0, 33), np.zeros((33, 33))))
+        data = bytearray(path.read_bytes())
+        if damage == "short_header":
+            data = data[:20]
+        elif damage == "overflowing_count":
+            struct.pack_into("<2I", data, 12, 2**31, 2**31)
+        else:
+            data += b"\x00" * 8
+        path.write_bytes(bytes(data))
+        out = tmp_path / "out"
+        payload = radial_config(out, ["growth"], nodes=33)
+        payload["diagnostics"]["solution_file"] = str(path)
+        assert main(["diagnose", "--config", write_config(tmp_path / "c.json", payload)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert str(path) in captured.err
+        assert captured.err.count("\n") == 1
+        assert not out.exists()
+
     def test_fit_without_positive_eigenvalue_is_undetermined(self, tmp_path):
         # an admissible field (above -kappa h^2 at kappa = 2) whose only
         # non-contact node is the origin: the quadratic fits of the blow-ups

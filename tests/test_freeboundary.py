@@ -9,7 +9,7 @@ from obslab.freeboundary import (
     extract_free_boundary,
     growth_report,
 )
-from obslab.grid import ResolutionError, ScalarField, centered_box, GridSpec
+from obslab.grid import GridError, GridSpec, ResolutionError, ScalarField, centered_box
 
 
 class TestContactSet:
@@ -38,6 +38,13 @@ class TestContactSet:
         values[5, 5] = -1.0
         with pytest.raises(NotANormalizedSolutionError):
             extract_contact_set(ScalarField(grid, values))
+
+    @pytest.mark.parametrize("kappa", [0.0, -1.0, np.nan, np.inf])
+    def test_kappa_outside_positive_reals_rejected(self, kappa):
+        # NaN would mark no node and +inf every node, both without a word
+        grid = centered_box(2, 1.0, 33)
+        with pytest.raises(GridError, match="0 < kappa < inf"):
+            extract_contact_set(radial(0.4).sample(grid), kappa=kappa)
 
     def test_kappa_monotonicity(self):
         grid = centered_box(2, 1.0, 65)

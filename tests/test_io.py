@@ -44,6 +44,36 @@ class TestFieldRoundTrip:
         with pytest.raises(FieldFormatError):
             read_field(path)
 
+    def test_rejects_short_header(self, tmp_path):
+        # cut inside the dimension, the node counts and the upper corner
+        grid = centered_box(2, 1.0, 5)
+        path = tmp_path / "h.field"
+        write_field(path, ScalarField(grid, np.zeros(grid.shape)))
+        data = path.read_bytes()
+        for cut in (10, 12 + 6, 12 + 40 - 1):
+            path.write_bytes(data[:cut])
+            with pytest.raises(FieldFormatError, match="truncated header"):
+                read_field(path)
+
+    @pytest.mark.parametrize("nodes", [2**31, 6], ids=["overflowing", "past_the_file"])
+    def test_rejects_node_count_beyond_the_payload(self, tmp_path, nodes):
+        grid = centered_box(2, 1.0, 5)
+        path = tmp_path / "n.field"
+        write_field(path, ScalarField(grid, np.zeros(grid.shape)))
+        data = bytearray(path.read_bytes())
+        struct.pack_into("<2I", data, 8 + 4, nodes, nodes)
+        path.write_bytes(bytes(data))
+        with pytest.raises(FieldFormatError, match=f"header implies {52 + 8 * nodes * nodes}"):
+            read_field(path)
+
+    def test_rejects_trailing_bytes(self, tmp_path):
+        grid = centered_box(2, 1.0, 5)
+        path = tmp_path / "t.field"
+        write_field(path, ScalarField(grid, np.zeros(grid.shape)))
+        path.write_bytes(path.read_bytes() + b"\x00" * 8)
+        with pytest.raises(FieldFormatError, match="260 bytes, header implies 252"):
+            read_field(path)
+
     def test_rejects_non_finite_box(self, tmp_path):
         grid = centered_box(2, 1.0, 5)
         path = tmp_path / "inf.field"

@@ -12,11 +12,12 @@ written. Every run has ``PYTHONDONTWRITEBYTECODE=1``.
 
 Prints one line per differing or one-sided file and a summary line; exits 0
 if every file is byte-identical, 1 otherwise. For a ``report.json`` on both
-sides that differs, a second line names the first key path at which the
-two parsed reports differ and the largest relative difference between
-numbers at the same path. For a CSV file on both sides that differs, it
-names the first differing row and column and the largest relative
-difference between numeric cells at the same row and column.
+sides that differs, one more line per key path at which the two parsed
+reports differ (list indices collapsed to ``*``) gives how many values differ
+there and the largest relative difference between numbers at that path.
+For a CSV file on both sides that differs, it names the first differing row
+and column and the largest relative difference between numeric cells at the
+same row and column.
 """
 
 from __future__ import annotations
@@ -49,39 +50,45 @@ def files(top: Path) -> set[Path]:
 
 
 def report_difference(base: Path, change: Path) -> str:
-    """The first key path (in the base report's key order) at which two
-    parsed reports differ, and the largest relative difference
-    ``|a - b| / max(|a|, |b|)`` between two numbers at the same path."""
-    first, largest = None, 0.0
+    """Every key path at which two parsed reports differ, with list indices
+    collapsed to ``*``, in the order first met (the base report's key order
+    first). Each path comes with how many values differ at it and the
+    largest relative difference ``|a - b| / max(|a|, |b|)`` between two
+    numbers at it."""
+    paths: dict[str, list] = {}  # path -> [count, largest]
+
+    def note(path: str, largest: float = 0.0) -> None:
+        entry = paths.setdefault(path or "(top level)", [0, 0.0])
+        entry[0] += 1
+        entry[1] = max(entry[1], largest)
 
     def walk(a, b, path: str) -> None:
-        nonlocal first, largest
         if isinstance(a, dict) and isinstance(b, dict):
             for key in [*a, *(k for k in b if k not in a)]:
                 at = f"{path}.{key}" if path else key
                 if key in a and key in b:
                     walk(a[key], b[key], at)
-                elif first is None:
-                    first = at
+                else:
+                    note(f"{at} (in one report only)")
             return
         if isinstance(a, list) and isinstance(b, list):
-            for k, (x, y) in enumerate(zip(a, b)):
-                walk(x, y, f"{path}[{k}]")
-            if len(a) != len(b) and first is None:
-                first = f"{path} (length {len(a)} vs {len(b)})"
+            for x, y in zip(a, b):
+                walk(x, y, f"{path}[*]")
+            if len(a) != len(b):
+                note(f"{path} (lengths differ)")
             return
         if a == b and type(a) is type(b):
             return
-        if first is None:
-            first = path or "(top level)"
-        numbers = [type(v) in (int, float) for v in (a, b)]
-        if all(numbers) and a != b:
-            largest = max(largest, relative(a, b))
+        numbers = all(type(v) in (int, float) for v in (a, b))
+        note(path, relative(a, b) if numbers else 0.0)
 
     walk(json.loads(base.read_text()), json.loads(change.read_text()), "")
-    if first is None:
+    if not paths:
         return "  the parsed reports are equal; only their bytes differ"
-    return f"  first difference at {first}; largest relative number difference {largest:.3e}"
+    return "\n".join(
+        f"  {path}: {count} differ; largest relative number difference {largest:.3e}"
+        for path, (count, largest) in paths.items()
+    )
 
 
 def relative(a: float, b: float) -> float:
