@@ -260,14 +260,15 @@ def _weiss(run: _Run):
 
 def _classify(run: _Run):
     run.classifications, census = analysis.stratify(run.field, run.fb, run.settings)
-    mask, grid, eigen_tol = run.contact.mask, run.field.grid, run.settings.eigen_tol
-    entries, rows = [], []
+    singular = [c for c in run.classifications if c.verdict == analysis.SINGULAR]
+    points, forms = [c.point for c in singular], [c.form for c in singular]
+    radii = [4.0 * c.blowup_radius for c in singular]
+    strips = analysis.contact_strip_halfwidth(
+        run.contact.mask, run.field.grid, points, forms, radii, run.settings.eigen_tol
+    )
+    strips, entries, rows = iter(strips), [], []
     for c in run.classifications:
-        strip = None
-        if c.verdict == analysis.SINGULAR and c.blowup_radius is not None:
-            strip = analysis.contact_strip_halfwidth(
-                mask, grid, c.point, c.form, 4.0 * c.blowup_radius, eigen_tol
-            )
+        strip = next(strips) if c.verdict == analysis.SINGULAR else None
         entry = _entry(c, contact_strip_halfwidth=strip)
         entries.append(entry)
         joined = [_joined(entry["direction"]), _joined(entry["matrix"])]

@@ -8,10 +8,9 @@ from numpy.testing import assert_allclose
 from obslab import analysis
 from obslab import grid as grid_module
 from obslab.analysis import (
-    C3_CALIBRATION_TOL,
+    C3_CALIBRATED,
     ClassifierConfig,
     WeissEvaluator,
-    calibrate_weiss_constant,
     census,
     classify_point,
     contact_strip_halfwidth,
@@ -84,9 +83,26 @@ class TestWeissEnergy:
             assert weiss_at(poly, (0.0,), r) == pytest.approx(1 / 3, rel=0.02)
             assert weiss_at(hs, (0.0,), r) == pytest.approx(1 / 6, rel=0.02)
 
-    def test_frozen_c3_matches_fresh_calibration(self):
-        value = calibrate_weiss_constant(3, nodes=111, angular_samples=48)
-        assert abs(value - weiss_constant(3)) <= C3_CALIBRATION_TOL
+    def test_frozen_c3_matches_closed_form(self):
+        # c_3 = |B_1| / 10 = 2 pi / 15, within the frozen value's stated
+        # uncertainty
+        assert weiss_constant(3) == C3_CALIBRATED
+        assert abs(C3_CALIBRATED - 2.0 * math.pi / 15.0) <= 5e-4
+
+    def test_quadrature_converges_to_c3_at_second_order(self):
+        # W(1) of |x|^2 / 6 is 2 pi / 15; the ball and sphere rules are
+        # second order in h on this smooth field, so the observed order
+        # between 61 and 111 nodes (h = 2.2/60 and 2.2/110) is 2
+        errors, spacings = [], []
+        for nodes in (61, 111):
+            grid = centered_box(3, 1.1, nodes)
+            field = polynomial(QuadraticForm.isotropic(3)).sample(grid)
+            w = WeissEvaluator(field, angular_samples=48).at([(0.0, 0.0, 0.0)], 1.0)[0]
+            errors.append(w - 2.0 * math.pi / 15.0)
+            spacings.append(grid.h)
+        order = math.log(errors[0] / errors[1]) / math.log(spacings[0] / spacings[1])
+        assert order == pytest.approx(2.0, abs=0.25)
+        assert abs(errors[1]) < 5e-4
 
     def test_resolution_floor(self):
         grid = centered_box(2, 1.0, 33)
@@ -446,8 +462,8 @@ class TestClassifyPoint:
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_singular_fit_matches_lstsq(self, n):
-        # the factored normal equations against one lstsq per blow-up, at
-        # 1e-12 relative (1e-15 absolute near zero)
+        # the product with the design's transposed pseudo-inverse against
+        # one lstsq per blow-up, at 1e-12 relative (1e-15 absolute near zero)
         rng = np.random.default_rng(n)
         points = analysis.unit_ball_nodes(n)
         rows = []
@@ -458,11 +474,10 @@ class TestClassifyPoint:
             rows.append(form.evaluate(points) + 1e-3 * rng.standard_normal(len(points)))
         rows.append(rng.random(len(points)))
         values = np.stack(rows)
-        arrays = analysis._fit_arrays(n)
-        reference = np.stack([np.linalg.lstsq(arrays.design, v, rcond=None)[0] for v in values])
-        coefs = analysis._quadratic_coefficients(arrays, values)
-        assert_allclose(coefs, reference, rtol=1e-12, atol=1e-15)
         upper = np.triu_indices(n, 1)
+        design = np.hstack([0.5 * points**2, points[:, upper[0]] * points[:, upper[1]]])
+        reference = np.stack([np.linalg.lstsq(design, v, rcond=None)[0] for v in values])
+        assert_allclose(values @ analysis._fit_arrays(n).solve, reference, rtol=1e-12, atol=1e-15)
         matrices, residuals = analysis._fit_singular(analysis._fit_arrays(n), values)
         forms = map(QuadraticForm, matrices)
         for v, coef, form, residual in zip(values, reference, forms, residuals):
@@ -628,6 +643,38 @@ class TestHalfSpaceFit3D:
         assert_allclose(np.linalg.norm(directions, axis=1), 1.0, rtol=0.0, atol=1e-14)
 
 
+@pytest.fixture(scope="module")
+def halfspace_blowups_1d():
+    """1D blow-ups (1/2)[(x)_+]^2, (1/2)[(-x)_+]^2 and 0, then the first two
+    with a seeded noise of 1e-3, one row per blow-up."""
+    x = unit_ball_nodes(1)[:, 0]
+    rows = [0.5 * np.maximum(x, 0.0) ** 2, 0.5 * np.maximum(-x, 0.0) ** 2, np.zeros_like(x)]
+    noise = 1e-3 * np.random.default_rng(1).standard_normal((2, len(x)))
+    return np.vstack([rows, rows[:2] + noise])
+
+
+class TestHalfSpaceFit1D:
+    def test_direction_is_the_moment_sign(self, halfspace_blowups_1d):
+        # a vanishing blow-up has a zero moment and takes +1
+        directions, residuals = analysis._fit_regular(analysis._fit_arrays(1), halfspace_blowups_1d)
+        assert directions.tolist() == [[1.0], [-1.0], [1.0], [1.0], [-1.0]]
+        assert (residuals[:2] == 0.0).all()
+
+    def test_residuals_are_half_space_misfits(self, halfspace_blowups_1d):
+        values = halfspace_blowups_1d
+        directions, residuals = analysis._fit_regular(analysis._fit_arrays(1), values)
+        misfits = analysis._half_space_misfits(unit_ball_nodes(1), values, directions)
+        assert misfits.tobytes() == residuals.tobytes()
+
+    def test_stacked_fit_equals_row_by_row(self, halfspace_blowups_1d):
+        values = halfspace_blowups_1d
+        directions, residuals = analysis._fit_regular(analysis._fit_arrays(1), values)
+        for k in range(len(values)):
+            direction, residual = analysis._fit_regular(analysis._fit_arrays(1), values[k : k + 1])
+            assert direction.tobytes() == directions[k].tobytes()
+            assert residual.tobytes() == residuals[k].tobytes()
+
+
 class TestStratify:
     def test_solved_radial_all_regular(self, radial_solution):
         fb = extract_free_boundary(extract_contact_set(radial_solution))
@@ -765,7 +812,7 @@ class TestContactStrip:
         form = QuadraticForm.diagonal([1.0, 0.0])
         field = polynomial(form).sample(grid)
         contact = extract_contact_set(field)
-        width = contact_strip_halfwidth(contact.mask, grid, (0.0, 0.0), form, 0.25)
+        (width,) = contact_strip_halfwidth(contact.mask, grid, [(0.0, 0.0)], [form], [0.25])
         # contact nodes within |x1| <= 2h: relative strip width ~ 2h/r
         assert width is not None
         assert width <= 3 * grid.h / 0.25
@@ -777,17 +824,15 @@ class TestContactStrip:
         mask = np.abs(grid.node_positions()[:, 0].reshape(grid.shape)) <= 2 * grid.h
         form = QuadraticForm.diagonal([0.85, 0.15])
         assert form.kernel_dimension(0.2) == 1
-        width = contact_strip_halfwidth(mask, grid, (0.0, 0.0), form, 0.25, eigen_tol=0.2)
+        (width,) = contact_strip_halfwidth(mask, grid, [(0.0, 0.0)], [form], [0.25], eigen_tol=0.2)
         assert width <= 3 * grid.h / 0.25
 
     def test_no_contact_in_ball(self):
         grid = centered_box(2, 1.0, 129)
         field = polynomial(QuadraticForm.diagonal([1.0, 0.0])).sample(grid)
         contact = extract_contact_set(field)
-        width = contact_strip_halfwidth(
-            contact.mask, grid, (0.5, 0.5), QuadraticForm.diagonal([1.0, 0.0]), 0.1
-        )
-        assert width is None
+        form = QuadraticForm.diagonal([1.0, 0.0])
+        assert contact_strip_halfwidth(contact.mask, grid, [(0.5, 0.5)], [form], [0.1]) == [None]
 
 
 def reference_strip_halfwidth(mask, grid, x0, form, r, eigen_tol):
@@ -809,20 +854,22 @@ def test_contact_strip_matches_node_position_formula(n, nodes):
     rng = np.random.default_rng(nodes)
     checked = 0
     for trial in range(12):
+        # one call for a node centre and an off-node centre on the same mask
         mask = rng.uniform(size=grid.shape) < rng.uniform(0.01, 0.5)
-        on_node = tuple(grid.axis(0)[rng.integers(0, nodes, n)])
-        x0 = on_node if trial % 2 else tuple(rng.uniform(-1.0, 1.0, n))
-        form = probe_forms(n, seed=trial)[trial % 4]
-        r = rng.uniform(2.0, 10.0) * grid.h
+        points = [tuple(grid.axis(0)[rng.integers(0, nodes, n)]), tuple(rng.uniform(-1.0, 1.0, n))]
+        forms = [probe_forms(n, seed=trial)[(trial + k) % 4] for k in range(2)]
+        radii = rng.uniform(2.0, 10.0, 2) * grid.h
         eigen_tol = rng.choice([0.05, 0.3, 0.99])
-        width = contact_strip_halfwidth(mask, grid, x0, form, r, eigen_tol)
-        expected = reference_strip_halfwidth(mask, grid, x0, form, r, eigen_tol)
-        if expected is None:
-            assert width is None
-        else:
-            assert width == pytest.approx(expected, rel=1e-12, abs=1e-15)
-            checked += 1
-    assert checked >= 6
+        widths = contact_strip_halfwidth(mask, grid, points, forms, radii, eigen_tol)
+        assert len(widths) == 2
+        for width, x0, form, r in zip(widths, points, forms, radii):
+            expected = reference_strip_halfwidth(mask, grid, x0, form, r, eigen_tol)
+            if expected is None:
+                assert width is None
+            else:
+                assert width == pytest.approx(expected, rel=1e-12, abs=1e-15)
+                checked += 1
+    assert checked >= 12
 
 
 def test_census_totals():

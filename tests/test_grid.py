@@ -1,5 +1,9 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -675,3 +679,46 @@ def test_gradient_matches_reference(n):
     f = kernel_field(n)
     for value, expected in zip(gradient(f), reference_gradient(f)):
         assert_allclose(value.values, expected, rtol=1e-12, atol=1e-12)
+
+
+# _row_norms of a 3D blow-up (17,077 samples) and ball sums of 13,085 nodes or so,
+# both longer than the rows OpenBLAS's ddot runs on one thread
+ROW_DOT_SCRIPT = """
+import sys
+import numpy as np
+from obslab import analysis, grid
+rows = np.random.default_rng(0).standard_normal((64, 17077))
+box = grid.centered_box(2, 1.0, 257)
+field = grid.ScalarField(box, np.random.default_rng(1).random(box.shape))
+sums = grid.apply_rule(field, [(0.0, 0.0), (0.1, -0.2)], 0.5, "ball")
+sys.stdout.write((analysis._row_norms(rows).tobytes() + sums.tobytes()).hex())
+"""
+
+
+class TestRowDot:
+    def test_short_rows_take_vecdot_bits(self):
+        rng = np.random.default_rng(3)
+        for length in (1, 797, grid.ROW_PIECE):
+            a, b = rng.standard_normal((2, 5, length))
+            assert grid.row_dot(a, b).tobytes() == np.vecdot(a, b).tobytes()
+            assert grid.row_dot(a, b[0]).tobytes() == np.vecdot(a, b[0]).tobytes()
+
+    def test_long_rows_sum_their_pieces_in_order(self):
+        a, b = np.random.default_rng(4).standard_normal((2, 3, 2 * grid.ROW_PIECE + 5))
+        pieces = [slice(k, k + grid.ROW_PIECE) for k in range(0, a.shape[1], grid.ROW_PIECE)]
+        expected = np.vecdot(a[:, pieces[0]], b[:, pieces[0]])
+        for piece in pieces[1:]:
+            expected = expected + np.vecdot(a[:, piece], b[:, piece])
+        assert grid.row_dot(a, b).tobytes() == expected.tobytes()
+
+    def test_same_bits_for_every_blas_thread_count(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+            run = subprocess.run(
+                [sys.executable, "-c", ROW_DOT_SCRIPT], env=env, capture_output=True, text=True,
+                check=True, timeout=120,
+            )
+            outputs.append(run.stdout)
+        assert outputs[0] and outputs[0] == outputs[1]

@@ -5,13 +5,14 @@
 Compares the commit checked out here with revision REV of the same
 repository, in ``PAIRS`` pairs per workload at seed 0 and the benchmark's own
 run length. ``src/`` and ``perfbench/`` must be committed, so the record names
-the code that ran. REV is cloned into a temporary directory (``git clone
---shared``, which registers nothing in this repository), so ``run.py``
-records its commit as it does here. In both trees ``__pycache__`` is
-deleted under ``src/`` and ``perfbench/``, and every run has
-``PYTHONDONTWRITEBYTECODE=1``, so neither side's ``setup_s`` profits from
-bytecode left by an earlier run. Nothing else in this checkout changes but
-``.bench_out/``, where ``run.py`` writes its records.
+the code that ran. REV and this checkout's HEAD are each cloned into a
+temporary directory (``git clone --shared``, which registers nothing in this
+repository), at paths of equal length (:func:`trees`): the same sources read
+0.3-0.4 MB apart in ``peak_rss_mb`` when run from directories whose paths
+differ. ``run.py`` records each clone's commit. In both clones
+``__pycache__`` is deleted under ``src/`` and ``perfbench/``, and every run
+has ``PYTHONDONTWRITEBYTECODE=1``, so neither side's ``setup_s`` profits
+from bytecode left by an earlier run. Nothing in this checkout changes.
 
 Each pair runs ``perfbench/run.py --workload W`` once in each tree; the side
 that goes first alternates from pair to pair. The output holds every pair's
@@ -51,6 +52,12 @@ def checkout(rev: str, tree: Path) -> str:
     git("clone", "--quiet", "--shared", "--no-checkout", str(ROOT), str(tree))
     git("checkout", "--quiet", "--detach", commit, cwd=tree)
     return commit
+
+
+def trees(tmp: Path) -> dict[str, Path]:
+    """The directories that the two sides run from: clones under ``tmp``
+    whose paths have equal length."""
+    return {"base": tmp / "base", "change": tmp / "head"}
 
 
 def drop_bytecode(tree: Path) -> None:
@@ -113,15 +120,15 @@ def main(argv=None) -> int:
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
 
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
-        base_tree = Path(tmp) / "base"
-        base_commit = checkout(args.base, base_tree)
-        trees = {"base": base_tree, "change": ROOT}
-        for tree in trees.values():
+        sides = trees(Path(tmp))
+        base_commit = checkout(args.base, sides["base"])
+        change_commit = checkout("HEAD", sides["change"])
+        for tree in sides.values():
             drop_bytecode(tree)
         result = {
             "seed": 0,
             "base": {"rev": args.base, "commit": base_commit},
-            "change": {"commit": git("rev-parse", "HEAD")},
+            "change": {"commit": change_commit},
             "workloads": {},
         }
         for workload in workloads:
@@ -130,7 +137,7 @@ def main(argv=None) -> int:
                 order = ("base", "change") if k % 2 == 0 else ("change", "base")
                 pair = {"first": order[0]}
                 for side in order:
-                    record = bench(trees[side], workload, False)
+                    record = bench(sides[side], workload, False)
                     pair[side] = summary(record)
                     provenance.setdefault(side, record["provenance"])
                 pairs.append(pair)
@@ -140,7 +147,7 @@ def main(argv=None) -> int:
             entry = {"pairs": pairs, "metrics": compare(pairs, better), "provenance": provenance}
             if args.trace:
                 entry["trace"] = {
-                    side: summary(bench(trees[side], workload, True))
+                    side: summary(bench(sides[side], workload, True))
                     for side in ("base", "change")
                 }
             result["workloads"][workload] = entry
