@@ -23,8 +23,12 @@ sweep runs on one contiguous range; the ring and pad nodes inside a range
 get their stored values back after each update (:class:`_ParityLattice`).
 
 The stopping rule is the complementarity residual in max-norm,
-``max |min(u - obstacle, source - lap_h u)|`` over interior nodes (PSOR
-reuses the black update's neighbour sums for it). Divisions by 2n and by
+``max |min(u - obstacle, source - lap_h u)|`` over interior nodes. PSOR forms
+each sub-lattice's neighbour sums once per sweep: the red sums formed from
+the final black values at the end of sweep k serve both residual k and the
+red update of sweep k + 1. It clamps an obstacle that is +0.0 at every node
+with the scalar 0.0 and takes the residual's gap as ``min(u, kkt)``, which is
+exact because ``u - (+0.0)`` is ``u`` for every ``u``. Divisions by 2n and by
 ``h * h`` are multiplies by the reciprocal when that is exact (a power of
 two), which rounds every quotient as the divide would.
 """
@@ -148,9 +152,24 @@ class _ParityLattice:
     them their stored values back, and the residual counts them as 0.
     Sub-lattices with no interior nodes are never updated. Each red-black
     colour (even index sum first) is a set of whole sub-lattices; a sweep
-    allocates no arrays."""
+    allocates no arrays.
+
+    Each sub-lattice's neighbour sums are formed once per sweep and kept. A
+    black node's neighbours are red, so the black update forms its sums from
+    the final red values. The red sums are formed from the final black values
+    at the end of each sweep (and at construction), so the red sums formed
+    at the end of sweep k serve both residual k and the red update of sweep
+    k + 1. The residual forms no sums and overwrites none.
+
+    An obstacle that is +0.0 at every node, by bit pattern, as in every
+    normalized problem, is clamped with the scalar 0.0, and the residual's gap
+    is then ``min(u, kkt)``: ``u - (+0.0)`` is ``u`` for every ``u``, -0.0
+    included, so both are exact. Any other obstacle (-0.0 too, whose max and
+    subtraction flip the sign of some zeros) is clamped by its array."""
 
     def __init__(self, u: np.ndarray, obstacle: np.ndarray | None = None):
+        if obstacle is not None and not obstacle.view(np.uint64).any():
+            obstacle = 0.0
         self.pad = tuple((m + 1) // 2 for m in u.shape)
         strides = [math.prod(self.pad[a + 1 :]) for a in range(u.ndim)]
         parities = list(itertools.product((0, 1), repeat=u.ndim))
@@ -176,9 +195,13 @@ class _ParityLattice:
                 [(np.arange(m) >= f) & (np.arange(m) <= l) for m, f, l in zip(self.pad, first, last)],
             )
             edge = np.flatnonzero(~inside.ravel()[start : start + n])
-            fixed = None if obstacle is None else self._padded(obstacle[w])[start : start + n]
+            fixed = obstacle
+            if isinstance(obstacle, np.ndarray):
+                fixed = self._padded(obstacle[w])[start : start + n]
             block = (nodes, fixed, pairs, edge, nodes[edge], *np.empty((2, n)))
             self.colors[sum(p) % 2].append(block)
+        self.scratch = np.empty(math.prod(self.pad))  # the residual's KKT terms
+        self._sum_red()
 
     def _padded(self, values: np.ndarray) -> np.ndarray:
         flat = np.zeros(self.pad)
@@ -189,27 +212,36 @@ class _ParityLattice:
         for w, flat in zip(self.where, self.parts.values()):
             u[w] = flat.reshape(self.pad)[tuple(slice(0, m) for m in u[w].shape)]
 
-    def sweep(self, omega: float, c0: float) -> None:
-        """Move each interior node ``omega`` of the way to (neighbour mean - c0)."""
-        scale, by = self.mean
-        for nodes, fixed, pairs, edge, kept, total, work in self.colors[0] + self.colors[1]:
-            _sum_pairs(pairs, total, work)
-            gs = np.subtract(scale(total, by, out=work), c0, out=work)
-            np.multiply(gs, omega, out=gs)
-            np.multiply(nodes, 1.0 - omega, out=nodes)
-            np.add(nodes, gs, out=nodes)
-            if fixed is not None:
-                np.maximum(nodes, fixed, out=nodes)
-            nodes[edge] = kept
-
-    def residual(self, source: float, h: float) -> float:
-        """The complementarity residual after a sweep. It reuses the sweep's
-        black neighbour sums: no red node moves after the black update."""
+    def _sum_red(self) -> None:
         for _, _, pairs, _, _, total, work in self.colors[0]:
             _sum_pairs(pairs, total, work)
+
+    def sweep(self, omega: float, c0: float) -> None:
+        """Move each interior node ``omega`` of the way to (neighbour mean - c0),
+        red from its stored sums, then black from sums it forms; then form the
+        red sums again."""
+        scale, by = self.mean
+        red, black = self.colors
+        for color in (red, black):
+            for nodes, fixed, pairs, edge, kept, total, work in color:
+                if color is black:
+                    _sum_pairs(pairs, total, work)
+                gs = np.subtract(scale(total, by, out=work), c0, out=work)
+                np.multiply(gs, omega, out=gs)
+                np.multiply(nodes, 1.0 - omega, out=nodes)
+                np.add(nodes, gs, out=nodes)
+                if fixed is not None:
+                    np.maximum(nodes, fixed, out=nodes)
+                nodes[edge] = kept
+        self._sum_red()
+
+    def residual(self, source: float, h: float) -> float:
+        """The complementarity residual after a sweep, from the stored sums of
+        both colours. The KKT terms go to the scratch buffer, so the sums
+        survive: the red ones for the next sweep."""
         nd = len(self.pad)
         return max(
-            _kkt_max(u, psi, total, source, h, nd, work, edge)
+            _kkt_max(u, psi, total, source, h, nd, work, edge, self.scratch[: u.size])
             for u, psi, _, edge, _, total, work in self.colors[0] + self.colors[1]
         )
 
@@ -233,18 +265,24 @@ def _divisor(divisor: float):
     return np.divide, divisor
 
 
-def _kkt_max(u, obstacle, total, source: float, h: float, nd: int, work=None, edge=None) -> float:
+def _kkt_max(
+    u, obstacle, total, source: float, h: float, nd: int, work=None, edge=None, out=None
+) -> float:
     """``max |min(u - obstacle, source - lap_h u)|`` over the nodes ``u`` of an
-    ``nd``-dimensional grid (0 if none), whose neighbour sums ``total`` are
-    overwritten; the one formula. On a :class:`_ParityLattice` range ``u`` is
-    flat, and its ring and pad positions ``edge`` count as 0. The division by
-    ``h * h`` follows :func:`_divisor`, and the max is ``np.maximum.reduce``,
-    without ``np.max``'s Python wrapper."""
+    ``nd``-dimensional grid (0 if none), with neighbour sums ``total``; the one
+    formula. The KKT terms overwrite ``out``, which defaults to ``total``. An
+    ``obstacle`` that is not an array is the scalar +0.0, and the gap is then
+    ``min(u, kkt)``. On a :class:`_ParityLattice` range ``u`` is flat, and its
+    ring and pad positions ``edge`` count as 0. The division by ``h * h``
+    follows :func:`_divisor`, and the max is ``np.maximum.reduce``, without
+    ``np.max``'s Python wrapper."""
     lap = np.multiply(u, 2.0 * nd, out=work)
-    np.subtract(total, lap, out=total)
+    kkt = np.subtract(total, lap, out=total if out is None else out)
     scale, by = _divisor(h * h)
-    kkt = np.subtract(source, scale(total, by, out=total), out=total)
-    gap = np.abs(np.minimum(np.subtract(u, obstacle, out=lap), kkt, out=lap), out=lap)
+    kkt = np.subtract(source, scale(kkt, by, out=kkt), out=kkt)
+    if isinstance(obstacle, np.ndarray):
+        u = np.subtract(u, obstacle, out=lap)
+    gap = np.abs(np.minimum(u, kkt, out=lap), out=lap)
     if edge is not None:
         gap[edge] = 0.0
     return float(np.maximum.reduce(gap, axis=None, initial=0.0))

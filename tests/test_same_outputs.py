@@ -66,3 +66,47 @@ class TestReportDifference:
         assert same_outputs.report_difference(base, change) == (
             "  the parsed reports are equal; only their bytes differ"
         )
+
+
+def write_csvs(tmp_path, base, change):
+    paths = tmp_path / "base.csv", tmp_path / "change.csv"
+    for path, text in zip(paths, (base, change)):
+        path.write_text(text)
+    return paths
+
+
+class TestCsvDifference:
+    def test_every_differing_column_with_count_first_row_and_largest(self, tmp_path):
+        base = "k,r,verdict\n0,0.5,regular\n1,2.0,regular\n2,4.0,singular\n3,1.0,regular\n"
+        change = "k,r,verdict\n0,0.4,regular\n1,2.0,singular\n2,3.0,singular\n3,1.0,x\n"
+        lines = same_outputs.csv_difference(*write_csvs(tmp_path, base, change))
+        assert lines.splitlines() == [
+            "  column 'r': 2 differ, first at row 2 ('0.5' vs '0.4'); "
+            "largest relative number difference 2.500e-01",
+            "  column 'verdict': 2 differ, first at row 3 ('regular' vs 'singular'); "
+            "largest relative number difference 0.000e+00",
+        ]
+
+    def test_row_lengths_and_counts_differ(self, tmp_path):
+        base = "a,b\n1,2\n3,4\n5,6\n"
+        change = "a,b\n1,2,7\n3,8\n5,6,9\n7,8\n"
+        lines = same_outputs.csv_difference(*write_csvs(tmp_path, base, change))
+        assert lines.splitlines() == [
+            "  column 'b': 1 differ, first at row 3 ('4' vs '8'); "
+            "largest relative number difference 5.000e-01",
+            "  2 rows differ in length, first row 2 (2 vs 3)",
+            "  row count 4 vs 5",
+        ]
+
+    def test_column_past_the_header_is_numbered(self, tmp_path):
+        lines = same_outputs.csv_difference(*write_csvs(tmp_path, "a\n1,2\n", "a\n1,4\n"))
+        assert lines == (
+            "  column 1: 1 differ, first at row 2 ('2' vs '4'); "
+            "largest relative number difference 5.000e-01"
+        )
+
+    def test_equal_rows(self, tmp_path):
+        base, change = write_csvs(tmp_path, "a,b\n1,2\n", "a,b\r\n1,2\r\n")
+        assert same_outputs.csv_difference(base, change) == (
+            "  the parsed rows are equal; only their bytes differ"
+        )

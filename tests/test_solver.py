@@ -246,7 +246,9 @@ def small_problem(dimension, nodes, form):
     centred at 0 with the first axis on [-1, 1]. The ``"ring"`` form is
     normalized with seeded, non-constant ring data in [0, 3), so that a sweep
     that moves a ring node, or a residual that counts one, shows; its contact
-    set may be empty."""
+    set may be empty. The ``"zero"`` form is the general form over an obstacle
+    of +0.0 with seeded ring data that is 0 on about half the ring, and
+    ``"negzero"`` the normalized one over an obstacle of -0.0."""
     if isinstance(nodes, int):
         grid = centered_box(dimension, 1.0, nodes)
     else:
@@ -257,6 +259,12 @@ def small_problem(dimension, nodes, form):
     if form == "ring":
         rng = np.random.default_rng(grid.node_count)
         return normalized_problem(grid, rng.uniform(0.0, 3.0, grid.shape))
+    if form == "zero":
+        rng = np.random.default_rng(grid.node_count)
+        ring = np.maximum(rng.uniform(-3.0, 3.0, grid.shape), 0.0)
+        return general_problem(grid, ScalarField(grid, np.zeros(grid.shape)), ring)
+    if form == "negzero":
+        return ObstacleProblemSpec(grid, np.full(grid.shape, 0.1), np.full(grid.shape, -0.0), 1.0)
     dome = field_from_function(grid, lambda p: 0.3 - np.sum(p * p, axis=1))
     return general_problem(grid, dome, np.zeros(grid.shape))
 
@@ -295,23 +303,40 @@ def masked_initial_guess(problem):
     return u
 
 
-def masked_psor(problem, u, omega, tol):
-    """Reference projected SOR: full-interior candidate, parity-masked select.
-    Returns the residual history; ``u`` is updated in place."""
+def masked_sweep(problem, u, omega):
+    """Reference projected SOR sweep of ``u`` in place: full-interior
+    candidate, parity-masked select."""
     nd = u.ndim
-    h2 = problem.grid.h**2
     core = (slice(1, -1),) * nd
-    c0 = problem.source * h2 / (2.0 * nd)
+    c0 = problem.source * problem.grid.h**2 / (2.0 * nd)
+    for color in masked_red_black(u.shape):
+        gs = masked_neighbor_sum(u) / (2.0 * nd) - c0
+        cand = np.maximum((1.0 - omega) * u[core] + omega * gs, problem.obstacle[core])
+        u[core] = np.where(color, cand, u[core])
+
+
+def masked_residual(problem, u):
+    core = (slice(1, -1),) * u.ndim
+    lap = interior_laplacian(u, problem.grid.h)
+    gap = u[core] - problem.obstacle[core]
+    return float(np.max(np.abs(np.minimum(gap, problem.source - lap))))
+
+
+def masked_psor(problem, u, omega, tol):
+    """Reference projected SOR: masked sweeps until the residual is ``tol``.
+    Returns the residual history; ``u`` is updated in place."""
     history = []
     while not history or history[-1] > tol:
-        for color in masked_red_black(u.shape):
-            gs = masked_neighbor_sum(u) / (2.0 * nd) - c0
-            cand = np.maximum((1.0 - omega) * u[core] + omega * gs, problem.obstacle[core])
-            u[core] = np.where(color, cand, u[core])
-        lap = interior_laplacian(u, problem.grid.h)
-        gap = u[core] - problem.obstacle[core]
-        history.append(float(np.max(np.abs(np.minimum(gap, problem.source - lap)))))
+        masked_sweep(problem, u, omega)
+        history.append(masked_residual(problem, u))
     return history
+
+
+def high_start(problem):
+    """The ring data, and 3 at every interior node."""
+    u = problem.boundary.copy()
+    u[problem.grid.interior_slices()] = 3.0
+    return u
 
 
 SMALL_CASES = [
@@ -345,8 +370,24 @@ RING_CASES = [
 ]
 
 
+# Both sides of the lattice's zero-obstacle test on every LAYOUT_CASES shape:
+# "zero" (+0.0, clamped with the scalar 0.0) and "negzero" (-0.0, clamped by
+# its array).
+ZERO_CASES = [
+    (dimension, nodes, form)
+    for dimension, nodes, _ in RING_CASES
+    for form in ("zero", "negzero")
+]
+
+
 def case_id(value):
     return "x".join(map(str, value)) if isinstance(value, tuple) else None
+
+
+def bits(values) -> bytes:
+    """The bytes of a float array: equal iff every entry has the same bits,
+    the sign of a zero included, unlike ``np.array_equal``."""
+    return np.asarray(values, dtype=float).tobytes()
 
 
 class TestStridedSweep:
@@ -357,7 +398,7 @@ class TestStridedSweep:
     def test_initial_guess_equals_masked_reference(self, dimension, nodes, form):
         problem = small_problem(dimension, nodes, form)
         expected = masked_initial_guess(problem)
-        assert np.array_equal(default_initial_guess(problem).values, expected)
+        assert bits(default_initial_guess(problem).values) == bits(expected)
 
     @pytest.mark.parametrize("dimension, nodes, form", LAYOUT_CASES, ids=case_id)
     def test_psor_equals_masked_reference(self, dimension, nodes, form):
@@ -366,8 +407,8 @@ class TestStridedSweep:
         result = solve(problem, SolverConfig(tol=1e-10), start)
         u = start.values.copy()
         history = masked_psor(problem, u, omega=1.8, tol=1e-10)
-        assert np.array_equal(result.solution.values, u)
-        assert np.array_equal(result.residual_history, history)
+        assert bits(result.solution.values) == bits(u)
+        assert bits(result.residual_history) == bits(history)
         core = problem.grid.interior_slices()
         assert (u[core] == problem.obstacle[core]).any()  # the projection was active
 
@@ -378,8 +419,77 @@ class TestStridedSweep:
         result = solve(problem, SolverConfig(tol=1e-10), start)
         u = start.values.copy()
         history = masked_psor(problem, u, omega=1.8, tol=1e-10)
-        assert np.array_equal(result.solution.values, u)
-        assert np.array_equal(result.residual_history, history)
+        assert bits(result.solution.values) == bits(u)
+        assert bits(result.residual_history) == bits(history)
+
+    @pytest.mark.parametrize("dimension, nodes, form", ZERO_CASES, ids=case_id)
+    def test_zero_obstacles_equal_masked_reference(self, dimension, nodes, form):
+        # from 3 at every interior node, above the solution, so that the
+        # over-relaxed steps undershoot and the projection acts
+        problem = small_problem(dimension, nodes, form)
+        start = high_start(problem)
+        result = solve(problem, SolverConfig(tol=1e-10), ScalarField(problem.grid, start))
+        history = masked_psor(problem, start, omega=1.8, tol=1e-10)
+        assert bits(result.solution.values) == bits(start)
+        assert bits(result.residual_history) == bits(history)
+        if form == "negzero":  # the -0.0 array clamp wrote -0.0, which 0.0 would not
+            assert np.signbit(start[problem.grid.interior_slices()]).any()
+
+
+class TestStoredSums:
+    """The lattice keeps each colour's neighbour sums between calls. Whatever
+    the order of its sweep, residual and store calls, its iterates and
+    residuals are the masked reference's, bit for bit."""
+
+    CASES = LAYOUT_CASES + RING_CASES + ZERO_CASES
+
+    @staticmethod
+    def start(problem):
+        """A lattice from ``high_start``, its full array, the sweep constant,
+        and a copy for the masked reference."""
+        u = high_start(problem)
+        h = problem.grid.h
+        c0 = problem.source * (h * h) / (2.0 * u.ndim)
+        return _ParityLattice(u, problem.obstacle), u, c0, u.copy()
+
+    @pytest.mark.parametrize("dimension, nodes, form", CASES, ids=case_id)
+    def test_sweeps_without_residuals(self, dimension, nodes, form):
+        problem = small_problem(dimension, nodes, form)
+        lattice, u, c0, expected = self.start(problem)
+        for _ in range(5):
+            lattice.sweep(1.8, c0)
+            masked_sweep(problem, expected, 1.8)
+        residual = lattice.residual(problem.source, problem.grid.h)
+        lattice.store(u)
+        assert bits(u) == bits(expected)
+        assert bits(residual) == bits(masked_residual(problem, expected))
+
+    @pytest.mark.parametrize("dimension, nodes, form", CASES, ids=case_id)
+    def test_residual_leaves_the_sums(self, dimension, nodes, form):
+        problem = small_problem(dimension, nodes, form)
+        lattice, u, c0, expected = self.start(problem)
+        source, h = problem.source, problem.grid.h
+        for _ in range(3):
+            lattice.sweep(1.8, c0)
+            masked_sweep(problem, expected, 1.8)
+            first = lattice.residual(source, h)
+            assert bits(lattice.residual(source, h)) == bits(first)
+            assert bits(first) == bits(masked_residual(problem, expected))
+        lattice.store(u)
+        assert bits(u) == bits(expected)
+
+    @pytest.mark.parametrize("dimension, nodes, form", CASES, ids=case_id)
+    def test_store_between_sweeps(self, dimension, nodes, form):
+        problem = small_problem(dimension, nodes, form)
+        lattice, u, c0, expected = self.start(problem)
+        for _ in range(3):
+            lattice.store(u)
+            lattice.sweep(1.8, c0)
+            masked_sweep(problem, expected, 1.8)
+        lattice.store(u)
+        assert bits(u) == bits(expected)
+        residual = lattice.residual(problem.source, problem.grid.h)
+        assert bits(residual) == bits(masked_residual(problem, expected))
 
 
 class TestSharedResidual:
@@ -395,7 +505,9 @@ class TestSharedResidual:
         assert complementarity_residual(field, problem) == expected
 
     @pytest.mark.parametrize("method", [PSOR, PROJECTED_GRADIENT])
-    @pytest.mark.parametrize("dimension, nodes, form", LAYOUT_CASES + RING_CASES, ids=case_id)
+    @pytest.mark.parametrize(
+        "dimension, nodes, form", LAYOUT_CASES + RING_CASES + ZERO_CASES, ids=case_id
+    )
     def test_in_loop_residual_is_the_public_one(self, dimension, nodes, form, method):
         problem = small_problem(dimension, nodes, form)
         result = solve(problem, SolverConfig(method=method, tol=1e-10))

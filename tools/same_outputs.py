@@ -15,9 +15,9 @@ if every file is byte-identical, 1 otherwise. For a ``report.json`` on both
 sides that differs, one more line per key path at which the two parsed
 reports differ (list indices collapsed to ``*``) gives how many values differ
 there and the largest relative difference between numbers at that path.
-For a CSV file on both sides that differs, it names the first differing row
-and column and the largest relative difference between numeric cells at the
-same row and column.
+For a CSV file on both sides that differs, one more line per differing
+column gives how many of its cells differ, the first row at which one does,
+and the largest relative difference between numbers in it.
 """
 
 from __future__ import annotations
@@ -96,30 +96,41 @@ def relative(a: float, b: float) -> float:
 
 
 def csv_difference(base: Path, change: Path) -> str:
-    """The first row (1 is the header) and column at which two CSV files
-    differ, and the largest relative difference ``|a - b| / max(|a|, |b|)``
-    between cells at the same row and column that both parse as numbers."""
+    """Every column in which two CSV files differ, in column order (named by
+    the base file's header), with how many of its cells differ, the first row
+    (1 is the header) at which one does, and the largest relative difference
+    ``|a - b| / max(|a|, |b|)`` between two of its differing cells that both
+    parse as numbers. Cells are compared at the same row and column; one
+    more line each names the rows of unequal length and unequal row counts."""
     with base.open(newline="") as fa, change.open(newline="") as fb:
         a, b = list(csv.reader(fa)), list(csv.reader(fb))
-    first, largest = None, 0.0
+    header = a[0] if a else []
+    columns: dict[int, list] = {}  # column -> [count, first, largest]
+    lengths = []  # rows of unequal length
     for row, (ra, rb) in enumerate(zip(a, b), start=1):
         for column, (x, y) in enumerate(zip(ra, rb)):
             if x == y:
                 continue
-            if first is None:
-                name = a[0][column] if column < len(a[0]) else str(column)
-                first = f"row {row} column {name!r} ({x!r} vs {y!r})"
+            entry = columns.setdefault(column, [0, f"row {row} ({x!r} vs {y!r})", 0.0])
+            entry[0] += 1
             try:
-                largest = max(largest, relative(float(x), float(y)))
+                entry[2] = max(entry[2], relative(float(x), float(y)))
             except ValueError:
                 pass
-        if len(ra) != len(rb) and first is None:
-            first = f"row {row} (length {len(ra)} vs {len(rb)})"
-    if len(a) != len(b) and first is None:
-        first = f"row count {len(a)} vs {len(b)}"
-    if first is None:
-        return "  the parsed rows are equal; only their bytes differ"
-    return f"  first difference at {first}; largest relative number difference {largest:.3e}"
+        if len(ra) != len(rb):
+            lengths.append(f"{row} ({len(ra)} vs {len(rb)})")
+    lines = []
+    for column, (count, first, largest) in sorted(columns.items()):
+        name = repr(header[column]) if column < len(header) else str(column)
+        lines.append(
+            f"  column {name}: {count} differ, first at {first}; "
+            f"largest relative number difference {largest:.3e}"
+        )
+    if lengths:
+        lines.append(f"  {len(lengths)} rows differ in length, first row {lengths[0]}")
+    if len(a) != len(b):
+        lines.append(f"  row count {len(a)} vs {len(b)}")
+    return "\n".join(lines) or "  the parsed rows are equal; only their bytes differ"
 
 
 def main(argv=None) -> int:
