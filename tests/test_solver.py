@@ -424,8 +424,8 @@ class TestStridedSweep:
 
     @pytest.mark.parametrize("dimension, nodes, form", ZERO_CASES, ids=case_id)
     def test_zero_obstacles_equal_masked_reference(self, dimension, nodes, form):
-        # from 3 at every interior node, above the solution, so that the
-        # over-relaxed steps undershoot and the projection acts
+        # from 3 at every interior node, above the solution, so that on most
+        # shapes the over-relaxed steps undershoot and the projection acts
         problem = small_problem(dimension, nodes, form)
         start = high_start(problem)
         result = solve(problem, SolverConfig(tol=1e-10), ScalarField(problem.grid, start))
@@ -603,8 +603,8 @@ class TestProjectedGradientSteps:
         result = solve(problem, config, start)
         u = start.values.copy()
         history = reference_projected_gradient(problem, u, tol=1e-10)
-        assert np.array_equal(result.solution.values, u)
-        assert np.array_equal(result.residual_history, history)
+        assert bits(result.solution.values) == bits(u)
+        assert bits(result.residual_history) == bits(history)
         assert result.iterations == len(history)
 
 
