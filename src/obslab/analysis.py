@@ -15,10 +15,10 @@ diagnostics:
   the quadratic model ``(1/2)<Ax, x>`` (A PSD, unit trace) on the rescaled
   field, with stratum = kernel dimension of the fitted matrix. It works
   in array passes: one availability test and one W call for all points,
-  then blocks of stacked blow-ups, sampled by a rule built once per call,
-  whose half-space directions are fitted in lockstep and whose quadratic
-  fits are one product with the design's pseudo-inverse, built once per
-  call, and one stacked projection onto the cone. Each point's arithmetic
+  then the blocks of stacked blow-ups that ``grid.multilinear_blocks``
+  yields, whose half-space directions are fitted in lockstep and whose
+  quadratic fits are one product with the design's pseudo-inverse, built
+  once per call, and one stacked projection onto the cone. Each point's arithmetic
   is its own, so the blocks do not change results;
 * a log-log slope estimator for the decay exponent of the sphere norms of
   ``w = u - p``, whose homogeneity ``lambda*`` controls how fast u settles
@@ -39,12 +39,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import grid as grid_module
 from .freeboundary import FreeBoundarySet
 from .fixtures import DEFAULT_EIGEN_TOL, QuadraticForm, project_to_blowup_cone
 from .grid import (
     DEFAULT_ANGULAR_SAMPLES,
     MIN_ANGULAR_SAMPLES,
+    GridError,
     GridSpec,
     ResolutionError,
     ScalarField,
@@ -56,7 +56,7 @@ from .grid import (
     gather,
     gradient,
     interpolate_many,  # noqa: F401 -- wrapped by name in perfbench/tracer.py
-    multilinear_sampler,
+    multilinear_blocks,
     per_radius,
     require_balls_in_box,
     row_dot,
@@ -226,21 +226,24 @@ def unit_ball_nodes(dimension: int) -> np.ndarray:
 
 def _require_blowup_radius(grid: GridSpec, r: float) -> None:
     floor = BLOWUP_RADIUS_FACTOR * grid.h
-    if r < floor:
+    if not r >= floor:
         raise ResolutionError(f"blow-up radius {r} < {BLOWUP_RADIUS_FACTOR:g}h = {floor}")
 
 
 def rescale_blowup(field: ScalarField, centers, r: float) -> np.ndarray:
     """u_{x0,r}(x) = u(x0 + r x) / r^2 at the :func:`unit_ball_nodes`, one
-    row per centre x0 of the ``(m, dimension)`` ``centers``, through one
-    :func:`grid.multilinear_sampler` rule per centre offset from its node:
-    shifting the field and the centres by whole nodes keeps every bit, and
-    on power-of-two spacings the values are :func:`interpolate_many`'s."""
+    row per centre x0 of the ``(m, dimension)`` ``centers``, filled from the
+    blocks of :func:`grid.multilinear_blocks` (one rule per centre offset
+    from its node): shifting the field and the centres by whole nodes keeps
+    every bit, and on power-of-two spacings the values are
+    :func:`interpolate_many`'s."""
     grid = field.grid
     _require_blowup_radius(grid, r)
     centers = require_balls_in_box(grid, centers, float(r))
     steps = unit_ball_nodes(grid.dimension) * (r / grid.h)
-    values = multilinear_sampler(field, centers, steps)(slice(None))
+    values = np.empty((len(centers), len(steps)))
+    for rows, block in multilinear_blocks(field, centers, steps):
+        values[rows] = block
     values /= r * r
     return values
 
@@ -469,10 +472,9 @@ def stratify(
 def _classify(field: ScalarField, x0s, config: ClassifierConfig) -> list[Classification]:
     """Classifications of the points ``x0s`` in array passes: the blow-up's
     availability at every point in one test, W at the available points in
-    one call, and their blow-ups sampled and fitted in blocks of at most
-    ``grid.GATHER_BYTES`` of values (82 points in 2D, 3 in 3D; larger blocks
-    spill out of cache). Each point's arithmetic is its own, so the blocks
-    do not change a result."""
+    one call, and their blow-ups sampled and fitted in the blocks of
+    :func:`grid.multilinear_blocks` (82 points in 2D, 3 in 3D). Each point's
+    arithmetic is its own, so the blocks do not change a result."""
     grid, n = field.grid, field.grid.dimension
     r = BLOWUP_RADIUS_FACTOR * grid.h if config.blowup_radius is None else config.blowup_radius
     centers = np.asarray(x0s, dtype=float).reshape(len(x0s), n)
@@ -488,13 +490,9 @@ def _classify(field: ScalarField, x0s, config: ClassifierConfig) -> list[Classif
     # rule, once per call. This order gave the lowest peak RSS.
     weiss = WeissEvaluator(field, config.angular_samples).at(centers, r)
     arrays = _fit_arrays(n)
-    sample = multilinear_sampler(field, centers, arrays.points * (r / grid.h))
     scales, reg_residuals, sing_residuals = np.empty((3, len(centers)))
     directions, matrices = np.empty((len(centers), n)), np.empty((len(centers), n, n))
-    block = max(1, grid_module.GATHER_BYTES // (8 * len(arrays.points)))
-    for start in range(0, len(centers), block):
-        rows = slice(start, start + block)
-        values = sample(rows)
+    for rows, values in multilinear_blocks(field, centers, arrays.points * (r / grid.h)):
         values /= r * r
         scales[rows] = _row_norms(values)
         directions[rows], reg_residuals[rows] = _fit_regular(arrays, values)
@@ -572,9 +570,10 @@ def frequency_lambda(
     at each point against its own form p, over its own radii (one sequence
     per point), one radius at a time for all points that use it.
 
-    Least-squares slope of log N against log r; undefined (not an error)
-    when any sphere norm sits at the degeneracy floor, which is the w == 0
-    case up to roundoff. The floor is set once per field.
+    Least-squares slope of log N against log r, so each point needs at
+    least two radii; undefined (not an error) when any sphere norm sits at
+    the degeneracy floor, which is the w == 0 case up to roundoff. The floor
+    is set once per field.
     """
     n, points = field.grid.dimension, np.asarray(points, dtype=float)
     own = np.array([form.require_blowup_form().matrix for form in forms]).reshape(-1, 1, n, n)
@@ -583,6 +582,8 @@ def frequency_lambda(
         radii,
         lambda k, r: _sphere_integrals(field, points[k], own[k], r, angular_samples),
     )
+    if any(len(rs) < 2 for rs in radii):
+        raise GridError("a frequency estimate needs at least two radii at each point")
     scale = float(np.abs(field.values).max())
     floor = DEGENERACY_FLOOR_FACTOR * np.finfo(float).eps * max(scale, 1.0)
     return [_frequency(rs, integrals[:, 0], floor, n) for rs, integrals in zip(radii, series)]

@@ -29,8 +29,9 @@ MIN_ANGULAR_SAMPLES = 16
 # A centre or a sphere sample this close to a node or grid line, in
 # spacings, is taken as on it.
 NODE_SNAP = 1e-9
-# Bytes that one block of :func:`gather` holds: the gathered field values
-# and their flat indices, 8 bytes each per node.
+# Bytes that one block of :func:`gather` holds (the gathered field values
+# and their flat indices, 8 bytes each per node) and one block of
+# :func:`multilinear_blocks` (8 bytes per sample).
 GATHER_BYTES = 2**19
 # Longest piece of a row in :func:`row_dot`. OpenBLAS's ddot (``np.vecdot`` on
 # float64) ran rows of 10,001 entries or more on two threads of a 2-core host,
@@ -154,33 +155,25 @@ def field_from_function(grid: GridSpec, fn) -> ScalarField:
     return ScalarField(grid, values)
 
 
-@dataclass(frozen=True)
-class BallSpec:
-    """Closed ball ``B_r(x0)``; containment in a grid box is checked at use."""
-
-    center: tuple[float, ...]
-    radius: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "center", tuple(float(c) for c in self.center))
-        object.__setattr__(self, "radius", float(self.radius))
-        if not self.radius > 0.0:
-            raise GridError(f"ball radius must be positive, got {self.radius}")
-
-
 def _outside_box(grid: GridSpec, centers: np.ndarray, r) -> np.ndarray:
-    """Whether the ball of radius ``r`` around each centre (one per row)
-    leaves the box: the one in-box test. ``r`` may be a column of radii
-    around one centre."""
+    """Whether the ball of radius ``r`` around each centre (coordinates on
+    the last axis) leaves the box: the one in-box test. ``r`` broadcasts
+    against the other axes, as a column of radii does."""
     return ((centers - r < grid.lower) | (centers + r > grid.upper)).any(axis=-1)
+
+
+def _require_centres(grid: GridSpec, centers) -> np.ndarray:
+    """The centres as an ``(m, dimension)`` array; raises for another shape."""
+    centers = np.asarray(centers, dtype=float)
+    if centers.ndim != 2 or centers.shape[1] != grid.dimension:
+        raise GridError(f"ball centres must have shape (m, {grid.dimension}), got {centers.shape}")
+    return centers
 
 
 def require_balls_in_box(grid: GridSpec, centers, r: float) -> np.ndarray:
     """The centres as an ``(m, dimension)`` array; raises unless the ball of
     radius ``r`` around each lies in the box."""
-    centers = np.asarray(centers, dtype=float)
-    if centers.ndim != 2 or centers.shape[1] != grid.dimension:
-        raise GridError(f"ball centres must have shape (m, {grid.dimension}), got {centers.shape}")
+    centers = _require_centres(grid, centers)
     outside = _outside_box(grid, centers, r)
     if outside.any():
         raise _outside_error(tuple(centers[np.argmax(outside)].tolist()), r)
@@ -213,12 +206,13 @@ def require_radii(grid: GridSpec, radii) -> np.ndarray:
     return radii
 
 
-def admissible_radii(grid: GridSpec, point, radii) -> list[float]:
-    """The radii, at least ``MIN_RADIUS_FACTOR * h``, whose balls around
-    ``point`` :func:`require_balls_in_box` admits."""
-    radii, floor = list(radii), MIN_RADIUS_FACTOR * grid.h
-    outside = _outside_box(grid, np.asarray(point, dtype=float), np.array(radii)[:, None])
-    return [r for r, out in zip(radii, outside) if floor <= r and not out]
+def admissible_radii(grid: GridSpec, points, radii) -> list[list[float]]:
+    """For each of the ``(m, dimension)`` points, the radii, at least
+    ``MIN_RADIUS_FACTOR * h``, whose balls around it
+    :func:`require_balls_in_box` admits: one list per point."""
+    points, radii, floor = _require_centres(grid, points), list(radii), MIN_RADIUS_FACTOR * grid.h
+    outside = _outside_box(grid, points[:, None, :], np.array(radii)[:, None])
+    return [[r for r, out in zip(radii, row) if floor <= r and not out] for row in outside]
 
 
 def neighbor_pairs(u: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -360,57 +354,58 @@ def _rule(kind: str, h: float, r: float, offset: tuple[float, ...], samples: int
     return rule
 
 
-def _centre_offsets(grid: GridSpec, centers: np.ndarray):
-    """Each centre's nearest node, the distinct offsets from it in spacings
-    (0 within ``NODE_SNAP``), and each centre's index among the offsets."""
+def _centre_groups(grid: GridSpec, centers: np.ndarray):
+    """The centres grouped by their offset from their nearest node, in
+    spacings (0 within ``NODE_SNAP``): per distinct offset, in
+    ``np.unique`` order, ``(offset, rows, nodes)`` with the indices of the
+    centres at it, increasing, and their nodes."""
     t = (centers - grid.lower) / grid.h
     node = np.round(t).astype(int)
     offset = np.where(np.abs(t - node) < NODE_SNAP, 0.0, t - node)
     groups, group = np.unique(offset, axis=0, return_inverse=True)
-    return node, groups, group.ravel()
+    for g, o in enumerate(groups):
+        rows = np.flatnonzero(group.ravel() == g)
+        yield o, rows, node[rows]
 
 
-def multilinear_sampler(field: ScalarField, centers, steps: np.ndarray):
-    """A function of a block of the ``(m, dimension)`` centres (a slice or
-    an index array) giving, one row per centre, the field interpolated at
-    the centre plus h times each of the ``(s, dimension)`` steps. The rule
+def multilinear_blocks(field: ScalarField, centers, steps: np.ndarray):
+    """Blocks ``(rows, values)`` of the field interpolated multilinearly at
+    each of the ``(m, dimension)`` centres plus h times each of the ``(s,
+    dimension)`` steps: ``values[i]`` holds the s samples of centre
+    ``rows[i]``, at most ``GATHER_BYTES // (8 s)`` centres a block. The rule
     of a centre offset (as :func:`gather` groups them) keeps each sample's
     nonzero :func:`_corners`, in order, grouped by the axes with a nonzero
     fraction, for one gather per corner slot; positions within ``NODE_SNAP``
     of a grid line are on it. A sum starts at +0.0, which a dropped term 0 v
     never changes, so exact positions give :func:`interpolate_many`'s bits."""
     grid, n = field.grid, field.grid.dimension
-    node, groups, group = _centre_offsets(grid, np.asarray(centers, dtype=float))
     values, strides = field.values.ravel(), np.array(field.values.strides) // field.values.itemsize
-    axes = [np.unique(s, return_inverse=True) for s in np.asarray(steps, dtype=float).T]
-    size, bases, rules = len(axes[0][1]), node @ strides, []  # rules: one per offset and pattern
-    for g, o in enumerate(groups):
-        t = np.stack([(o_a + at)[k] for o_a, (at, k) in zip(o, axes)], axis=1)
+    steps = np.asarray(steps, dtype=float)
+    block = max(1, GATHER_BYTES // (8 * len(steps)))
+    for o, rows, nodes in _centre_groups(grid, np.asarray(centers, dtype=float)):
+        t = o + steps
         t = np.where(np.abs(t - np.round(t)) < NODE_SNAP, np.round(t), t)
-        low, rows = np.floor(t).astype(int), node[group == g]
+        low = np.floor(t).astype(int)
         frac, moving = t - low, t != low
-        reach = rows.min(0) + low.min(0), rows.max(0) + (low + moving).max(0)
+        reach = nodes.min(0) + low.min(0), nodes.max(0) + (low + moving).max(0)
         if (reach[0] < 0).any() or (reach[1] >= grid.shape).any():
             raise GridError("a multilinear corner falls off the grid")
-        pattern = moving @ (1 << np.arange(n))
+        pattern, rules = moving @ (1 << np.arange(n)), []  # rules: one per pattern
         for p in np.flatnonzero(np.bincount(pattern)):  # np.unique here raised peak RSS
             columns, active = np.flatnonzero(pattern == p), np.flatnonzero(p >> np.arange(n) & 1)
             corners = _corners(frac[columns][:, active], np.ones(len(columns)))
             at = np.array([low[columns] @ strides + bits @ strides[active] for bits, _ in corners])
-            rules.append((g, columns, at.astype(np.int32), np.array([w for _, w in corners])))
-
-    def sample(block) -> np.ndarray:
-        block = np.arange(len(bases))[block]
-        out = np.empty((len(block), size))
-        for g, columns, at, weights in rules:
-            mine = np.flatnonzero(group[block] == g)[:, None]
-            base, total = bases[block[mine]], np.zeros((len(mine), len(columns)))
-            for corner, weight in zip(at, weights):
-                total += weight * values[base + corner]
-            out[mine, columns] = total
-        return out
-
-    return sample
+            rules.append((columns, at.astype(np.int32), np.array([w for _, w in corners])))
+        bases = nodes @ strides
+        for start in range(0, len(rows), block):
+            base = bases[start : start + block, None]
+            out = np.empty((len(base), len(steps)))
+            for columns, at, weights in rules:
+                total = np.zeros((len(base), len(columns)))
+                for corner, weight in zip(at, weights):
+                    total += weight * values[base + corner]
+                out[:, columns] = total
+            yield rows[start : start + block], out
 
 
 def gather(
@@ -422,23 +417,21 @@ def gather(
     ``values[i]`` is the field at the rule's nodes around centre ``rows[i]``.
     A centre within ``NODE_SNAP`` spacings of a node is taken as that node;
     centres at the same offset from their node share one rule. Raises for a
-    ball outside the box, a radius below ``MIN_RULE_RADIUS_FACTOR * h``, or
-    a rule node off the grid (which no ball inside the box has)."""
+    radius below ``MIN_RULE_RADIUS_FACTOR * h`` (NaN too), a ball outside the
+    box, or a rule node off the grid (which no ball inside the box has)."""
     grid = field.grid
-    centers = require_balls_in_box(grid, centers, r)
     h, shape = grid.h, np.array(grid.shape)
-    if r < MIN_RULE_RADIUS_FACTOR * h:
+    if not r >= MIN_RULE_RADIUS_FACTOR * h:
         raise ResolutionError(f"radius {r} < {MIN_RULE_RADIUS_FACTOR:g}h: quadrature unreliable")
-    node, groups, group = _centre_offsets(grid, centers)
+    centers = require_balls_in_box(grid, centers, r)
     samples = angular_samples if kind == "sphere" else 0
     values, strides = field.values.ravel(), np.array(field.values.strides) // field.values.itemsize
-    for g, o in enumerate(groups):
-        rows = np.flatnonzero(group == g)
+    for o, rows, nodes in _centre_groups(grid, centers):
         rule = _rule(kind, h, float(r), tuple(o.tolist()), samples)
-        lo, hi = node[rows] + rule.nodes.min(axis=0), node[rows] + rule.nodes.max(axis=0)
+        lo, hi = nodes + rule.nodes.min(axis=0), nodes + rule.nodes.max(axis=0)
         if (lo < 0).any() or (hi >= shape).any():
             raise GridError(f"a node of the {kind} rule of radius {r} falls off the grid")
-        base, at = node[rows] @ strides, rule.nodes @ strides
+        base, at = nodes @ strides, rule.nodes @ strides
         block = max(1, GATHER_BYTES // (16 * len(at)))
         for start in range(0, len(rows), block):
             yield rows[start : start + block], values[base[start : start + block, None] + at], rule
@@ -465,23 +458,23 @@ def apply_rule(
     return out
 
 
-def ball_integral(field: ScalarField, ball: BallSpec) -> float:
-    """Node quadrature of the field over a ball; relative error O(h/r) worst
-    case on Lipschitz integrands, far smaller in practice."""
-    return float(apply_rule(field, [ball.center], ball.radius, "ball")[0])
+def ball_integral(field: ScalarField, center, r: float) -> float:
+    """Node quadrature of the field over the ball B_r(center); relative error
+    O(h/r) worst case on Lipschitz integrands, far smaller in practice."""
+    return float(apply_rule(field, [center], r, "ball")[0])
 
 
 def sphere_integral(
-    field: ScalarField, ball: BallSpec, angular_samples: int = DEFAULT_ANGULAR_SAMPLES
+    field: ScalarField, center, r: float, angular_samples: int = DEFAULT_ANGULAR_SAMPLES
 ) -> float:
-    """Surface quadrature over the sphere bounding ``ball``, the field
-    interpolated multilinearly at the samples."""
-    return float(apply_rule(field, [ball.center], ball.radius, "sphere", angular_samples)[0])
+    """Surface quadrature over the sphere of radius ``r`` around ``center``,
+    the field interpolated multilinearly at the samples."""
+    return float(apply_rule(field, [center], r, "sphere", angular_samples)[0])
 
 
-def sup_on_ball(field: ScalarField, ball: BallSpec) -> float:
-    """Maximum nodal value inside the closed ball."""
-    return float(apply_rule(field, [ball.center], ball.radius, "sup")[0])
+def sup_on_ball(field: ScalarField, center, r: float) -> float:
+    """Maximum nodal value inside the closed ball B_r(center)."""
+    return float(apply_rule(field, [center], r, "sup")[0])
 
 
 def per_radius(grid: GridSpec, radii, evaluate) -> tuple[list, list]:

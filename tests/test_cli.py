@@ -517,6 +517,55 @@ class TestDiagnoseCommand:
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
+def diagnose_field(tmp_path, fn):
+    """The report of ``diagnose`` (growth and Weiss) on ``fn`` sampled on
+    [-1, 1]^2 at 257 nodes, read from a solution file by a fixture-form
+    config with the README radii."""
+    grid = centered_box(2, 1.0, 257)
+    values = fn(grid.node_positions()).reshape(grid.shape)
+    write_field(tmp_path / "u.field", ScalarField(grid, values))
+    out = tmp_path / "out"
+    payload = radial_config(out, ["growth", "weiss"], nodes=257, radii=(0.1, 0.15, 0.2, 0.25, 0.3))
+    payload["problem"]["form"] = "fixture"
+    payload["diagnostics"]["solution_file"] = str(tmp_path / "u.field")
+    assert main(["diagnose", "--config", write_config(tmp_path / "c.json", payload)]) == 0
+    return json.loads((out / "report.json").read_text())
+
+
+class TestNegativeControls:
+    """Fields that break a check's premise must turn the check false, on
+    points that the check evaluated."""
+
+    def test_cubic_growth_is_degenerate(self, tmp_path):
+        # sup u / r^2 of (x_1)_+^3 / 6 vanishes as r falls
+        report = diagnose_field(tmp_path, lambda p: np.maximum(p[:, 0], 0.0) ** 3 / 6)
+        assert len(report["diagnostics"]["growth"]) > 0
+        assert report["checks"]["growth_nondegenerate_all"] is False
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the 10x stability window passes r^-1/2 growth over radii 0.1 to 0.3",
+    )
+    def test_three_halves_growth_is_unbounded(self, tmp_path):
+        # sup u / r^2 of (x_1)_+^(3/2) grows like r^(-1/2) as r falls
+        report = diagnose_field(tmp_path, lambda p: np.maximum(p[:, 0], 0.0) ** 1.5)
+        assert len(report["diagnostics"]["growth"]) > 0
+        assert report["checks"]["growth_bounded_all"] is False
+
+    def test_bump_breaks_weiss_monotonicity(self, tmp_path):
+        # the half-space profile plus a bump near the free boundary: W rises
+        # at small radii, then falls
+        def bumped(p):
+            bump = 0.05 * np.exp(-np.sum((p - [0.05, 0.0]) ** 2, axis=1) / 0.03**2)
+            return 0.5 * np.maximum(p[:, 0], 0.0) ** 2 + bump
+
+        report = diagnose_field(tmp_path, bumped)
+        profiles = report["diagnostics"]["weiss"]
+        assert len(profiles) > 0
+        assert any(e["verdict"] == analysis.VIOLATED and not e["advisory"] for e in profiles)
+        assert report["checks"]["weiss_nondecreasing_all"] is False
+
+
 def assert_close(value, expected, rtol=1e-12):
     value, expected = np.asarray(value, dtype=float), np.asarray(expected, dtype=float)
     assert value.shape == expected.shape

@@ -11,7 +11,6 @@ from numpy.testing import assert_allclose
 
 from obslab import analysis, grid
 from obslab.grid import (
-    BallSpec,
     GridError,
     GridSpec,
     OutOfDomainError,
@@ -261,59 +260,58 @@ class TestBallIntegral:
     def test_ball_volume(self):
         g = centered_box(2, 1.5, 193)
         f = ScalarField(g, np.ones(g.shape))
-        ball = BallSpec((0.0, 0.0), 1.0)
-        val = ball_integral(f, ball)
+        val = ball_integral(f, (0.0, 0.0), 1.0)
         assert abs(val - math.pi) <= 5.0 * (g.h / 1.0) * math.pi
 
     def test_odd_function_cancels(self):
         g = centered_box(2, 1.5, 129)
         f = field_from_function(g, lambda p: p[:, 0])
-        val = ball_integral(f, BallSpec((0.0, 0.0), 1.0))
+        val = ball_integral(f, (0.0, 0.0), 1.0)
         assert abs(val) <= 1e-10
 
     def test_weiss_bulk_closed_form(self):
         # (|grad p|^2 + 2p) for p = |x|^2/4 over B_1 is 3 pi / 8
         g = centered_box(2, 1.5, 257)
         f = field_from_function(g, lambda p: 0.75 * np.sum(p * p, axis=1))
-        val = ball_integral(f, BallSpec((0.0, 0.0), 1.0))
+        val = ball_integral(f, (0.0, 0.0), 1.0)
         assert val == pytest.approx(3 * math.pi / 8, rel=5e-3)
 
     def test_resolution_error(self):
         g = centered_box(2, 1.0, 17)
         f = ScalarField(g, np.ones(g.shape))
         with pytest.raises(ResolutionError):
-            ball_integral(f, BallSpec((0.0, 0.0), 2.0 * g.h))
+            ball_integral(f, (0.0, 0.0), 2.0 * g.h)
 
     def test_ball_outside_box(self):
         g = centered_box(2, 1.0, 33)
         f = ScalarField(g, np.ones(g.shape))
         with pytest.raises(OutOfDomainError):
-            ball_integral(f, BallSpec((0.9, 0.0), 0.5))
+            ball_integral(f, (0.9, 0.0), 0.5)
 
     def test_linearity_and_monotonicity(self):
         rng = np.random.default_rng(13)
         g = centered_box(2, 1.0, 65)
-        ball = BallSpec((0.1, -0.05), 0.5)
+        ball = (0.1, -0.05), 0.5
         for _ in range(10):
             v1 = rng.standard_normal(g.shape)
             v2 = rng.standard_normal(g.shape)
             a, b = rng.standard_normal(2)
-            lhs = ball_integral(ScalarField(g, a * v1 + b * v2), ball)
-            rhs = a * ball_integral(ScalarField(g, v1), ball) + b * ball_integral(
-                ScalarField(g, v2), ball
+            lhs = ball_integral(ScalarField(g, a * v1 + b * v2), *ball)
+            rhs = a * ball_integral(ScalarField(g, v1), *ball) + b * ball_integral(
+                ScalarField(g, v2), *ball
             )
             assert lhs == pytest.approx(rhs, abs=1e-10)
             lo = np.minimum(v1, v2)
-            assert ball_integral(ScalarField(g, lo), ball) <= ball_integral(
-                ScalarField(g, np.maximum(v1, v2)), ball
+            assert ball_integral(ScalarField(g, lo), *ball) <= ball_integral(
+                ScalarField(g, np.maximum(v1, v2)), *ball
             ) + 1e-12
 
 
 class TestAdmissibleRadii:
     def test_admitted_radii_pass_the_box_check(self):
         # boxes with decimal corners, and radii that are the decimal
-        # distances from a node to the faces: where rounding decides
-        # whether the ball touches or crosses the face
+        # distances from the drawn nodes to the faces: where rounding
+        # decides whether the ball touches or crosses the face
         rng = np.random.default_rng(5)
         admitted = 0
         for _ in range(200):
@@ -322,14 +320,28 @@ class TestAdmissibleRadii:
             nodes = rng.integers(2, 9, n) * 4 + 1
             h = float(rng.integers(5, 40)) / 10 / (nodes[0] - 1)
             g = GridSpec(lower, lower + h * (nodes - 1), nodes)
-            nodes_drawn = g.node_positions()[rng.choice(g.node_count, 10)]
-            for point in nodes_drawn:
-                distances = (*(point - g.lower), *(g.upper - point))
-                radii = sorted({round(float(d), 9) for d in distances} - {0.0})
-                for r in admissible_radii(g, point, radii):
-                    require_balls_in_box(g, [point], r)
-                    admitted += 1
+            points = g.node_positions()[rng.choice(g.node_count, 10)]
+            distances = np.hstack([points - g.lower, g.upper - points]).ravel()
+            radii = sorted({round(float(d), 9) for d in distances} - {0.0})
+            lists = admissible_radii(g, points, radii)
+            assert len(lists) == len(points)
+            for point, kept in zip(points, lists):
+                for r in radii:
+                    if r in kept:
+                        require_balls_in_box(g, [point], r)
+                        admitted += 1
+                    elif r >= grid.MIN_RADIUS_FACTOR * g.h:
+                        with pytest.raises(OutOfDomainError):
+                            require_balls_in_box(g, [point], r)
         assert admitted > 300
+
+    def test_points_must_be_rows(self):
+        g = centered_box(2, 1.0, 33)
+        assert admissible_radii(g, np.empty((0, 2)), [0.5]) == []
+        assert admissible_radii(g, [(0.0, 0.0)], []) == [[]]
+        for points in [(0.0, 0.0), [(0.0, 0.0, 0.0)]]:
+            with pytest.raises(GridError):
+                admissible_radii(g, points, [0.5])
 
 
 class TestSphereIntegral:
@@ -337,25 +349,25 @@ class TestSphereIntegral:
         # p = |x|^2/4 is 1/4 on the unit circle: int p^2 = 2 pi / 16
         g = centered_box(2, 1.5, 257)
         f = field_from_function(g, lambda p: (0.25 * np.sum(p * p, axis=1)) ** 2)
-        val = sphere_integral(f, BallSpec((0.0, 0.0), 1.0), 64)
+        val = sphere_integral(f, (0.0, 0.0), 1.0, 64)
         assert val == pytest.approx(math.pi / 8, rel=5e-3)
 
     def test_sphere_area_3d(self):
         g = centered_box(3, 1.5, 49)
         f = ScalarField(g, np.ones(g.shape))
-        val = sphere_integral(f, BallSpec((0.0, 0.0, 0.0), 1.0), 32)
+        val = sphere_integral(f, (0.0, 0.0, 0.0), 1.0, 32)
         assert val == pytest.approx(4 * math.pi, rel=5e-3)
 
     def test_odd_integrand_cancels(self):
         g = centered_box(2, 1.5, 129)
         f = field_from_function(g, lambda p: p[:, 0] * np.abs(p[:, 1]))
-        val = sphere_integral(f, BallSpec((0.0, 0.0), 1.0), 64)
+        val = sphere_integral(f, (0.0, 0.0), 1.0, 64)
         assert abs(val) <= 1e-10
 
     def test_one_dimensional_two_point_sum(self):
         g = centered_box(1, 1.0, 65)
         f = field_from_function(g, lambda p: p[:, 0] ** 2)
-        val = sphere_integral(f, BallSpec((0.0,), 0.5))
+        val = sphere_integral(f, (0.0,), 0.5)
         assert val == pytest.approx(0.5, abs=1e-6)
 
     def test_homogeneous_scaling(self):
@@ -364,16 +376,16 @@ class TestSphereIntegral:
         f = field_from_function(
             g, lambda p: (0.5 * (0.6 * p[:, 0] ** 2 + 0.4 * p[:, 1] ** 2)) ** 2
         )
-        base = sphere_integral(f, BallSpec((0.0, 0.0), 1.0), 128)
+        base = sphere_integral(f, (0.0, 0.0), 1.0, 128)
         for r in (0.5, 0.75):
-            val = sphere_integral(f, BallSpec((0.0, 0.0), r), 128)
+            val = sphere_integral(f, (0.0, 0.0), r, 128)
             assert val == pytest.approx(r ** (2 - 1 + 4) * base, rel=2e-3)
 
     def test_angular_samples_floor(self):
         g = centered_box(2, 1.0, 33)
         f = ScalarField(g, np.ones(g.shape))
         with pytest.raises(GridError):
-            sphere_integral(f, BallSpec((0.0, 0.0), 0.5), 8)
+            sphere_integral(f, (0.0, 0.0), 0.5, 8)
 
 
 class TestSupOnBall:
@@ -381,19 +393,19 @@ class TestSupOnBall:
         g = centered_box(2, 1.0, 129)
         f = field_from_function(g, lambda p: 0.5 * np.maximum(p[:, 0], 0.0) ** 2)
         for r in (0.25, 0.5):
-            s = sup_on_ball(f, BallSpec((0.0, 0.0), r))
+            s = sup_on_ball(f, (0.0, 0.0), r)
             assert abs(s - 0.5 * r * r) <= 2.0 * g.h * r
 
     def test_zero_field(self):
         g = centered_box(2, 1.0, 33)
         f = ScalarField(g, np.zeros(g.shape))
-        assert sup_on_ball(f, BallSpec((0.0, 0.0), 0.5)) == 0.0
+        assert sup_on_ball(f, (0.0, 0.0), 0.5) == 0.0
 
     def test_isotropic_quadratic(self):
         g = centered_box(2, 1.0, 129)
         f = field_from_function(g, lambda p: 0.25 * np.sum(p * p, axis=1))
         for r in (0.25, 0.5):
-            s = sup_on_ball(f, BallSpec((0.0, 0.0), r))
+            s = sup_on_ball(f, (0.0, 0.0), r)
             assert abs(s - 0.25 * r * r) <= 2.0 * g.h * r
 
 
@@ -427,31 +439,31 @@ class TestGradient:
 # distances on a bounding window, the sphere rule by interpolating at each
 # sample, and the gradient's stencils written out. The cached rule kernels
 # and np.gradient must reproduce them.
-def reference_window(grid, ball):
+def reference_window(grid, center, r):
     window = []
-    for a, c in enumerate(ball.center):
+    for a, c in enumerate(center):
         h = grid.h
-        i0 = int(np.floor((c - ball.radius - grid.lower[a]) / h)) - 1
-        i1 = int(np.ceil((c + ball.radius - grid.lower[a]) / h)) + 2
+        i0 = int(np.floor((c - r - grid.lower[a]) / h)) - 1
+        i1 = int(np.ceil((c + r - grid.lower[a]) / h)) + 2
         window.append(slice(max(i0, 0), min(i1, grid.nodes_per_axis[a])))
-    axes = [grid.axis(a)[s] - c for a, (s, c) in enumerate(zip(window, ball.center))]
+    axes = [grid.axis(a)[s] - c for a, (s, c) in enumerate(zip(window, center))]
     dist = np.sqrt(sum(m * m for m in np.meshgrid(*axes, indexing="ij")))
     return tuple(window), dist
 
 
-def reference_ball_integral(field, ball):
-    window, dist = reference_window(field.grid, ball)
-    weights = np.clip(0.5 + (ball.radius - dist) / field.grid.h, 0.0, 1.0)
+def reference_ball_integral(field, center, r):
+    window, dist = reference_window(field.grid, center, r)
+    weights = np.clip(0.5 + (r - dist) / field.grid.h, 0.0, 1.0)
     return float(np.sum(weights * field.values[window]) * field.grid.h**field.grid.dimension)
 
 
-def reference_sup_on_ball(field, ball):
-    window, dist = reference_window(field.grid, ball)
-    return float(np.max(field.values[window][dist <= ball.radius]))
+def reference_sup_on_ball(field, center, r):
+    window, dist = reference_window(field.grid, center, r)
+    return float(np.max(field.values[window][dist <= r]))
 
 
-def reference_sphere_integral(field, ball, m):
-    center, r = np.array(ball.center), ball.radius
+def reference_sphere_integral(field, center, r, m):
+    center = np.array(center)
     if field.grid.dimension == 1:
         return float(np.sum(interpolate_many(field, center + np.array([[-r], [r]]))))
     if field.grid.dimension == 2:
@@ -495,11 +507,12 @@ def kernel_field(n, seed=0):
     return ScalarField(g, smooth.values + rng.uniform(0.0, 0.5, g.shape) + n)
 
 
-def assert_matches_reference(field, ball, samples=32):
+def assert_matches_reference(field, center, r, samples=32):
+    ball = center, r
     for value, expected in (
-        (ball_integral(field, ball), reference_ball_integral(field, ball)),
-        (sup_on_ball(field, ball), reference_sup_on_ball(field, ball)),
-        (sphere_integral(field, ball, samples), reference_sphere_integral(field, ball, samples)),
+        (ball_integral(field, *ball), reference_ball_integral(field, *ball)),
+        (sup_on_ball(field, *ball), reference_sup_on_ball(field, *ball)),
+        (sphere_integral(field, *ball, samples), reference_sphere_integral(field, *ball, samples)),
     ):
         assert abs(value - expected) <= 1e-12 * abs(expected)
 
@@ -512,7 +525,7 @@ class TestRuleKernels:
         h = f.grid.h
         for index in (-5, 0, 7):
             center = (f.grid.axis(0)[KERNEL_GRIDS[n] // 2 + index],) * n
-            assert_matches_reference(f, BallSpec(center, radius_spacings * h))
+            assert_matches_reference(f, center, radius_spacings * h)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_off_node_centres_match_reference(self, n):
@@ -521,11 +534,11 @@ class TestRuleKernels:
         for _ in range(6):
             r = rng.uniform(3.0, 8.0) * f.grid.h
             center = tuple(rng.uniform(-1.0 + r, 1.0 - r, n))
-            assert_matches_reference(f, BallSpec(center, r))
+            assert_matches_reference(f, center, r)
         # half a spacing off a node on every axis, and just beyond the snap
         h = f.grid.h
-        assert_matches_reference(f, BallSpec((0.5 * h,) * n, 5.0 * h))
-        assert_matches_reference(f, BallSpec((1e-8 * h,) * n, 5.0 * h))
+        assert_matches_reference(f, (0.5 * h,) * n, 5.0 * h)
+        assert_matches_reference(f, (1e-8 * h,) * n, 5.0 * h)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_ball_touching_a_face_matches_reference(self, n):
@@ -534,7 +547,7 @@ class TestRuleKernels:
         on_node = (1.0 - r,) + (0.0,) * (n - 1)
         off_node = (1.0 - r,) + (0.013,) * (n - 1)
         for center in (on_node, off_node, tuple(-c for c in off_node)):
-            assert_matches_reference(f, BallSpec(center, r))
+            assert_matches_reference(f, center, r)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_node_at_exactly_radius(self, n):
@@ -542,10 +555,10 @@ class TestRuleKernels:
         g = centered_box(n, 1.0, KERNEL_GRIDS[n])
         f = field_from_function(g, lambda p: p[:, 0] + 0.01 * np.sum(p * p, axis=1))
         mid = KERNEL_GRIDS[n] // 2
-        ball = BallSpec((0.0,) * n, 6.0 * g.h)
-        assert sup_on_ball(f, ball) == f.values[(mid + 6,) + (mid,) * (n - 1)]
-        assert_matches_reference(f, ball)
-        assert_matches_reference(kernel_field(n), ball)
+        ball = (0.0,) * n, 6.0 * g.h
+        assert sup_on_ball(f, *ball) == f.values[(mid + 6,) + (mid,) * (n - 1)]
+        assert_matches_reference(f, *ball)
+        assert_matches_reference(kernel_field(n), *ball)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_samples_on_grid_lines(self, n):
@@ -553,16 +566,16 @@ class TestRuleKernels:
         # quarter turn) fall on grid lines or nodes
         f = kernel_field(n)
         for samples in (16, 64):
-            assert_matches_reference(f, BallSpec((0.0,) * n, 8.0 * f.grid.h), samples)
+            assert_matches_reference(f, (0.0,) * n, 8.0 * f.grid.h, samples)
 
     def test_rule_built_once_per_radius(self):
         f = kernel_field(2)
         r = 5.5 * f.grid.h
-        sphere_integral(f, BallSpec((0.0, 0.0), r), 48)
+        sphere_integral(f, (0.0, 0.0), r, 48)
         before = grid._rule.cache_info()
         for i in range(-4, 5):
             center = (f.grid.axis(0)[32 + i], f.grid.axis(1)[30 - i])
-            sphere_integral(f, BallSpec(center, r), 48)
+            sphere_integral(f, center, r, 48)
         after = grid._rule.cache_info()
         assert (after.misses, after.hits) == (before.misses, before.hits + 9)
 
@@ -629,7 +642,7 @@ class TestRuleKernels:
         f = kernel_field(n)
         r = 4.3 * f.grid.h
         for center in [(1.0 - r,) + (0.0,) * (n - 1), (-1.0 + r,) + (0.5 * f.grid.h,) * (n - 1)]:
-            assert_matches_reference(f, BallSpec(center, r))
+            assert_matches_reference(f, center, r)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_blocks_do_not_change_values(self, n, monkeypatch):
@@ -667,11 +680,23 @@ class TestRuleKernels:
         with pytest.raises(GridError):
             grid.apply_rule(f, [(0.0, 0.0, 0.0)], r, "ball")
 
+    @pytest.mark.parametrize("r", [math.nan, 0.0, -0.5], ids=["nan", "zero", "negative"])
+    def test_radius_that_passes_no_floor_raises(self, r):
+        # a NaN radius fails every comparison, so the floor refuses what
+        # does not reach it
+        f = kernel_field(2)
+        for kind in ("ball", "sphere", "sup"):
+            with pytest.raises(ResolutionError):
+                grid.apply_rule(f, [(0.0, 0.0)], r, kind)
+        for one_centre in (ball_integral, sphere_integral, sup_on_ball):
+            with pytest.raises(ResolutionError):
+                one_centre(f, (0.0, 0.0), r)
+
     def test_sup_below_rule_floor_raises(self):
         g = centered_box(2, 1.0, 33)
         f = ScalarField(g, np.ones(g.shape))
         with pytest.raises(ResolutionError):
-            sup_on_ball(f, BallSpec((0.0, 0.0), 2.5 * g.h))
+            sup_on_ball(f, (0.0, 0.0), 2.5 * g.h)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
