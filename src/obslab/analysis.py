@@ -231,12 +231,10 @@ def _require_blowup_radius(grid: GridSpec, r: float) -> None:
 
 
 def rescale_blowup(field: ScalarField, centers, r: float) -> np.ndarray:
-    """u_{x0,r}(x) = u(x0 + r x) / r^2 at the :func:`unit_ball_nodes`, one
-    row per centre x0 of the ``(m, dimension)`` ``centers``, filled from the
-    blocks of :func:`grid.multilinear_blocks` (one rule per centre offset
-    from its node): shifting the field and the centres by whole nodes keeps
-    every bit, and on power-of-two spacings the values are
-    :func:`interpolate_many`'s."""
+    """u_{x0,r}(x) = u(x0 + r x) / r^2 at the :func:`unit_ball_nodes`, one row
+    per centre x0 of ``centers``, from :func:`grid.multilinear_blocks`: a shift
+    of the field and the centres by whole nodes keeps every bit, and on
+    power-of-two spacings the values are :func:`interpolate_many`'s."""
     grid = field.grid
     _require_blowup_radius(grid, r)
     centers = require_balls_in_box(grid, centers, float(r))
@@ -570,10 +568,10 @@ def frequency_lambda(
     at each point against its own form p, over its own radii (one sequence
     per point), one radius at a time for all points that use it.
 
-    Least-squares slope of log N against log r, so each point needs at
-    least two radii; undefined (not an error) when any sphere norm sits at
-    the degeneracy floor, which is the w == 0 case up to roundoff. The floor
-    is set once per field.
+    Least-squares slope of log N against log r over two radii or more;
+    undefined (not an error) when any sphere norm sits at the degeneracy
+    floor, which is the w == 0 case up to roundoff. The floor is set once
+    per field.
     """
     n, points = field.grid.dimension, np.asarray(points, dtype=float)
     own = np.array([form.require_blowup_form().matrix for form in forms]).reshape(-1, 1, n, n)

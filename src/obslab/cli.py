@@ -161,8 +161,7 @@ def _cmd_diagnose(args, selection_override) -> int:
     if solver_summary is not None:
         report["checks"]["solver_converged"] = solver_summary["final_residual"] <= config.solver.tol
 
-    points = map(tuple, fb.points.tolist())
-    radii = dict(zip(points, admissible_radii(grid, fb.points, diag.radii)))
+    radii = dict(zip(map(tuple, fb.points.tolist()), admissible_radii(grid, fb.points, diag.radii)))
     run = _Run(field, contact, fb, diag.classifier, config.seed, radii)
     point_columns = [f"x{a}" for a in range(grid.dimension)]
     out_dir.mkdir(parents=True, exist_ok=True)

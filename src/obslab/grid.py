@@ -29,9 +29,8 @@ MIN_ANGULAR_SAMPLES = 16
 # A centre or a sphere sample this close to a node or grid line, in
 # spacings, is taken as on it.
 NODE_SNAP = 1e-9
-# Bytes that one block of :func:`gather` holds (the gathered field values
-# and their flat indices, 8 bytes each per node) and one block of
-# :func:`multilinear_blocks` (8 bytes per sample).
+# Bytes that one block of :func:`gather` (the field values and their flat
+# indices, 8 bytes each per node) or :func:`multilinear_blocks` holds.
 GATHER_BYTES = 2**19
 # Longest piece of a row in :func:`row_dot`. OpenBLAS's ddot (``np.vecdot`` on
 # float64) ran rows of 10,001 entries or more on two threads of a 2-core host,
@@ -355,10 +354,9 @@ def _rule(kind: str, h: float, r: float, offset: tuple[float, ...], samples: int
 
 
 def _centre_groups(grid: GridSpec, centers: np.ndarray):
-    """The centres grouped by their offset from their nearest node, in
-    spacings (0 within ``NODE_SNAP``): per distinct offset, in
-    ``np.unique`` order, ``(offset, rows, nodes)`` with the indices of the
-    centres at it, increasing, and their nodes."""
+    """Per distinct offset of the centres from their nearest nodes, in
+    spacings (0 within ``NODE_SNAP``) and ``np.unique`` order, ``(offset,
+    rows, nodes)``: the increasing indices of its centres and their nodes."""
     t = (centers - grid.lower) / grid.h
     node = np.round(t).astype(int)
     offset = np.where(np.abs(t - node) < NODE_SNAP, 0.0, t - node)
@@ -368,39 +366,48 @@ def _centre_groups(grid: GridSpec, centers: np.ndarray):
         yield o, rows, node[rows]
 
 
+def _multilinear_rule(grid: GridSpec, strides, offset, nodes, steps) -> list:
+    """The multilinear rule of the centres at ``offset`` from their
+    ``nodes``: each sample's nonzero :func:`_corners`, in order, grouped by
+    the axes with a nonzero fraction, as the group's columns and its
+    corners' flat offsets and weights, for one gather per corner slot;
+    positions within ``NODE_SNAP`` of a grid line are on it. Its temporaries
+    go on return: held through the blocks, they put the blocks' arrays on
+    fresh pages (40 times the page faults of a 3D classification)."""
+    t = offset + steps
+    t = np.where(np.abs(t - np.round(t)) < NODE_SNAP, np.round(t), t)
+    low = np.floor(t).astype(int)
+    frac, moving = t - low, t != low
+    reach = nodes.min(0) + low.min(0), nodes.max(0) + (low + moving).max(0)
+    if (reach[0] < 0).any() or (reach[1] >= grid.shape).any():
+        raise GridError("a multilinear corner falls off the grid")
+    axes = np.arange(grid.dimension)
+    pattern, rule = moving @ (1 << axes), []
+    for p in np.flatnonzero(np.bincount(pattern)):  # np.unique here raised peak RSS
+        columns, active = np.flatnonzero(pattern == p), np.flatnonzero(p >> axes & 1)
+        corners = _corners(frac[columns][:, active], np.ones(len(columns)))
+        at = np.array([low[columns] @ strides + bits @ strides[active] for bits, _ in corners])
+        rule.append((columns, at.astype(np.int32), np.array([w for _, w in corners])))
+    return rule
+
+
 def multilinear_blocks(field: ScalarField, centers, steps: np.ndarray):
     """Blocks ``(rows, values)`` of the field interpolated multilinearly at
     each of the ``(m, dimension)`` centres plus h times each of the ``(s,
-    dimension)`` steps: ``values[i]`` holds the s samples of centre
-    ``rows[i]``, at most ``GATHER_BYTES // (8 s)`` centres a block. The rule
-    of a centre offset (as :func:`gather` groups them) keeps each sample's
-    nonzero :func:`_corners`, in order, grouped by the axes with a nonzero
-    fraction, for one gather per corner slot; positions within ``NODE_SNAP``
-    of a grid line are on it. A sum starts at +0.0, which a dropped term 0 v
-    never changes, so exact positions give :func:`interpolate_many`'s bits."""
-    grid, n = field.grid, field.grid.dimension
+    dimension)`` steps, by one :func:`_multilinear_rule` per centre offset:
+    ``values[i]`` holds the s samples of centre ``rows[i]``, at most
+    ``GATHER_BYTES // (8 s)`` centres a block. A sum starts at +0.0, which a
+    dropped term 0 v never changes, so exact positions give
+    :func:`interpolate_many`'s bits."""
     values, strides = field.values.ravel(), np.array(field.values.strides) // field.values.itemsize
     steps = np.asarray(steps, dtype=float)
     block = max(1, GATHER_BYTES // (8 * len(steps)))
-    for o, rows, nodes in _centre_groups(grid, np.asarray(centers, dtype=float)):
-        t = o + steps
-        t = np.where(np.abs(t - np.round(t)) < NODE_SNAP, np.round(t), t)
-        low = np.floor(t).astype(int)
-        frac, moving = t - low, t != low
-        reach = nodes.min(0) + low.min(0), nodes.max(0) + (low + moving).max(0)
-        if (reach[0] < 0).any() or (reach[1] >= grid.shape).any():
-            raise GridError("a multilinear corner falls off the grid")
-        pattern, rules = moving @ (1 << np.arange(n)), []  # rules: one per pattern
-        for p in np.flatnonzero(np.bincount(pattern)):  # np.unique here raised peak RSS
-            columns, active = np.flatnonzero(pattern == p), np.flatnonzero(p >> np.arange(n) & 1)
-            corners = _corners(frac[columns][:, active], np.ones(len(columns)))
-            at = np.array([low[columns] @ strides + bits @ strides[active] for bits, _ in corners])
-            rules.append((columns, at.astype(np.int32), np.array([w for _, w in corners])))
-        bases = nodes @ strides
+    for o, rows, nodes in _centre_groups(field.grid, np.asarray(centers, dtype=float)):
+        rule, bases = _multilinear_rule(field.grid, strides, o, nodes, steps), nodes @ strides
         for start in range(0, len(rows), block):
             base = bases[start : start + block, None]
             out = np.empty((len(base), len(steps)))
-            for columns, at, weights in rules:
+            for columns, at, weights in rule:
                 total = np.zeros((len(base), len(columns)))
                 for corner, weight in zip(at, weights):
                     total += weight * values[base + corner]
