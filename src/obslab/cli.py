@@ -96,9 +96,9 @@ def _solved(config: RunConfig, out_dir: Path):
     try:
         result = solve(problem, config.solver)
     except IterationLimitError as exc:
-        _write_residuals(out_dir, exc.residual_history)
+        _write_residuals(out_dir, exc.recorded_iterations, exc.residual_history)
         raise
-    _write_residuals(out_dir, result.residual_history)
+    _write_residuals(out_dir, result.recorded_iterations, result.residual_history)
     io.write_field(out_dir / "solution.field", result.solution)
     return result.solution, {
         "iterations": result.iterations,
@@ -109,9 +109,9 @@ def _solved(config: RunConfig, out_dir: Path):
     }
 
 
-def _write_residuals(out_dir: Path, history) -> None:
-    rows = [(k + 1, float(r)) for k, r in enumerate(history)]
-    io.write_csv(out_dir / "residuals.csv", ["iteration", "residual"], rows)
+def _write_residuals(out_dir: Path, iterations, history) -> None:
+    """The recorded residuals, each with its iteration number."""
+    io.write_csv(out_dir / "residuals.csv", ["iteration", "residual"], zip(iterations, history))
 
 
 def _obtain_field(config: RunConfig, out_dir: Path):

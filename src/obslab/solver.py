@@ -23,7 +23,16 @@ sweep runs on one contiguous range; the ring and pad nodes inside a range
 get their stored values back after each update (:class:`_ParityLattice`).
 
 The stopping rule is the complementarity residual in max-norm,
-``max |min(u - obstacle, source - lap_h u)|`` over interior nodes. PSOR forms
+``max |min(u - obstacle, source - lap_h u)|`` over interior nodes. It is
+decided from a witness node and formed in full only at recorded iterations.
+Each full evaluation keeps the node of its largest gap as the witness; after
+each later iteration the witness's gap alone is evaluated by the same formula
+on one-element slices, so it has the bits of that node's entry in a full pass
+and is a lower bound on the residual. The full residual is formed, and
+recorded, only once the witness's gap is at most
+``max(tol, WITNESS_DROP * last recorded residual)``; so every unrecorded
+iteration is proven above ``tol``, and the stopping iteration and its
+residual are those of a full check after every iteration. PSOR forms
 each sub-lattice's neighbour sums once per sweep: the red sums formed from
 the final black values at the end of sweep k serve both residual k and the
 red update of sweep k + 1. It clamps an obstacle that is +0.0 at every node
@@ -51,11 +60,16 @@ class SolverError(RuntimeError):
 
 
 class IterationLimitError(SolverError):
-    """Iteration budget exhausted before the residual tolerance was met."""
+    """Iteration budget exhausted before the residual tolerance was met. The
+    recorded residuals come with their iteration numbers; the last is the
+    exact residual of the last iterate."""
 
-    def __init__(self, message: str, residual_history: np.ndarray):
+    def __init__(
+        self, message: str, residual_history: np.ndarray, recorded_iterations: np.ndarray
+    ):
         super().__init__(message)
         self.residual_history = residual_history
+        self.recorded_iterations = recorded_iterations
 
 
 @dataclass(frozen=True)
@@ -107,6 +121,10 @@ def general_problem(
 PSOR = "psor"
 PROJECTED_GRADIENT = "projected_gradient"
 
+# The full residual is formed once the witness's gap is at most this share of
+# the last recorded residual (or at most the tolerance).
+WITNESS_DROP = 0.5
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -128,9 +146,14 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SolveResult:
+    """``iterations`` counts the sweeps or steps; ``residual_history`` holds
+    the residuals formed in full, at the iterations ``recorded_iterations``
+    (1-based, increasing), the last of them the stopping iteration."""
+
     solution: ScalarField
     iterations: int
     residual_history: np.ndarray
+    recorded_iterations: np.ndarray
     final_energy: float
 
 
@@ -159,7 +182,8 @@ class _ParityLattice:
     the final red values. The red sums are formed from the final black values
     at the end of each sweep (and at construction), so the red sums formed
     at the end of sweep k serve both residual k and the red update of sweep
-    k + 1. The residual forms no sums and overwrites none.
+    k + 1. The residual forms no sums and overwrites none, and neither does
+    the witness's gap.
 
     An obstacle that is +0.0 at every node, by bit pattern, as in every
     normalized problem, is clamped with the scalar 0.0, and the residual's gap
@@ -200,7 +224,10 @@ class _ParityLattice:
                 fixed = self._padded(obstacle[w])[start : start + n]
             block = (nodes, fixed, pairs, edge, nodes[edge], *np.empty((2, n)))
             self.colors[sum(p) % 2].append(block)
+        self.blocks = self.colors[0] + self.colors[1]
         self.scratch = np.empty(math.prod(self.pad))  # the residual's KKT terms
+        self.cell = np.empty((2, 1))  # the witness's
+        self.witness: tuple[int, int] | None = None
         self._sum_red()
 
     def _padded(self, values: np.ndarray) -> np.ndarray:
@@ -238,12 +265,30 @@ class _ParityLattice:
     def residual(self, source: float, h: float) -> float:
         """The complementarity residual after a sweep, from the stored sums of
         both colours. The KKT terms go to the scratch buffer, so the sums
-        survive: the red ones for the next sweep."""
+        survive: the red ones for the next sweep. The node of the largest gap,
+        the first of the first block to reach it, becomes the witness as
+        ``(block, flat index)``; ring and pad positions count as 0, so it is
+        an interior node unless the residual is 0."""
         nd = len(self.pad)
-        return max(
-            _kkt_max(u, psi, total, source, h, nd, work, edge, self.scratch[: u.size])
-            for u, psi, _, edge, _, total, work in self.colors[0] + self.colors[1]
-        )
+        residual = None
+        for b, (u, psi, _, edge, _, total, work) in enumerate(self.blocks):
+            gaps = _kkt_gaps(u, psi, total, source, h, nd, work, edge, self.scratch[: u.size])
+            value, i = _largest(gaps)
+            if residual is None or value > residual:  # as max() picks among blocks
+                residual, self.witness = value, (b, i)
+        return residual
+
+    def gap(self, source: float, h: float) -> float:
+        """The witness's gap after a sweep: :func:`_kkt_max` on one-element
+        slices of its block's nodes, obstacle and stored sums, so it has the
+        bits of its entry in :meth:`residual`, into scratch of its own."""
+        b, i = self.witness
+        u, psi, _, _, _, total, _ = self.blocks[b]
+        one = slice(i, i + 1)
+        if isinstance(psi, np.ndarray):
+            psi = psi[one]
+        work, out = self.cell
+        return _kkt_max(u[one], psi, total[one], source, h, len(self.pad), work, out=out)
 
 
 def _sum_pairs(pairs, out: np.ndarray, work: np.ndarray) -> None:
@@ -265,17 +310,17 @@ def _divisor(divisor: float):
     return np.divide, divisor
 
 
-def _kkt_max(
+def _kkt_gaps(
     u, obstacle, total, source: float, h: float, nd: int, work=None, edge=None, out=None
-) -> float:
-    """``max |min(u - obstacle, source - lap_h u)|`` over the nodes ``u`` of an
-    ``nd``-dimensional grid (0 if none), with neighbour sums ``total``; the one
-    formula. The KKT terms overwrite ``out``, which defaults to ``total``. An
-    ``obstacle`` that is not an array is the scalar +0.0, and the gap is then
-    ``min(u, kkt)``. On a :class:`_ParityLattice` range ``u`` is flat, and its
-    ring and pad positions ``edge`` count as 0. The division by ``h * h``
-    follows :func:`_divisor`, and the max is ``np.maximum.reduce``, without
-    ``np.max``'s Python wrapper."""
+) -> np.ndarray:
+    """``|min(u - obstacle, source - lap_h u)|`` at the nodes ``u`` of an
+    ``nd``-dimensional grid, with neighbour sums ``total``; the one formula,
+    returned in ``work``. The KKT terms overwrite ``out``, which defaults to
+    ``total``. An ``obstacle`` that is not an array is the scalar +0.0, and the
+    gap is then ``min(u, kkt)``. On a :class:`_ParityLattice` range ``u`` is
+    flat, and its ring and pad positions ``edge`` count as 0. The division by
+    ``h * h`` follows :func:`_divisor`. Every step is elementwise, so a node's
+    gap has the same bits whether its slice holds one node or all of them."""
     lap = np.multiply(u, 2.0 * nd, out=work)
     kkt = np.subtract(total, lap, out=total if out is None else out)
     scale, by = _divisor(h * h)
@@ -285,7 +330,19 @@ def _kkt_max(
     gap = np.abs(np.minimum(u, kkt, out=lap), out=lap)
     if edge is not None:
         gap[edge] = 0.0
-    return float(np.maximum.reduce(gap, axis=None, initial=0.0))
+    return gap
+
+
+def _kkt_max(*args, **kwargs) -> float:
+    """The largest of :func:`_kkt_gaps` (0 if none), the complementarity
+    residual, by ``np.maximum.reduce``, without ``np.max``'s Python wrapper."""
+    return float(np.maximum.reduce(_kkt_gaps(*args, **kwargs), axis=None, initial=0.0))
+
+
+def _largest(gaps: np.ndarray) -> tuple[float, int]:
+    """:func:`_kkt_max` of ``gaps`` and the flat index of its first largest
+    entry."""
+    return float(np.maximum.reduce(gaps, axis=None, initial=0.0)), int(np.argmax(gaps))
 
 
 def default_initial_guess(problem: ObstacleProblemSpec) -> ScalarField:
@@ -320,10 +377,19 @@ def solve(
 ) -> SolveResult:
     """Minimize the discrete energy subject to the constraint.
 
-    One loop serves every method: the method's steps update ``u`` and yield
-    the residual of each iterate, and the loop returns once that drops to
-    ``config.tol``; raises :class:`IterationLimitError` (carrying the
-    residual history) if ``config.max_iterations`` steps do not get there.
+    One loop serves every method: the method's steps update ``u`` and yield,
+    after each iteration, the pair ``(gap, residual)``. ``residual()`` forms
+    the iterate's complementarity residual and keeps the node of its largest
+    gap as the witness; ``gap()`` is that node's gap in the current iterate,
+    with the bits of its entry in a full pass, so a lower bound on the
+    residual. The first iteration is recorded. A later one is recorded, its
+    residual formed, only if its witness's gap is at most
+    ``max(config.tol, WITNESS_DROP * last recorded residual)``; any other is
+    proven above ``config.tol``. So the loop returns at the first iteration
+    whose residual is at most ``config.tol``, as a check after every iteration
+    would. If ``config.max_iterations`` iterations do not get there, the last
+    iterate's residual is recorded and :class:`IterationLimitError`, carrying
+    the recorded rows, is raised.
     """
     grid = problem.grid
     core = grid.interior_slices()
@@ -339,48 +405,61 @@ def solve(
         u[core] = np.maximum(u[core], problem.obstacle[core])
 
     steps = _psor_steps if config.method == PSOR else _projected_gradient_steps
-    residuals: list[float] = []
+    recorded: list[tuple[int, float]] = []
     with contextlib.closing(steps(u, problem, config)) as stepping:
-        for residual in itertools.islice(stepping, config.max_iterations):
-            residuals.append(residual)
-            if residual <= config.tol:
+        iterates = itertools.islice(stepping, config.max_iterations)
+        for k, (gap, residual) in enumerate(iterates, 1):
+            if k < config.max_iterations and recorded:
+                if gap() > max(config.tol, WITNESS_DROP * recorded[-1][1]):
+                    continue
+            recorded.append((k, residual()))
+            if recorded[-1][1] <= config.tol:
                 break
 
-    history = np.array(residuals)
+    numbers, values = zip(*recorded)
+    history, at = np.array(values), np.array(numbers)
     if history[-1] > config.tol:
         raise IterationLimitError(
             f"no convergence in {config.max_iterations} iterations "
             f"(residual {history[-1]:.3e} > tol {config.tol:.3e})",
             history,
+            at,
         )
     solution = ScalarField(grid, u)
     return SolveResult(
         solution=solution,
-        iterations=len(history),
+        iterations=k,
         residual_history=history,
+        recorded_iterations=at,
         final_energy=dirichlet_energy(solution, problem),
     )
 
 
 def _psor_steps(u, problem, config):
-    """Projected SOR sweeps of the parity-split ``u``, yielding the residual
-    after each; ``u`` holds the last iterate once the generator is closed."""
-    h = problem.grid.h
-    c0 = problem.source * (h * h) / (2.0 * u.ndim)
+    """Projected SOR sweeps of the parity-split ``u``, yielding :func:`solve`'s
+    ``(gap, residual)`` after each, both from the sums the lattice stores;
+    ``u`` holds the last iterate once the generator is closed."""
+    h, source = problem.grid.h, problem.source
+    c0 = source * (h * h) / (2.0 * u.ndim)
     lattice = _ParityLattice(u, problem.obstacle)
+    gap = functools.partial(lattice.gap, source, h)
+    residual = functools.partial(lattice.residual, source, h)
     try:
         while True:
             lattice.sweep(config.omega, c0)
-            yield lattice.residual(problem.source, h)
+            yield gap, residual
     finally:
         lattice.store(u)
 
 
 def _projected_gradient_steps(u, problem, config):
-    """Accelerated projected gradient steps from ``u``, yielding the
-    residual of each iterate, which ``u`` holds. The steps run in three
-    preallocated buffers, by ``out=`` ufuncs in the operation order of
-    ``interior_laplacian`` and the plain step expressions."""
+    """Accelerated projected gradient steps from ``u``, yielding
+    :func:`solve`'s ``(gap, residual)`` for each iterate, which ``u`` holds.
+    The steps run in three preallocated buffers, by ``out=`` ufuncs in the
+    operation order of ``interior_laplacian`` and the plain step expressions.
+    The iterate's neighbour sums are formed only by ``residual``; ``gap`` forms
+    the witness's sum alone, from one-element slices of its 2n neighbours in
+    :func:`_sum_pairs` order, so with the bits of its entry in the full sums."""
     nd, h, source = u.ndim, problem.grid.h, problem.source
     core = (slice(1, -1),) * nd
     psi_core = problem.obstacle[core]
@@ -389,6 +468,20 @@ def _projected_gradient_steps(u, problem, config):
     y_core, u_core = y[core], u[core]
     y_pairs, u_pairs = neighbor_pairs(y), neighbor_pairs(u)
     x_new, total, work = (np.empty_like(u_core) for _ in range(3))  # u_core is the iterate
+    cell = np.empty((2,) + (1,) * nd)  # the witness's sum and scratch
+    witness = None  # one-element slices of the core at the node of largest gap
+
+    def gap() -> float:
+        _sum_pairs([(lo[witness], hi[witness]) for lo, hi in u_pairs], *cell)
+        return _kkt_max(u_core[witness], psi_core[witness], cell[0], source, h, nd, cell[1])
+
+    def residual() -> float:
+        nonlocal witness
+        _sum_pairs(u_pairs, total, work)
+        value, i = _largest(_kkt_gaps(u_core, psi_core, total, source, h, nd, work))
+        witness = tuple(slice(j, j + 1) for j in np.unravel_index(i, total.shape))
+        return value
+
     t = 1.0
     while True:
         _sum_pairs(y_pairs, total, work)  # interior_laplacian(y, h)
@@ -406,8 +499,7 @@ def _projected_gradient_steps(u, problem, config):
             np.add(x_new, np.multiply(total, (t - 1.0) / t_next, out=total), out=y_core)
             t = t_next
         np.copyto(u_core, x_new)
-        _sum_pairs(u_pairs, total, work)
-        yield _kkt_max(u_core, psi_core, total, source, h, nd, work)
+        yield gap, residual
 
 
 def _trapezoid_weights(shape: tuple[int, ...], plain_axis: int | None = None) -> np.ndarray:

@@ -418,7 +418,7 @@ class TestDiagnoseCommand:
         assert main(["diagnose", "--config", cfg]) == 0
         _, rows = read_csv(out / "residuals.csv")
         report = json.loads((out / "report.json").read_text())
-        assert len(rows) == report["solver"]["iterations"]
+        assert rows[0][0] == "1" and int(rows[-1][0]) == report["solver"]["iterations"]
         assert float(rows[-1][1]) == report["solver"]["final_residual"]
 
     def test_coordinates_built_once_per_run(self, tmp_path, monkeypatch):

@@ -102,10 +102,19 @@ class TestSolveNormalized:
         assert lap.max() <= 1.0 + 10 * TOL / (h * h)
 
     def test_iteration_limit_carries_history(self):
+        # the last row is the exact residual of the last iterate, at the limit
         problem, _ = radial_problem(nodes=65)
         with pytest.raises(IterationLimitError) as excinfo:
             solve(problem, SolverConfig(tol=1e-12, max_iterations=3))
-        assert len(excinfo.value.residual_history) == 3
+        error = excinfo.value
+        assert error.recorded_iterations[0] == 1 and error.recorded_iterations[-1] == 3
+        assert len(error.residual_history) == len(error.recorded_iterations)
+        u = default_initial_guess(problem).values.copy()
+        for _ in range(3):
+            masked_sweep(problem, u, 1.8)
+        last = complementarity_residual(ScalarField(problem.grid, u), problem)
+        assert bits(error.residual_history[-1]) == bits(last)
+        assert f"(residual {last:.3e} > tol" in str(error)
 
 
 class TestSolveGeneral:
@@ -237,7 +246,8 @@ class TestResidualHistory:
         problem, _ = one_d_problem(nodes=65)
         result = solve(problem, SolverConfig(tol=TOL))
         assert result.residual_history[-1] <= TOL
-        assert result.iterations == len(result.residual_history)
+        assert result.iterations == result.recorded_iterations[-1]
+        assert len(result.residual_history) == len(result.recorded_iterations)
 
 
 def small_problem(dimension, nodes, form):
@@ -332,6 +342,11 @@ def masked_psor(problem, u, omega, tol):
     return history
 
 
+def recorded_rows(result, history):
+    """The reference residuals at the iterations that ``result`` recorded."""
+    return [history[k - 1] for k in result.recorded_iterations]
+
+
 def high_start(problem):
     """The ring data, and 3 at every interior node."""
     u = problem.boundary.copy()
@@ -408,7 +423,7 @@ class TestStridedSweep:
         u = start.values.copy()
         history = masked_psor(problem, u, omega=1.8, tol=1e-10)
         assert bits(result.solution.values) == bits(u)
-        assert bits(result.residual_history) == bits(history)
+        assert bits(result.residual_history) == bits(recorded_rows(result, history))
         core = problem.grid.interior_slices()
         assert (u[core] == problem.obstacle[core]).any()  # the projection was active
 
@@ -420,7 +435,7 @@ class TestStridedSweep:
         u = start.values.copy()
         history = masked_psor(problem, u, omega=1.8, tol=1e-10)
         assert bits(result.solution.values) == bits(u)
-        assert bits(result.residual_history) == bits(history)
+        assert bits(result.residual_history) == bits(recorded_rows(result, history))
 
     @pytest.mark.parametrize("dimension, nodes, form", ZERO_CASES, ids=case_id)
     def test_zero_obstacles_equal_masked_reference(self, dimension, nodes, form):
@@ -431,9 +446,36 @@ class TestStridedSweep:
         result = solve(problem, SolverConfig(tol=1e-10), ScalarField(problem.grid, start))
         history = masked_psor(problem, start, omega=1.8, tol=1e-10)
         assert bits(result.solution.values) == bits(start)
-        assert bits(result.residual_history) == bits(history)
+        assert bits(result.residual_history) == bits(recorded_rows(result, history))
         if form == "negzero":  # the -0.0 array clamp wrote -0.0, which 0.0 would not
             assert np.signbit(start[problem.grid.interior_slices()]).any()
+
+
+class TestWitness:
+    """The solve forms the full residual only where its witness cannot rule
+    convergence out: every iteration it leaves unrecorded is above tol in the
+    reference, and it stops at the reference's first iteration at or below
+    tol."""
+
+    @pytest.mark.parametrize("method", [PSOR, PROJECTED_GRADIENT])
+    @pytest.mark.parametrize(
+        "dimension, nodes, form", LAYOUT_CASES + RING_CASES + ZERO_CASES, ids=case_id
+    )
+    def test_unrecorded_iterations_are_above_tol(self, dimension, nodes, form, method):
+        problem = small_problem(dimension, nodes, form)
+        start = default_initial_guess(problem)
+        result = solve(problem, SolverConfig(method=method, tol=1e-10), start)
+        u = start.values.copy()
+        if method == PSOR:
+            history = np.array(masked_psor(problem, u, omega=1.8, tol=1e-10))
+        else:
+            history = np.array(reference_projected_gradient(problem, u, tol=1e-10))
+        recorded = result.recorded_iterations
+        assert recorded[0] == 1 and (np.diff(recorded) > 0).all()
+        unrecorded = np.setdiff1d(np.arange(1, result.iterations + 1), recorded)
+        assert (history[unrecorded - 1] > 1e-10).all()
+        assert recorded[-1] == result.iterations == np.flatnonzero(history <= 1e-10)[0] + 1
+        assert bits(result.residual_history) == bits(history[recorded - 1])
 
 
 class TestStoredSums:
@@ -604,7 +646,7 @@ class TestProjectedGradientSteps:
         u = start.values.copy()
         history = reference_projected_gradient(problem, u, tol=1e-10)
         assert bits(result.solution.values) == bits(u)
-        assert bits(result.residual_history) == bits(history)
+        assert bits(result.residual_history) == bits(recorded_rows(result, history))
         assert result.iterations == len(history)
 
 

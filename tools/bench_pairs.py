@@ -18,8 +18,8 @@ Each pair runs ``perfbench/run.py --workload W`` once in each tree; the side
 that goes first alternates from pair to pair. The output holds every pair's
 end-to-end metrics, each side's median and quartiles per metric, how many
 pairs the change won per metric, and ``run.py``'s provenance for each side.
-``--trace`` adds one ``--trace 1`` run per side and workload with its
-per-layer metrics.
+``--trace`` adds ``TRACE_PAIRS`` alternated pairs of ``--trace 1`` runs per
+workload: every run's per-layer metrics, and each side's median per metric.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PAIRS = 10  # the fewest that can show a change winning nine tenths of them
+TRACE_PAIRS = 3  # traced pairs per workload: a layer's median is not one run's swing
 CODE = ("src", "perfbench")  # what run.py runs
 
 
@@ -90,6 +91,36 @@ def spread(values: list[float]) -> dict:
     return {"median": q2, "q1": q1, "q3": q3}
 
 
+def run_pairs(sides: dict, workload: str, count: int, trace: bool, provenance: dict) -> list:
+    """``count`` pairs of runs of ``workload``, the side that goes first
+    alternating from pair to pair; each side's first provenance goes to
+    ``provenance``."""
+    pairs = []
+    for k in range(count):
+        order = ("base", "change") if k % 2 == 0 else ("change", "base")
+        pair = {"first": order[0]}
+        for side in order:
+            record = bench(sides[side], workload, trace)
+            pair[side] = summary(record)
+            provenance.setdefault(side, record["provenance"])
+        pairs.append(pair)
+        line = f"{workload} {'traced ' * trace}pair {k}"
+        if not trace:  # a traced run reports layers, not wall_s
+            line += ": " + ", ".join(
+                f"{side} wall_s {pair[side]['wall_s']:.3f}" for side in ("base", "change")
+            )
+        print(line, flush=True)
+    return pairs
+
+
+def medians(pairs: list[dict]) -> dict:
+    """Each side's median of every metric over ``pairs``."""
+    return {
+        side: {m: statistics.median(p[side][m] for p in pairs) for m in pairs[0][side]}
+        for side in ("base", "change")
+    }
+
+
 def compare(pairs: list[dict], better: dict) -> dict:
     out = {}
     for metric, direction in better.items():
@@ -112,7 +143,9 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True, type=Path)
     names = [w["name"] for w in spec["workloads"]]
     parser.add_argument("--workload", action="append", choices=names)
-    parser.add_argument("--trace", action="store_true", help="add one --trace 1 run per side")
+    parser.add_argument(
+        "--trace", action="store_true", help=f"add {TRACE_PAIRS} pairs of --trace 1 runs"
+    )
     args = parser.parse_args(argv)
     if git("status", "--porcelain", "--", *CODE):
         parser.error(f"commit {' and '.join(CODE)} first: the record must name the code that ran")
@@ -132,24 +165,12 @@ def main(argv=None) -> int:
             "workloads": {},
         }
         for workload in workloads:
-            pairs, provenance = [], {}
-            for k in range(PAIRS):
-                order = ("base", "change") if k % 2 == 0 else ("change", "base")
-                pair = {"first": order[0]}
-                for side in order:
-                    record = bench(sides[side], workload, False)
-                    pair[side] = summary(record)
-                    provenance.setdefault(side, record["provenance"])
-                pairs.append(pair)
-                print(f"{workload} pair {k}: " + ", ".join(
-                    f"{side} wall_s {pair[side]['wall_s']:.3f}" for side in ("base", "change")
-                ), flush=True)
+            provenance = {}
+            pairs = run_pairs(sides, workload, PAIRS, False, provenance)
             entry = {"pairs": pairs, "metrics": compare(pairs, better), "provenance": provenance}
             if args.trace:
-                entry["trace"] = {
-                    side: summary(bench(sides[side], workload, True))
-                    for side in ("base", "change")
-                }
+                traced = run_pairs(sides, workload, TRACE_PAIRS, True, provenance)
+                entry["trace"] = {"pairs": traced, "median": medians(traced)}
             result["workloads"][workload] = entry
     args.out.write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")
     return 0
