@@ -405,16 +405,8 @@ def solve(
         u[core] = np.maximum(u[core], problem.obstacle[core])
 
     steps = _psor_steps if config.method == PSOR else _projected_gradient_steps
-    recorded: list[tuple[int, float]] = []
     with contextlib.closing(steps(u, problem, config)) as stepping:
-        iterates = itertools.islice(stepping, config.max_iterations)
-        for k, (gap, residual) in enumerate(iterates, 1):
-            if k < config.max_iterations and recorded:
-                if gap() > max(config.tol, WITNESS_DROP * recorded[-1][1]):
-                    continue
-            recorded.append((k, residual()))
-            if recorded[-1][1] <= config.tol:
-                break
+        k, recorded = _run_to_tolerance(stepping, config)
 
     numbers, values = zip(*recorded)
     history, at = np.array(values), np.array(numbers)
@@ -433,6 +425,21 @@ def solve(
         recorded_iterations=at,
         final_energy=dirichlet_energy(solution, problem),
     )
+
+
+def _run_to_tolerance(stepping, config: SolverConfig) -> tuple[int, list[tuple[int, float]]]:
+    """:func:`solve`'s loop over the ``(gap, residual)`` pairs of ``stepping``:
+    the iterations run and the recorded ``(iteration, residual)`` rows. The
+    pairs hold the method's buffers, and are dropped when this returns."""
+    recorded: list[tuple[int, float]] = []
+    for k, (gap, residual) in enumerate(itertools.islice(stepping, config.max_iterations), 1):
+        if k < config.max_iterations and recorded:
+            if gap() > max(config.tol, WITNESS_DROP * recorded[-1][1]):
+                continue
+        recorded.append((k, residual()))
+        if recorded[-1][1] <= config.tol:
+            break
+    return k, recorded
 
 
 def _psor_steps(u, problem, config):
