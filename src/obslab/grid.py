@@ -148,12 +148,6 @@ class ScalarField:
         object.__setattr__(self, "values", values)
 
 
-def field_from_function(grid: GridSpec, fn) -> ScalarField:
-    """Sample ``fn(points) -> values`` at every node."""
-    values = np.asarray(fn(grid.node_positions()), dtype=float).reshape(grid.shape)
-    return ScalarField(grid, values)
-
-
 def _outside_box(grid: GridSpec, centers: np.ndarray, r) -> np.ndarray:
     """Whether the ball of radius ``r`` around each centre (coordinates on
     the last axis) leaves the box: the one in-box test. ``r`` broadcasts
@@ -226,12 +220,22 @@ def neighbor_pairs(u: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     return pairs
 
 
+def sum_pairs(pairs, out: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """``out`` filled with the sum of ``lo + hi`` over ``pairs``, ``work`` of
+    its shape as scratch: the one neighbour-sum kernel. Terms are added pair by
+    pair, ``lo + hi`` first, so every caller sees the same rounding."""
+    np.add(*pairs[0], out=out)
+    for lo, hi in pairs[1:]:
+        np.add(out, np.add(lo, hi, out=work), out=out)
+    return out
+
+
 def neighbor_sum(u: np.ndarray) -> np.ndarray:
     """Sum of the 2n axis neighbours of each interior node of ``u`` (shape
-    ``m - 2`` per axis). Terms are added axis by axis,
-    ``u[x - e_a] + u[x + e_a]`` first, so every caller sees the same rounding.
-    """
-    return functools.reduce(np.add, (lo + hi for lo, hi in neighbor_pairs(u)))
+    ``m - 2`` per axis), by :func:`sum_pairs` over :func:`neighbor_pairs`:
+    axis by axis, ``u[x - e_a] + u[x + e_a]`` first."""
+    out, work = (np.empty([m - 2 for m in u.shape], u.dtype) for _ in range(2))
+    return sum_pairs(neighbor_pairs(u), out, work)
 
 
 def interior_laplacian(u: np.ndarray, h: float) -> np.ndarray:

@@ -23,16 +23,12 @@ sweep runs on one contiguous range; the ring and pad nodes inside a range
 get their stored values back after each update (:class:`_ParityLattice`).
 
 The stopping rule is the complementarity residual in max-norm,
-``max |min(u - obstacle, source - lap_h u)|`` over interior nodes. It is
-decided from a witness node and formed in full only at recorded iterations.
-Each full evaluation keeps the node of its largest gap as the witness; after
-each later iteration the witness's gap alone is evaluated by the same formula
-on one-element slices, so it has the bits of that node's entry in a full pass
-and is a lower bound on the residual. The full residual is formed, and
-recorded, only once the witness's gap is at most
-``max(tol, WITNESS_DROP * last recorded residual)``; so every unrecorded
-iteration is proven above ``tol``, and the stopping iteration and its
-residual are those of a full check after every iteration. PSOR forms
+``max |min(u - obstacle, source - lap_h u)|`` over interior nodes. Each
+method is an object that :func:`solve`'s one loop steps; its four methods,
+and how the loop decides the rule from a witness node and forms the full
+residual only at recorded iterations, are stated once, in :func:`solve`.
+The witness's gap is evaluated by the same formula on one-element slices,
+so it has the bits of that node's entry in a full pass. PSOR forms
 each sub-lattice's neighbour sums once per sweep: the red sums formed from
 the final black values at the end of sweep k serve both residual k and the
 red update of sweep k + 1. It clamps an obstacle that is +0.0 at every node
@@ -44,15 +40,13 @@ two), which rounds every quotient as the divide would.
 
 from __future__ import annotations
 
-import contextlib
-import functools
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridError, GridSpec, ScalarField, neighbor_pairs, neighbor_sum
+from .grid import GridError, GridSpec, ScalarField, neighbor_pairs, neighbor_sum, sum_pairs
 
 
 class SolverError(RuntimeError):
@@ -189,11 +183,20 @@ class _ParityLattice:
     normalized problem, is clamped with the scalar 0.0, and the residual's gap
     is then ``min(u, kkt)``: ``u - (+0.0)`` is ``u`` for every ``u``, -0.0
     included, so both are exact. Any other obstacle (-0.0 too, whose max and
-    subtraction flip the sign of some zeros) is clamped by its array."""
+    subtraction flip the sign of some zeros) is clamped by its array.
 
-    def __init__(self, u: np.ndarray, obstacle: np.ndarray | None = None):
-        if obstacle is not None and not obstacle.view(np.uint64).any():
-            obstacle = 0.0
+    Built from a problem, it is :func:`solve`'s PSOR method, with the problem's
+    ``source`` and ``h``, ``omega`` and ``c0 = source * h^2 / (2n)``. Built
+    from ``u`` alone, for the initial guess's plain Gauss-Seidel sweeps, it
+    clamps nothing, with ``omega = 1`` and ``c0 = 0``, and has no residual."""
+
+    def __init__(self, u, problem: ObstacleProblemSpec | None = None, omega: float = 1.0):
+        obstacle, self.source, self.h, self.c0, self.omega = None, 0.0, None, 0.0, omega
+        if problem is not None:
+            obstacle, self.source, self.h = problem.obstacle, problem.source, problem.grid.h
+            self.c0 = self.source * (self.h * self.h) / (2.0 * u.ndim)
+            if not obstacle.view(np.uint64).any():
+                obstacle = 0.0
         self.pad = tuple((m + 1) // 2 for m in u.shape)
         strides = [math.prod(self.pad[a + 1 :]) for a in range(u.ndim)]
         parities = list(itertools.product((0, 1), repeat=u.ndim))
@@ -214,10 +217,8 @@ class _ParityLattice:
                 other = self.parts[p[:a] + (1 - q,) + p[a + 1 :]]
                 lo = start - (1 - q) * s
                 pairs.append((other[lo : lo + n], other[lo + s : lo + s + n]))
-            inside = functools.reduce(
-                np.logical_and.outer,
-                [(np.arange(m) >= f) & (np.arange(m) <= l) for m, f, l in zip(self.pad, first, last)],
-            )
+            inside = np.zeros(self.pad, bool)
+            inside[tuple(slice(f, l + 1) for f, l in zip(first, last))] = True
             edge = np.flatnonzero(~inside.ravel()[start : start + n])
             fixed = obstacle
             if isinstance(obstacle, np.ndarray):
@@ -241,35 +242,35 @@ class _ParityLattice:
 
     def _sum_red(self) -> None:
         for _, _, pairs, _, _, total, work in self.colors[0]:
-            _sum_pairs(pairs, total, work)
+            sum_pairs(pairs, total, work)
 
-    def sweep(self, omega: float, c0: float) -> None:
-        """Move each interior node ``omega`` of the way to (neighbour mean - c0),
-        red from its stored sums, then black from sums it forms; then form the
-        red sums again."""
+    def step(self) -> None:
+        """One sweep: move each interior node ``omega`` of the way to
+        (neighbour mean - c0), red from its stored sums, then black from sums
+        it forms; then form the red sums again."""
         scale, by = self.mean
         red, black = self.colors
         for color in (red, black):
             for nodes, fixed, pairs, edge, kept, total, work in color:
                 if color is black:
-                    _sum_pairs(pairs, total, work)
-                gs = np.subtract(scale(total, by, out=work), c0, out=work)
-                np.multiply(gs, omega, out=gs)
-                np.multiply(nodes, 1.0 - omega, out=nodes)
+                    sum_pairs(pairs, total, work)
+                gs = np.subtract(scale(total, by, out=work), self.c0, out=work)
+                np.multiply(gs, self.omega, out=gs)
+                np.multiply(nodes, 1.0 - self.omega, out=nodes)
                 np.add(nodes, gs, out=nodes)
                 if fixed is not None:
                     np.maximum(nodes, fixed, out=nodes)
                 nodes[edge] = kept
         self._sum_red()
 
-    def residual(self, source: float, h: float) -> float:
+    def residual(self) -> float:
         """The complementarity residual after a sweep, from the stored sums of
         both colours. The KKT terms go to the scratch buffer, so the sums
         survive: the red ones for the next sweep. The node of the largest gap,
         the first of the first block to reach it, becomes the witness as
         ``(block, flat index)``; ring and pad positions count as 0, so it is
         an interior node unless the residual is 0."""
-        nd = len(self.pad)
+        nd, source, h = len(self.pad), self.source, self.h
         residual = None
         for b, (u, psi, _, edge, _, total, work) in enumerate(self.blocks):
             gaps = _kkt_gaps(u, psi, total, source, h, nd, work, edge, self.scratch[: u.size])
@@ -278,7 +279,7 @@ class _ParityLattice:
                 residual, self.witness = value, (b, i)
         return residual
 
-    def gap(self, source: float, h: float) -> float:
+    def gap(self) -> float:
         """The witness's gap after a sweep: :func:`_kkt_max` on one-element
         slices of its block's nodes, obstacle and stored sums, so it has the
         bits of its entry in :meth:`residual`, into scratch of its own."""
@@ -288,14 +289,8 @@ class _ParityLattice:
         if isinstance(psi, np.ndarray):
             psi = psi[one]
         work, out = self.cell
-        return _kkt_max(u[one], psi, total[one], source, h, len(self.pad), work, out=out)
-
-
-def _sum_pairs(pairs, out: np.ndarray, work: np.ndarray) -> None:
-    """The sum of ``lo + hi`` over ``pairs``, in :func:`neighbor_sum`'s order."""
-    np.add(*pairs[0], out=out)
-    for lo, hi in pairs[1:]:
-        np.add(out, np.add(lo, hi, out=work), out=out)
+        nd, source, h = len(self.pad), self.source, self.h
+        return _kkt_max(u[one], psi, total[one], source, h, nd, work, out=out)
 
 
 def _divisor(divisor: float):
@@ -355,19 +350,11 @@ def default_initial_guess(problem: ObstacleProblemSpec) -> ScalarField:
     u[ring] = boundary[ring]
     lattice = _ParityLattice(u)
     for _ in range(10):
-        lattice.sweep(1.0, 0.0)
+        lattice.step()
     lattice.store(u)
     u = np.maximum(u, problem.obstacle)
     u[ring] = boundary[ring]
     return ScalarField(grid, u)
-
-
-def constraint_initial_guess(problem: ObstacleProblemSpec) -> ScalarField:
-    """Admissible start equal to the obstacle in the interior."""
-    u = problem.obstacle.copy()
-    ring = _boundary_mask(problem.grid.shape)
-    u[ring] = problem.boundary[ring]
-    return ScalarField(problem.grid, u)
 
 
 def solve(
@@ -377,19 +364,19 @@ def solve(
 ) -> SolveResult:
     """Minimize the discrete energy subject to the constraint.
 
-    One loop serves every method: the method's steps update ``u`` and yield,
-    after each iteration, the pair ``(gap, residual)``. ``residual()`` forms
-    the iterate's complementarity residual and keeps the node of its largest
-    gap as the witness; ``gap()`` is that node's gap in the current iterate,
-    with the bits of its entry in a full pass, so a lower bound on the
-    residual. The first iteration is recorded. A later one is recorded, its
-    residual formed, only if its witness's gap is at most
-    ``max(config.tol, WITNESS_DROP * last recorded residual)``; any other is
-    proven above ``config.tol``. So the loop returns at the first iteration
-    whose residual is at most ``config.tol``, as a check after every iteration
-    would. If ``config.max_iterations`` iterations do not get there, the last
-    iterate's residual is recorded and :class:`IterationLimitError`, carrying
-    the recorded rows, is raised.
+    One loop steps every method: an object built from ``(u, problem,
+    config.omega)`` whose ``step()`` runs one iteration and ``store(u)``
+    writes the iterate to ``u``. ``residual()`` forms the iterate's
+    complementarity residual and keeps the node of its largest gap as the
+    witness; ``gap()`` is that node's gap in the current iterate, with the
+    bits of its entry in a full pass, so a lower bound on the residual. The
+    first iteration is recorded; a later one, its residual formed, only if
+    its witness's gap is at most ``max(config.tol, WITNESS_DROP * last
+    recorded residual)``, and any other is proven above ``config.tol``. So
+    the loop returns at the first iteration whose residual is at most
+    ``config.tol``, as a check after every iteration would. If
+    ``config.max_iterations`` iterations do not get there, the last iterate's
+    residual is recorded and :class:`IterationLimitError` raised with the rows.
     """
     grid = problem.grid
     core = grid.interior_slices()
@@ -404,9 +391,9 @@ def solve(
         u[ring] = problem.boundary[ring]
         u[core] = np.maximum(u[core], problem.obstacle[core])
 
-    steps = _psor_steps if config.method == PSOR else _projected_gradient_steps
-    with contextlib.closing(steps(u, problem, config)) as stepping:
-        k, recorded = _run_to_tolerance(stepping, config)
+    # Built in the call, so no name here holds its buffers through the energy.
+    method = _ParityLattice if config.method == PSOR else _ProjectedGradient
+    k, recorded = _run_to_tolerance(method(u, problem, config.omega), u, config)
 
     numbers, values = zip(*recorded)
     history, at = np.array(values), np.array(numbers)
@@ -427,86 +414,78 @@ def solve(
     )
 
 
-def _run_to_tolerance(stepping, config: SolverConfig) -> tuple[int, list[tuple[int, float]]]:
-    """:func:`solve`'s loop over the ``(gap, residual)`` pairs of ``stepping``:
-    the iterations run and the recorded ``(iteration, residual)`` rows. The
-    pairs hold the method's buffers, and are dropped when this returns."""
+def _run_to_tolerance(method, u: np.ndarray, config: SolverConfig):
+    """:func:`solve`'s loop: steps ``method`` and stores its last iterate in
+    ``u``; returns the iterations run and the recorded ``(iteration,
+    residual)`` rows."""
     recorded: list[tuple[int, float]] = []
-    for k, (gap, residual) in enumerate(itertools.islice(stepping, config.max_iterations), 1):
+    for k in range(1, config.max_iterations + 1):
+        method.step()
         if k < config.max_iterations and recorded:
-            if gap() > max(config.tol, WITNESS_DROP * recorded[-1][1]):
+            if method.gap() > max(config.tol, WITNESS_DROP * recorded[-1][1]):
                 continue
-        recorded.append((k, residual()))
+        recorded.append((k, method.residual()))
         if recorded[-1][1] <= config.tol:
             break
+    method.store(u)
     return k, recorded
 
 
-def _psor_steps(u, problem, config):
-    """Projected SOR sweeps of the parity-split ``u``, yielding :func:`solve`'s
-    ``(gap, residual)`` after each, both from the sums the lattice stores;
-    ``u`` holds the last iterate once the generator is closed."""
-    h, source = problem.grid.h, problem.source
-    c0 = source * (h * h) / (2.0 * u.ndim)
-    lattice = _ParityLattice(u, problem.obstacle)
-    gap = functools.partial(lattice.gap, source, h)
-    residual = functools.partial(lattice.residual, source, h)
-    try:
-        while True:
-            lattice.sweep(config.omega, c0)
-            yield gap, residual
-    finally:
-        lattice.store(u)
+class _ProjectedGradient:
+    """Accelerated projected gradient steps from ``u``, whose interior holds
+    each iterate, so :meth:`store` writes nothing; the step length is fixed
+    and ``omega`` unused. The steps run in three preallocated buffers, by
+    ``out=`` ufuncs in the operation order of ``interior_laplacian`` and the
+    plain step expressions. Only :meth:`residual` forms the iterate's
+    neighbour sums; :meth:`gap` forms the witness's sum alone, by
+    :func:`~obslab.grid.sum_pairs` over one-element slices of its 2n
+    neighbours, so with the bits of its entry in the full sums."""
 
+    def __init__(self, u: np.ndarray, problem: ObstacleProblemSpec, omega: float):
+        nd, h = u.ndim, problem.grid.h
+        core = (slice(1, -1),) * nd
+        self.nd, self.h, self.source = nd, h, problem.source
+        self.psi = problem.obstacle[core]
+        self.length = h * h / (4.0 * nd)  # 1 / lambda_max bound of the scaled Hessian
+        y = u.copy()  # full array whose interior holds the extrapolated point
+        self.y, self.u = y[core], u[core]
+        self.y_pairs, self.u_pairs = neighbor_pairs(y), neighbor_pairs(u)
+        self.x_new, self.total, self.work = (np.empty_like(self.u) for _ in range(3))
+        self.cell = np.empty((2,) + (1,) * nd)  # the witness's sum and scratch
+        self.witness = None  # one-element slices of the core at the node of largest gap
+        self.t = 1.0
 
-def _projected_gradient_steps(u, problem, config):
-    """Accelerated projected gradient steps from ``u``, yielding
-    :func:`solve`'s ``(gap, residual)`` for each iterate, which ``u`` holds.
-    The steps run in three preallocated buffers, by ``out=`` ufuncs in the
-    operation order of ``interior_laplacian`` and the plain step expressions.
-    The iterate's neighbour sums are formed only by ``residual``; ``gap`` forms
-    the witness's sum alone, from one-element slices of its 2n neighbours in
-    :func:`_sum_pairs` order, so with the bits of its entry in the full sums."""
-    nd, h, source = u.ndim, problem.grid.h, problem.source
-    core = (slice(1, -1),) * nd
-    psi_core = problem.obstacle[core]
-    step = h * h / (4.0 * nd)  # 1 / lambda_max bound of the scaled Hessian
-    y = u.copy()  # full array whose interior holds the extrapolated point
-    y_core, u_core = y[core], u[core]
-    y_pairs, u_pairs = neighbor_pairs(y), neighbor_pairs(u)
-    x_new, total, work = (np.empty_like(u_core) for _ in range(3))  # u_core is the iterate
-    cell = np.empty((2,) + (1,) * nd)  # the witness's sum and scratch
-    witness = None  # one-element slices of the core at the node of largest gap
+    def step(self) -> None:
+        y, u, x_new, total, work = self.y, self.u, self.x_new, self.total, self.work
+        sum_pairs(self.y_pairs, total, work)  # interior_laplacian(y, h)
+        np.subtract(total, np.multiply(y, 2.0 * self.nd, out=work), out=total)
+        np.divide(total, self.h * self.h, out=total)
+        np.multiply(np.subtract(total, self.source, out=total), self.length, out=total)
+        np.maximum(np.add(y, total, out=x_new), self.psi, out=x_new)
+        # adaptive restart on the gradient-mapping sign
+        np.subtract(x_new, u, out=total)
+        if np.vdot(np.subtract(y, x_new, out=work), total) > 0.0:
+            self.t = 1.0
+            np.copyto(y, x_new)
+        else:
+            t, self.t = self.t, 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * self.t * self.t))
+            np.add(x_new, np.multiply(total, (t - 1.0) / self.t, out=total), out=y)
+        np.copyto(u, x_new)
 
-    def gap() -> float:
-        _sum_pairs([(lo[witness], hi[witness]) for lo, hi in u_pairs], *cell)
-        return _kkt_max(u_core[witness], psi_core[witness], cell[0], source, h, nd, cell[1])
+    def gap(self) -> float:
+        w, (total, work) = self.witness, self.cell
+        sum_pairs([(lo[w], hi[w]) for lo, hi in self.u_pairs], total, work)
+        return _kkt_max(self.u[w], self.psi[w], total, self.source, self.h, self.nd, work)
 
-    def residual() -> float:
-        nonlocal witness
-        _sum_pairs(u_pairs, total, work)
-        value, i = _largest(_kkt_gaps(u_core, psi_core, total, source, h, nd, work))
-        witness = tuple(slice(j, j + 1) for j in np.unravel_index(i, total.shape))
+    def residual(self) -> float:
+        total, work = self.total, self.work
+        sum_pairs(self.u_pairs, total, work)
+        value, i = _largest(_kkt_gaps(self.u, self.psi, total, self.source, self.h, self.nd, work))
+        self.witness = tuple(slice(j, j + 1) for j in np.unravel_index(i, total.shape))
         return value
 
-    t = 1.0
-    while True:
-        _sum_pairs(y_pairs, total, work)  # interior_laplacian(y, h)
-        np.subtract(total, np.multiply(y_core, 2.0 * nd, out=work), out=total)
-        np.divide(total, h * h, out=total)
-        np.multiply(np.subtract(total, source, out=total), step, out=total)
-        np.maximum(np.add(y_core, total, out=x_new), psi_core, out=x_new)
-        # adaptive restart on the gradient-mapping sign
-        np.subtract(x_new, u_core, out=total)
-        if np.vdot(np.subtract(y_core, x_new, out=work), total) > 0.0:
-            t = 1.0
-            np.copyto(y_core, x_new)
-        else:
-            t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-            np.add(x_new, np.multiply(total, (t - 1.0) / t_next, out=total), out=y_core)
-            t = t_next
-        np.copyto(u_core, x_new)
-        yield gap, residual
+    def store(self, u: np.ndarray) -> None:
+        pass
 
 
 def _trapezoid_weights(shape: tuple[int, ...], plain_axis: int | None = None) -> np.ndarray:

@@ -9,14 +9,7 @@ import pytest
 
 from obslab.fixtures import QuadraticForm, one_d, polynomial, radial
 from obslab.grid import GridSpec, ScalarField, centered_box
-from obslab.solver import (
-    PROJECTED_GRADIENT,
-    SolveResult,
-    SolverConfig,
-    constraint_initial_guess,
-    normalized_problem,
-    solve,
-)
+from obslab.solver import PROJECTED_GRADIENT, SolveResult, SolverConfig, normalized_problem, solve
 
 TOL = 1e-8
 
@@ -27,6 +20,20 @@ TOL = 1e-8
 # -2 theta mod 1 preserves |theta| = 1/3 under halving), giving a clean
 # nonzero second-order error at every dyadic level.
 ONE_D_SHIFT = 1.0 / 384.0
+
+
+def field_from_function(grid: GridSpec, fn) -> ScalarField:
+    """Sample ``fn(points) -> values`` at every node."""
+    values = np.asarray(fn(grid.node_positions()), dtype=float).reshape(grid.shape)
+    return ScalarField(grid, values)
+
+
+def constraint_initial_guess(problem) -> ScalarField:
+    """Admissible start equal to the obstacle in the interior."""
+    u = problem.boundary.copy()
+    core = problem.grid.interior_slices()
+    u[core] = problem.obstacle[core]
+    return ScalarField(problem.grid, u)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from conftest import field_from_function
 from obslab import analysis, grid
 from obslab.grid import (
     GridError,
@@ -19,7 +20,6 @@ from obslab.grid import (
     admissible_radii,
     ball_integral,
     centered_box,
-    field_from_function,
     gradient,
     interior_laplacian,
     interpolate_many,

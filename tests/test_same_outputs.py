@@ -7,6 +7,8 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
 import same_outputs  # noqa: E402
+from obslab.config import parse_config  # noqa: E402
+from obslab.solver import PROJECTED_GRADIENT  # noqa: E402
 
 
 def write_reports(tmp_path, base, change):
@@ -110,3 +112,42 @@ class TestCsvDifference:
         assert same_outputs.csv_difference(base, change) == (
             "  the parsed rows are equal; only their bytes differ"
         )
+
+
+class TestProjectedGradientConfig:
+    def test_method_set_and_the_rest_kept(self):
+        config = {
+            "version": 1,
+            "problem": {"form": "normalized", "nodes_per_axis": 33},
+            "solver": {"method": "psor", "omega": 1.8, "tolerance": 1e-8},
+            "seed": 0,
+        }
+        before = json.dumps(config)
+        derived = same_outputs.projected_gradient_config(config)
+        assert json.dumps(config) == before  # the workload's own config is untouched
+        assert derived["solver"] == {
+            "method": "projected_gradient",
+            "omega": 1.8,
+            "tolerance": 1e-8,
+        }
+        del derived["solver"], config["solver"]
+        assert derived == config
+
+    def test_solver_section_added_when_absent(self):
+        config = {"version": 1, "problem": {"form": "general"}}
+        derived = same_outputs.projected_gradient_config(config)
+        assert derived == {**config, "solver": {"method": "projected_gradient"}}
+        assert "solver" not in config
+
+    def test_sampled_fixture_has_none(self):
+        config = {"version": 1, "problem": {"form": "fixture"}}
+        assert same_outputs.projected_gradient_config(config) is None
+
+    def test_every_solved_workload_gets_a_valid_copy(self):
+        derived = {}
+        for path in sorted(same_outputs.WORKLOADS.glob("*.json")):
+            copy = same_outputs.projected_gradient_config(json.loads(path.read_text()))
+            if copy is not None:
+                derived[path.stem] = parse_config(copy)
+        assert sorted(derived) == ["isotropic3d_33", "radial2d_257"]
+        assert {run.solver.method for run in derived.values()} == {PROJECTED_GRADIENT}

@@ -1,14 +1,17 @@
+import gc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from conftest import constraint_initial_guess, field_from_function
+from obslab import solver
 from obslab.fixtures import one_d, radial
 from obslab.grid import (
     GridError,
     GridSpec,
     ScalarField,
     centered_box,
-    field_from_function,
     interior_laplacian,
 )
 from obslab.solver import (
@@ -19,14 +22,13 @@ from obslab.solver import (
     SolverConfig,
     SolverError,
     complementarity_residual,
-    constraint_initial_guess,
     default_initial_guess,
     dirichlet_energy,
     general_problem,
     normalized_problem,
     solve,
 )
-from obslab.solver import _divisor, _ParityLattice
+from obslab.solver import _divisor, _ParityLattice, _ProjectedGradient
 
 TOL = 1e-8
 
@@ -192,11 +194,10 @@ class TestEnergy:
         problem, _ = radial_problem(nodes=33)
         config = SolverConfig(tol=1e-10)
         u = default_initial_guess(problem).values.copy()
-        lattice = _ParityLattice(u, problem.obstacle)
-        c0 = problem.source * problem.grid.h**2 / 4.0
+        lattice = _ParityLattice(u, problem, config.omega)
         energies = []
         while True:
-            lattice.sweep(config.omega, c0)
+            lattice.step()
             lattice.store(u)
             field = ScalarField(problem.grid, u)
             energies.append(dirichlet_energy(field, problem))
@@ -487,21 +488,19 @@ class TestStoredSums:
 
     @staticmethod
     def start(problem):
-        """A lattice from ``high_start``, its full array, the sweep constant,
-        and a copy for the masked reference."""
+        """A lattice from ``high_start`` with omega 1.8, its full array, and a
+        copy for the masked reference."""
         u = high_start(problem)
-        h = problem.grid.h
-        c0 = problem.source * (h * h) / (2.0 * u.ndim)
-        return _ParityLattice(u, problem.obstacle), u, c0, u.copy()
+        return _ParityLattice(u, problem, 1.8), u, u.copy()
 
     @pytest.mark.parametrize("dimension, nodes, form", CASES, ids=case_id)
     def test_sweeps_without_residuals(self, dimension, nodes, form):
         problem = small_problem(dimension, nodes, form)
-        lattice, u, c0, expected = self.start(problem)
+        lattice, u, expected = self.start(problem)
         for _ in range(5):
-            lattice.sweep(1.8, c0)
+            lattice.step()
             masked_sweep(problem, expected, 1.8)
-        residual = lattice.residual(problem.source, problem.grid.h)
+        residual = lattice.residual()
         lattice.store(u)
         assert bits(u) == bits(expected)
         assert bits(residual) == bits(masked_residual(problem, expected))
@@ -509,13 +508,12 @@ class TestStoredSums:
     @pytest.mark.parametrize("dimension, nodes, form", CASES, ids=case_id)
     def test_residual_leaves_the_sums(self, dimension, nodes, form):
         problem = small_problem(dimension, nodes, form)
-        lattice, u, c0, expected = self.start(problem)
-        source, h = problem.source, problem.grid.h
+        lattice, u, expected = self.start(problem)
         for _ in range(3):
-            lattice.sweep(1.8, c0)
+            lattice.step()
             masked_sweep(problem, expected, 1.8)
-            first = lattice.residual(source, h)
-            assert bits(lattice.residual(source, h)) == bits(first)
+            first = lattice.residual()
+            assert bits(lattice.residual()) == bits(first)
             assert bits(first) == bits(masked_residual(problem, expected))
         lattice.store(u)
         assert bits(u) == bits(expected)
@@ -523,14 +521,14 @@ class TestStoredSums:
     @pytest.mark.parametrize("dimension, nodes, form", CASES, ids=case_id)
     def test_store_between_sweeps(self, dimension, nodes, form):
         problem = small_problem(dimension, nodes, form)
-        lattice, u, c0, expected = self.start(problem)
+        lattice, u, expected = self.start(problem)
         for _ in range(3):
             lattice.store(u)
-            lattice.sweep(1.8, c0)
+            lattice.step()
             masked_sweep(problem, expected, 1.8)
         lattice.store(u)
         assert bits(u) == bits(expected)
-        residual = lattice.residual(problem.source, problem.grid.h)
+        residual = lattice.residual()
         assert bits(residual) == bits(masked_residual(problem, expected))
 
 
@@ -579,6 +577,26 @@ class TestExactReciprocal:
         divides = (6.0, 3.0, *(h * h for h in hs), 2.0**-1074)  # the last one's 1/d overflows
         assert {_divisor(d)[0] for d in divides} == {np.divide}
         assert all(_divisor(d)[1] == d for d in divides)
+
+
+class TestMethodLifetime:
+    """The method object and its buffers are freed before the energy is
+    formed, so they add nothing to a solve's peak memory."""
+
+    @pytest.mark.parametrize("method", [PSOR, PROJECTED_GRADIENT])
+    def test_no_method_object_alive_in_the_energy(self, method, monkeypatch):
+        energy = solver.dirichlet_energy
+
+        def checked(field, problem):
+            gc.collect()
+            methods = (_ParityLattice, _ProjectedGradient)
+            assert not [o for o in gc.get_objects() if isinstance(o, methods)]
+            return energy(field, problem)
+
+        monkeypatch.setattr(solver, "dirichlet_energy", checked)
+        problem, _ = radial_problem(nodes=33)
+        result = solve(problem, SolverConfig(method=method))
+        assert result.final_energy == energy(result.solution, problem)
 
 
 class TestSpecFields:

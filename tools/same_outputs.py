@@ -4,7 +4,10 @@
 
 Runs ``obslab diagnose`` on every config in ``perfbench/workloads/`` at seeds
 ``SEEDS``, once with the ``src/`` of REV and once with the ``src/`` of this
-checkout, and compares every output file byte for byte. REV is cloned into a
+checkout, and compares every output file byte for byte. Each workload that
+solves is also run as a copy with ``solver.method`` set to
+``projected_gradient``, written to the temporary directory, so both solver
+methods are checked end to end. REV is cloned into a
 temporary directory (``git clone --shared``, which registers nothing in this
 repository); both sides read this checkout's workload configs, and every
 output goes to a temporary directory, so nothing in this checkout is
@@ -36,6 +39,18 @@ from bench_pairs import ROOT, checkout
 
 WORKLOADS = ROOT / "perfbench" / "workloads"
 SEEDS = (0, 3)
+PROJECTED_GRADIENT = "projected_gradient"
+
+
+def projected_gradient_config(config: dict) -> dict | None:
+    """A copy of the parsed workload ``config`` with ``solver.method`` set to
+    ``projected_gradient``, or None if its problem is a sampled fixture,
+    which nothing solves."""
+    if config["problem"]["form"] == "fixture":
+        return None
+    derived = json.loads(json.dumps(config))
+    derived.setdefault("solver", {})["method"] = PROJECTED_GRADIENT
+    return derived
 
 
 def diagnose(tree: Path, config: Path, seed: int, out: Path) -> None:
@@ -137,10 +152,16 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("base", metavar="REV", help="git revision to compare against")
     args = parser.parse_args(argv)
-    configs = sorted(WORKLOADS.glob("*.json"))
+    workloads = sorted(WORKLOADS.glob("*.json"))
 
     with tempfile.TemporaryDirectory(prefix="same_outputs_") as tmp:
         tmp = Path(tmp)
+        configs = list(workloads)
+        for workload in workloads:
+            derived = projected_gradient_config(json.loads(workload.read_text()))
+            if derived is not None:
+                configs.append(tmp / f"{workload.stem}-{PROJECTED_GRADIENT}.json")
+                configs[-1].write_text(json.dumps(derived, indent=2))
         base_tree = tmp / "tree"
         base_commit = checkout(args.base, base_tree)
         trees = {"base": base_tree, "change": ROOT}
@@ -167,7 +188,8 @@ def main(argv=None) -> int:
                 print(csv_difference(base / name, change / name))
     print(
         f"{len(names) - len(differ)} of {len(names)} output files byte-identical "
-        f"({len(configs)} workloads x seeds {', '.join(map(str, SEEDS))}; base {base_commit[:12]})"
+        f"({len(workloads)} workloads and {len(configs) - len(workloads)} {PROJECTED_GRADIENT} "
+        f"copies x seeds {', '.join(map(str, SEEDS))}; base {base_commit[:12]})"
     )
     return 1 if differ else 0
 
