@@ -28,7 +28,9 @@ An example:
       "seed": 0
     }
 
-``problem.form`` is ``normalized``, ``general`` (needs ``obstacle``), or
+``solver.omega`` is read by PSOR only; a config that sets it together with
+``method: projected_gradient`` is refused. ``problem.form`` is
+``normalized``, ``general`` (needs ``obstacle``), or
 ``fixture`` (the field *is* the sampled fixture; diagnostics only).
 Fixture specs: ``{"fixture": "one_d"|"radial", "a": ...}``,
 ``{"fixture": "halfspace", "direction": [...]}``,
@@ -53,6 +55,8 @@ from .analysis import ClassifierConfig
 from .freeboundary import DEFAULT_KAPPA
 from .grid import GridSpec, ScalarField, require_increasing
 from .solver import (
+    PROJECTED_GRADIENT,
+    PSOR,
     ObstacleProblemSpec,
     SolverConfig,
     SolverError,
@@ -304,6 +308,8 @@ def _parse_solver(section: dict) -> SolverConfig:
             max_iterations=(int, default.max_iterations),
         ),
     )
+    if values["method"] == PROJECTED_GRADIENT and "omega" in section:
+        raise ConfigError(f"solver.omega is read by {PSOR} only, not by {PROJECTED_GRADIENT}")
     values["tol"] = values.pop("tolerance")
     return _owned(SolverConfig, "solver.", **values)
 

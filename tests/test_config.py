@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from obslab.analysis import ClassifierConfig
+from obslab.cli import main
 from obslab.config import (
     ConfigError,
     build_field,
@@ -12,7 +13,7 @@ from obslab.config import (
     parse_config,
 )
 from obslab.freeboundary import DEFAULT_KAPPA
-from obslab.solver import SolverConfig, SolverError
+from obslab.solver import PROJECTED_GRADIENT, SolverConfig, SolverError
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -120,6 +121,24 @@ class TestParse:
         cfg = parse_config(payload)
         assert cfg.problem.lower == (-1.0,) and type(cfg.problem.lower[0]) is float
         assert type(cfg.solver.omega) is float
+
+    def test_omega_refused_for_projected_gradient(self, tmp_path, capsys):
+        # projected gradient never reads omega, so a config that sets it is refused
+        payload = base_payload()
+        payload["solver"]["method"] = PROJECTED_GRADIENT
+        with pytest.raises(ConfigError, match=r"^solver\.omega "):
+            parse_config(payload)
+        payload["output"]["directory"] = str(tmp_path / "out")
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(payload))
+        assert main(["solve", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: solver.omega ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+        del payload["solver"]["omega"]
+        assert parse_config(payload).solver == SolverConfig(
+            method=PROJECTED_GRADIENT, tol=1e-8, max_iterations=5000
+        )
 
     def test_radii_must_increase(self):
         payload = base_payload()

@@ -709,14 +709,15 @@ def test_gradient_matches_reference(n):
 # _row_norms of a 3D blow-up (17,077 samples) and ball sums of 13,085 nodes or so,
 # both longer than the rows OpenBLAS's ddot runs on one thread
 ROW_DOT_SCRIPT = """
-import sys
+import os, sys
 import numpy as np
 from obslab import analysis, grid
 rows = np.random.default_rng(0).standard_normal((64, 17077))
 box = grid.centered_box(2, 1.0, 257)
 field = grid.ScalarField(box, np.random.default_rng(1).random(box.shape))
 sums = grid.apply_rule(field, [(0.0, 0.0), (0.1, -0.2)], 0.5, "ball")
-sys.stdout.write((analysis._row_norms(rows).tobytes() + sums.tobytes()).hex())
+print((analysis._row_norms(rows).tobytes() + sums.tobytes()).hex())
+print(len(os.listdir("/proc/self/task")) if sys.platform == "linux" else None)
 """
 
 
@@ -738,12 +739,16 @@ class TestRowDot:
 
     def test_same_bits_for_every_blas_thread_count(self):
         src = str(Path(__file__).resolve().parents[1] / "src")
-        outputs = []
+        outputs, tasks = [], []
         for threads in ("1", "2"):
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
             run = subprocess.run(
                 [sys.executable, "-c", ROW_DOT_SCRIPT], env=env, capture_output=True, text=True,
                 check=True, timeout=120,
             )
-            outputs.append(run.stdout)
+            bits, count = run.stdout.split()
+            outputs.append(bits)
+            tasks.append(count)
         assert outputs[0] and outputs[0] == outputs[1]
+        if sys.platform == "linux":  # the "2" leg ran a worker, so the comparison says something
+            assert tasks == ["1", str(min(2, len(os.sched_getaffinity(0))))]

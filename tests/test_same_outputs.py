@@ -125,11 +125,8 @@ class TestProjectedGradientConfig:
         before = json.dumps(config)
         derived = same_outputs.projected_gradient_config(config)
         assert json.dumps(config) == before  # the workload's own config is untouched
-        assert derived["solver"] == {
-            "method": "projected_gradient",
-            "omega": 1.8,
-            "tolerance": 1e-8,
-        }
+        # omega is PSOR's alone: the config parser refuses it with projected_gradient
+        assert derived["solver"] == {"method": "projected_gradient", "tolerance": 1e-8}
         del derived["solver"], config["solver"]
         assert derived == config
 

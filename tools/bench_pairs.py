@@ -20,6 +20,12 @@ end-to-end metrics, each side's median and quartiles per metric, how many
 pairs the change won per metric, and ``run.py``'s provenance for each side.
 ``--trace`` adds ``TRACE_PAIRS`` alternated pairs of ``--trace 1`` runs per
 workload: every run's per-layer metrics, and each side's median per metric.
+
+Each side also records ``os_threads``: how many OS threads a fresh
+interpreter in its tree holds after ``import obslab.cli``, in this
+process's environment (``null`` off Linux). ``run.py``'s provenance shows
+the BLAS thread variables of its own environment only, and the package may
+set a default of its own on import.
 """
 
 from __future__ import annotations
@@ -59,6 +65,27 @@ def trees(tmp: Path) -> dict[str, Path]:
     """The directories that the two sides run from: clones under ``tmp``
     whose paths have equal length."""
     return {"base": tmp / "base", "change": tmp / "head"}
+
+
+# Run in a fresh interpreter: its OS thread count once the CLI is imported.
+THREADS_SCRIPT = """
+import json, os, sys
+import obslab.cli
+tasks = len(os.listdir("/proc/self/task")) if sys.platform == "linux" else None
+print(json.dumps(tasks))
+"""
+
+
+def os_threads(tree: Path) -> int | None:
+    """The OS threads of a fresh interpreter after ``import obslab.cli``
+    from ``tree``'s ``src/``; None off Linux."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(tree / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", THREADS_SCRIPT],
+        cwd=tree, env=env, capture_output=True, text=True, check=True,
+    )
+    return json.loads(done.stdout)
 
 
 def drop_bytecode(tree: Path) -> None:
@@ -164,6 +191,8 @@ def main(argv=None) -> int:
             "change": {"commit": change_commit},
             "workloads": {},
         }
+        for side, tree in sides.items():
+            result[side]["os_threads"] = os_threads(tree)
         for workload in workloads:
             provenance = {}
             pairs = run_pairs(sides, workload, PAIRS, False, provenance)

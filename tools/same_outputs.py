@@ -6,12 +6,12 @@ Runs ``obslab diagnose`` on every config in ``perfbench/workloads/`` at seeds
 ``SEEDS``, once with the ``src/`` of REV and once with the ``src/`` of this
 checkout, and compares every output file byte for byte. Each workload that
 solves is also run as a copy with ``solver.method`` set to
-``projected_gradient``, written to the temporary directory, so both solver
-methods are checked end to end. REV is cloned into a
-temporary directory (``git clone --shared``, which registers nothing in this
-repository); both sides read this checkout's workload configs, and every
-output goes to a temporary directory, so nothing in this checkout is
-written. Every run has ``PYTHONDONTWRITEBYTECODE=1``.
+``projected_gradient`` and ``solver.omega`` dropped, written to the
+temporary directory, so both solver methods are checked end to end. REV is
+cloned into a temporary directory (``git clone --shared``, which registers
+nothing in this repository); both sides read this checkout's workload
+configs, and every output goes to a temporary directory, so nothing in this
+checkout is written. Every run has ``PYTHONDONTWRITEBYTECODE=1``.
 
 Prints one line per differing or one-sided file and a summary line; exits 0
 if every file is byte-identical, 1 otherwise. For a ``report.json`` on both
@@ -44,12 +44,14 @@ PROJECTED_GRADIENT = "projected_gradient"
 
 def projected_gradient_config(config: dict) -> dict | None:
     """A copy of the parsed workload ``config`` with ``solver.method`` set to
-    ``projected_gradient``, or None if its problem is a sampled fixture,
-    which nothing solves."""
+    ``projected_gradient`` and no ``solver.omega`` (a PSOR-only key), or
+    None if its problem is a sampled fixture, which nothing solves."""
     if config["problem"]["form"] == "fixture":
         return None
     derived = json.loads(json.dumps(config))
-    derived.setdefault("solver", {})["method"] = PROJECTED_GRADIENT
+    solver = derived.setdefault("solver", {})
+    solver["method"] = PROJECTED_GRADIENT
+    solver.pop("omega", None)
     return derived
 
 
