@@ -9,7 +9,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "obslab"
 ALLOWED = {"numpy", "obslab"}
 
