@@ -12,8 +12,10 @@ diagnostics:
 * the blow-up rescaling ``u(x0 + r x) / r^2`` at fixed unit-ball nodes,
   through one multilinear rule per centre offset from its node;
 * a classifier fitting the half-space model ``(1/2)[(e.x)_+]^2`` against
-  the quadratic model ``(1/2)<Ax, x>`` (A PSD, unit trace) on the rescaled
-  field, with stratum = kernel dimension of the fitted matrix. It works
+  the quadratic model ``(1/2)<Ax, x>`` (A PSD, unit trace) on the field
+  rescaled at ``BLOWUP_RADIUS_FACTOR * h``, with W breaking near-ties
+  (``RESIDUAL_MARGIN``, ``WEISS_MARGIN``) and stratum = kernel dimension of
+  the fitted matrix at ``fixtures.DEFAULT_EIGEN_TOL``. It works
   in array passes: one availability test and one W call for all points,
   then the blocks of stacked blow-ups that ``grid.multilinear_blocks``
   yields, whose half-space directions are fitted in lockstep and whose
@@ -43,7 +45,6 @@ from .freeboundary import FreeBoundarySet
 from .fixtures import DEFAULT_EIGEN_TOL, QuadraticForm, project_to_blowup_cone
 from .grid import (
     DEFAULT_ANGULAR_SAMPLES,
-    MIN_ANGULAR_SAMPLES,
     GridError,
     GridSpec,
     ResolutionError,
@@ -71,9 +72,10 @@ C3_CALIBRATED = 0.4188028051347664
 WEISS_CONSTANTS = {1: 1.0 / 3.0, 2: math.pi / 8.0, 3: C3_CALIBRATED}
 
 # Nodes per axis of the fixed [-1, 1]^n grid that blow-ups are sampled on,
-# the smallest blow-up radius in node spacings, the start directions and
-# golden-section steps of the 2D half-space fit, the Newton steps of the 3D
-# one, and the number of seeded random forms among Monneau's probes.
+# the blow-up radius in node spacings (also the smallest that
+# rescale_blowup accepts), the start directions and golden-section steps of
+# the 2D half-space fit, the Newton steps of the 3D one, and the number of
+# seeded random forms among Monneau's probes.
 REF_NODES = 33
 BLOWUP_RADIUS_FACTOR = 8.0
 DIRECTION_STARTS = 64
@@ -81,6 +83,13 @@ GOLDEN_ITERATIONS = 40
 NEWTON_STEPS = 6
 RANDOM_PROBES = 2
 DEGENERACY_FLOOR_FACTOR = 100.0
+
+# The classifier's tie-break: fit residuals (normalized by the blow-up's
+# norm) closer than RESIDUAL_MARGIN leave the verdict to the Weiss value,
+# which is inconclusive within WEISS_MARGIN * c_n of the midpoint 3 c_n / 4
+# between the half-space value c_n / 2 and the quadratic value c_n.
+RESIDUAL_MARGIN = 0.05
+WEISS_MARGIN = 0.1
 
 NONDECREASING = "nondecreasing"
 VIOLATED = "violated"
@@ -244,29 +253,6 @@ def rescale_blowup(field: ScalarField, centers, r: float) -> np.ndarray:
         values[rows] = block
     values /= r * r
     return values
-
-
-@dataclass(frozen=True)
-class ClassifierConfig:
-    """Classifier settings; ``angular_samples`` also sets the sphere
-    quadrature of the Weiss, Monneau and frequency diagnostics."""
-
-    blowup_radius: float | None = None  # None -> BLOWUP_RADIUS_FACTOR * h
-    eigen_tol: float = DEFAULT_EIGEN_TOL
-    residual_margin: float = 0.05
-    weiss_margin: float = 0.1
-    angular_samples: int = DEFAULT_ANGULAR_SAMPLES
-
-    def __post_init__(self) -> None:
-        if self.blowup_radius is not None and not self.blowup_radius > 0:
-            raise ValueError(f"blowup_radius must be positive, got {self.blowup_radius}")
-        if not 0 < self.eigen_tol < 1:
-            raise ValueError(f"eigen_tol must lie in (0, 1), got {self.eigen_tol}")
-        for name in ("residual_margin", "weiss_margin"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} is {getattr(self, name)}: margins must be nonnegative")
-        if self.angular_samples < MIN_ANGULAR_SAMPLES:
-            raise ValueError(f"angular_samples must be >= {MIN_ANGULAR_SAMPLES}")
 
 
 @dataclass(frozen=True)
@@ -441,52 +427,51 @@ def _fit_singular(arrays: _FitArrays, values: np.ndarray) -> tuple[np.ndarray, n
 
 
 def classify_point(
-    field: ScalarField, x0, config: ClassifierConfig = ClassifierConfig()
+    field: ScalarField, x0, angular_samples: int = DEFAULT_ANGULAR_SAMPLES
 ) -> Classification:
     """Regular/singular/undetermined verdict for a free-boundary point.
 
-    Fits both blow-up models to the rescaled field at the smallest
-    reliable radius; the lower normalized residual wins, with the Weiss
-    value (near c_n/2 for half-space profiles, near c_n for quadratic
-    ones) breaking near-ties, and an honest Undetermined verdict when
-    both signals sit in the margin bands. The path of :func:`stratify`.
+    Fits both blow-up models to the rescaled field at the radius
+    ``BLOWUP_RADIUS_FACTOR * h``; the lower normalized residual wins, with
+    the Weiss value (near c_n/2 for half-space profiles, near c_n for
+    quadratic ones) breaking ties closer than ``RESIDUAL_MARGIN``, and an
+    honest Undetermined verdict when W also lies within ``WEISS_MARGIN *
+    c_n`` of 3 c_n / 4. ``angular_samples`` sets W's sphere quadrature.
+    The path of :func:`stratify`.
     """
-    (result,) = _classify(field, [x0], config)
+    (result,) = _classify(field, [x0], angular_samples)
     return result
 
 
 def stratify(
     field: ScalarField,
     fb: FreeBoundarySet,
-    config: ClassifierConfig = ClassifierConfig(),
+    angular_samples: int = DEFAULT_ANGULAR_SAMPLES,
 ) -> tuple[list[Classification], dict]:
     """Classify every free-boundary point (see :func:`_classify`) and tally
     the census, a deterministic reduction independent of evaluation order.
     A point without a blow-up or without a quadratic fit is Undetermined."""
-    results = _classify(field, fb.points, config)
+    results = _classify(field, fb.points, angular_samples)
     return results, census(results)
 
 
-def _classify(field: ScalarField, x0s, config: ClassifierConfig) -> list[Classification]:
-    """Classifications of the points ``x0s`` in array passes: the blow-up's
-    availability at every point in one test, W at the available points in
-    one call, and their blow-ups sampled and fitted in the blocks of
-    :func:`grid.multilinear_blocks` (82 points in 2D, 3 in 3D). Each point's
-    arithmetic is its own, so the blocks do not change a result."""
+def _classify(field: ScalarField, x0s, angular_samples: int) -> list[Classification]:
+    """Classifications of the points ``x0s`` at the blow-up radius
+    ``BLOWUP_RADIUS_FACTOR * h``, in array passes: the blow-up's
+    availability at every point in one in-box test, W at the available
+    points in one call, and their blow-ups sampled and fitted in the blocks
+    of :func:`grid.multilinear_blocks` (82 points in 2D, 3 in 3D). Each
+    point's arithmetic is its own, so the blocks do not change a result."""
     grid, n = field.grid, field.grid.dimension
-    r = BLOWUP_RADIUS_FACTOR * grid.h if config.blowup_radius is None else config.blowup_radius
+    r = BLOWUP_RADIUS_FACTOR * grid.h
     centers = np.asarray(x0s, dtype=float).reshape(len(x0s), n)
     points = [tuple(x0) for x0 in centers.tolist()]
-    try:
-        _require_blowup_radius(grid, r)
-    except ResolutionError as exc:
-        return [_undetermined(x0, None, None, f"blow-up unavailable: {exc}") for x0 in points]
-    available = ~_outside_box(grid, centers, float(r))
+    available = ~_outside_box(grid, centers, r)
     centers = centers[available]
     # W first, so that its fields are freed and its cached rules lie below
     # the arrays that the blocks use; then the fits' arrays and the blow-up
     # rule, once per call. This order gave the lowest peak RSS.
-    weiss = WeissEvaluator(field, config.angular_samples).at(centers, r)
+    weiss = WeissEvaluator(field, angular_samples).at(centers, r)
     arrays = _fit_arrays(n)
     scales, reg_residuals, sing_residuals = np.empty((3, len(centers)))
     directions, matrices = np.empty((len(centers), n)), np.empty((len(centers), n, n))
@@ -497,9 +482,9 @@ def _classify(field: ScalarField, x0s, config: ClassifierConfig) -> list[Classif
         matrices[rows], sing_residuals[rows] = _fit_singular(arrays, values)
     fits = zip(scales, weiss, directions, reg_residuals, matrices, sing_residuals)
     return [
-        _verdict(x0, r, config, *next(fits))
+        _verdict(x0, r, *next(fits))
         if ok
-        else _undetermined(x0, None, None, f"blow-up unavailable: {_outside_error(x0, float(r))}")
+        else _undetermined(x0, None, None, f"blow-up unavailable: {_outside_error(x0, r)}")
         for x0, ok in zip(points, available)
     ]
 
@@ -509,24 +494,26 @@ def _undetermined(x0, weiss_value, r, reason: str, fit_residual=None) -> Classif
 
 
 def _verdict(
-    x0, r, config, scale, weiss_value, direction, reg_residual, matrix, sing_residual
+    x0, r, scale, weiss_value, direction, reg_residual, matrix, sing_residual
 ) -> Classification:
     """One point's verdict from its blow-up's norm ``scale``, W at the
     blow-up radius (always defined: the blow-up's ball lies in the box) and
-    its two fits, whose residuals are normalized by ``scale`` here."""
+    its two fits, whose residuals are normalized by ``scale`` here. The
+    stratum is the fitted matrix's kernel dimension at
+    ``fixtures.DEFAULT_EIGEN_TOL``."""
     if scale <= 0.0:
         return _undetermined(x0, None, r, "rescaled field vanishes identically")
     weiss_value = float(weiss_value)
     if math.isnan(sing_residual):
         return _undetermined(x0, weiss_value, r, "quadratic fit has no positive eigenvalue")
     reg_residual, sing_residual = float(reg_residual / scale), float(sing_residual / scale)
-    if abs(reg_residual - sing_residual) >= config.residual_margin:
+    if abs(reg_residual - sing_residual) >= RESIDUAL_MARGIN:
         regular_wins = reg_residual < sing_residual
     else:
         # near-tie: consult the Weiss value against the midpoint 3 c_n / 4
         cn = weiss_constant(len(x0))
         midpoint = 0.75 * cn
-        if abs(weiss_value - midpoint) < config.weiss_margin * cn:
+        if abs(weiss_value - midpoint) < WEISS_MARGIN * cn:
             reason = f"fit residuals within margin ({reg_residual:.3g} vs {sing_residual:.3g}) "
             reason += "and Weiss value inconclusive"
             return _undetermined(x0, weiss_value, r, reason, min(reg_residual, sing_residual))
@@ -536,7 +523,7 @@ def _verdict(
         direction = tuple(float(c) for c in direction)
         return Classification(x0, REGULAR, weiss_value, r, reg_residual, direction=direction)
     form = QuadraticForm(matrix)
-    stratum = form.kernel_dimension(config.eigen_tol)
+    stratum = form.kernel_dimension()
     return Classification(x0, SINGULAR, weiss_value, r, sing_residual, form=form, stratum=stratum)
 
 

@@ -162,7 +162,7 @@ def _cmd_diagnose(args, selection_override) -> int:
         report["checks"]["solver_converged"] = solver_summary["final_residual"] <= config.solver.tol
 
     radii = dict(zip(map(tuple, fb.points.tolist()), admissible_radii(grid, fb.points, diag.radii)))
-    run = _Run(field, contact, fb, diag.classifier, config.seed, radii)
+    run = _Run(field, contact, fb, diag.angular_samples, config.seed, radii)
     point_columns = [f"x{a}" for a in range(grid.dimension)]
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, filename, columns, diagnostic in DIAGNOSTICS:
@@ -188,7 +188,7 @@ class _Run:
     field: ScalarField
     contact: freeboundary.ContactSet
     fb: freeboundary.FreeBoundarySet
-    settings: analysis.ClassifierConfig
+    angular_samples: int
     seed: int
     radii: dict  # free-boundary point -> its admissible radii
     classifications: list | None = None  # set by classify, read by monneau and frequency
@@ -248,9 +248,7 @@ def _growth(run: _Run):
 
 def _weiss(run: _Run):
     points, radii = run.admissible(2)
-    profiles = analysis.weiss_profile(
-        run.field, points, radii, angular_samples=run.settings.angular_samples
-    )
+    profiles = analysis.weiss_profile(run.field, points, radii, angular_samples=run.angular_samples)
     entries, rows = [], []
     for point, profile in zip(points, profiles):
         entries.append(_entry(profile, point=list(point)))
@@ -259,12 +257,12 @@ def _weiss(run: _Run):
 
 
 def _classify(run: _Run):
-    run.classifications, census = analysis.stratify(run.field, run.fb, run.settings)
+    run.classifications, census = analysis.stratify(run.field, run.fb, run.angular_samples)
     singular = [c for c in run.classifications if c.verdict == analysis.SINGULAR]
     points, forms = [c.point for c in singular], [c.form for c in singular]
     radii = [4.0 * c.blowup_radius for c in singular]
     strips = analysis.contact_strip_halfwidth(
-        run.contact.mask, run.field.grid, points, forms, radii, run.settings.eigen_tol
+        run.contact.mask, run.field.grid, points, forms, radii
     )
     strips, entries, rows = iter(strips), [], []
     for c in run.classifications:
@@ -284,7 +282,7 @@ def _monneau(run: _Run):
     singular = run.classifications is not None
     points, radii = run.admissible(2, run.singular_forms() if singular else None)
     probes = analysis.probe_forms(run.field.grid.dimension, run.seed) if points else []
-    samples = run.settings.angular_samples
+    samples = run.angular_samples
     profiles = analysis.monneau_profile(
         run.field, points, probes, radii, angular_samples=samples, at_singular_point=singular
     )
@@ -304,7 +302,7 @@ def _frequency(run: _Run):
     forms = run.singular_forms()
     points, radii = run.admissible(2, forms)
     estimates = analysis.frequency_lambda(
-        run.field, points, [forms[p] for p in points], radii, run.settings.angular_samples
+        run.field, points, [forms[p] for p in points], radii, run.angular_samples
     )
     entries, rows = [], []
     for point, est in zip(points, estimates):

@@ -35,15 +35,15 @@ An example:
 Fixture specs: ``{"fixture": "one_d"|"radial", "a": ...}``,
 ``{"fixture": "halfspace", "direction": [...]}``,
 ``{"fixture": "polynomial", "matrix": [[...], ...]}``, or
-``{"constant": value}``. The optional ``diagnostics`` keys ``contact_kappa``,
-``blowup_radius``, ``eigen_tol``, ``residual_margin``, ``weiss_margin`` and
-``angular_samples`` default to ``freeboundary.DEFAULT_KAPPA`` and the fields
-of ``analysis.ClassifierConfig``.
+``{"constant": value}``. The optional ``diagnostics`` keys ``contact_kappa``
+and ``angular_samples`` default to ``freeboundary.DEFAULT_KAPPA`` and
+``grid.DEFAULT_ANGULAR_SAMPLES``; the classifier's other settings are the
+constants of ``analysis``, not keys.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 import json
 import reprlib
 import sys
@@ -51,9 +51,14 @@ import sys
 import numpy as np
 
 from . import fixtures
-from .analysis import ClassifierConfig
 from .freeboundary import DEFAULT_KAPPA
-from .grid import GridSpec, ScalarField, require_increasing
+from .grid import (
+    DEFAULT_ANGULAR_SAMPLES,
+    MIN_ANGULAR_SAMPLES,
+    GridSpec,
+    ScalarField,
+    require_increasing,
+)
 from .solver import (
     PROJECTED_GRADIENT,
     PSOR,
@@ -110,7 +115,7 @@ class DiagnosticsConfig:
     selection: tuple[str, ...]
     radii: tuple[float, ...]
     contact_kappa: float
-    classifier: ClassifierConfig
+    angular_samples: int  # sphere quadrature of Weiss, Monneau, frequency and the classifier's W
     solution_file: str | None
 
     def __post_init__(self) -> None:
@@ -122,6 +127,8 @@ class DiagnosticsConfig:
         require_increasing(self.radii)
         if not self.contact_kappa > 0:
             raise ConfigError(f"contact_kappa must be positive, got {self.contact_kappa}")
+        if self.angular_samples < MIN_ANGULAR_SAMPLES:
+            raise ConfigError(f"angular_samples must be >= {MIN_ANGULAR_SAMPLES}")
 
 
 @dataclass(frozen=True)
@@ -315,11 +322,6 @@ def _parse_solver(section: dict) -> SolverConfig:
 
 
 def _parse_diagnostics(section: dict) -> DiagnosticsConfig:
-    # Every ClassifierConfig field is a key: an integer where its default is one.
-    settings = {
-        f.name: (int if type(f.default) is int else float, f.default)
-        for f in fields(ClassifierConfig)
-    }
     values = _read(
         section,
         "diagnostics.",
@@ -327,12 +329,11 @@ def _parse_diagnostics(section: dict) -> DiagnosticsConfig:
             selection=([str], ()),
             radii=([float], ()),
             contact_kappa=(float, DEFAULT_KAPPA),
+            angular_samples=(int, DEFAULT_ANGULAR_SAMPLES),
             solution_file=(str, None),
-            **settings,
         ),
     )
-    classifier = _owned(ClassifierConfig, "diagnostics.", **{k: values.pop(k) for k in settings})
-    return _owned(DiagnosticsConfig, "diagnostics.", classifier=classifier, **values)
+    return _owned(DiagnosticsConfig, "diagnostics.", **values)
 
 
 def _sampled(problem: ProblemConfig, name: str) -> ScalarField:

@@ -13,7 +13,6 @@ import pytest
 
 from conftest import TOL, max_norm_error
 from obslab.analysis import (
-    ClassifierConfig,
     classify_point,
     default_profile_delta,
     frequency_lambda,
@@ -312,7 +311,7 @@ class TestCriterion9:
         for nodes, case in solved_radial.items():
             solution = case.result.solution
             fb = extract_free_boundary(extract_contact_set(solution))
-            _, census = stratify(solution, fb, ClassifierConfig())
+            _, census = stratify(solution, fb)
             census_detail.append(f"{nodes}: {census['regular']}/{census['total']} regular")
             if census["regular"] != census["total"]:
                 failures.append(f"radial census at {nodes}: {census}")

@@ -9,7 +9,6 @@ from obslab import analysis
 from obslab import grid as grid_module
 from obslab.analysis import (
     C3_CALIBRATED,
-    ClassifierConfig,
     WeissEvaluator,
     census,
     classify_point,
@@ -607,6 +606,60 @@ class TestClassifyPoint:
         c = classify_point(field, (0.0, -0.99))
         assert c.verdict == "undetermined"
         assert "blow-up unavailable" in c.reason
+
+    def test_interior_contact_point_vanishes(self):
+        # the blow-up ball of radius 8h lies inside the contact disk
+        grid = centered_box(2, 1.0, 129)
+        c = classify_point(radial(0.5).sample(grid), (0.0, 0.0))
+        assert c.verdict == "undetermined"
+        assert c.reason == "rescaled field vanishes identically"
+        assert c.blowup_radius == analysis.BLOWUP_RADIUS_FACTOR * grid.h
+
+
+class TestVerdictTieBreak:
+    """``_verdict`` on chosen fits: normalized residuals closer than
+    ``RESIDUAL_MARGIN`` leave the call to W, which is inconclusive within
+    ``WEISS_MARGIN * c_n`` of 3 c_n / 4. The residual gaps (0.04, 0.06) and
+    W offsets (0.08, 0.12 c_n) sit between half and twice each margin."""
+
+    SCALE = 2.0  # residuals are passed unnormalized, as _classify does
+
+    def verdict(self, n, reg, sing, weiss_offset):
+        cn = weiss_constant(n)
+        weiss = 0.75 * cn + weiss_offset * cn
+        direction, matrix = np.eye(n)[0], np.eye(n) / n
+        args = (self.SCALE, weiss, direction, reg * self.SCALE, matrix, sing * self.SCALE)
+        return analysis._verdict((0.0,) * n, 0.1, *args)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("offset", [-0.08, 0.0, 0.08])
+    @pytest.mark.parametrize("reg, sing", [(0.10, 0.14), (0.14, 0.10)])
+    def test_inconclusive_weiss_leaves_undetermined(self, n, offset, reg, sing):
+        c = self.verdict(n, reg, sing, offset)
+        assert c.verdict == "undetermined"
+        assert c.reason.endswith("and Weiss value inconclusive")
+        assert c.reason.startswith("fit residuals within margin")
+        assert c.fit_residual == pytest.approx(0.10)
+        assert c.blowup_radius == 0.1
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("reg, sing", [(0.10, 0.14), (0.14, 0.10)])
+    def test_weiss_outside_the_band_decides(self, n, reg, sing):
+        # below the midpoint regular, above it singular, whichever fit is lower
+        low, high = self.verdict(n, reg, sing, -0.12), self.verdict(n, reg, sing, 0.12)
+        assert low.verdict == "regular"
+        assert low.direction == (1.0,) + (0.0,) * (n - 1)
+        assert low.fit_residual == pytest.approx(reg)
+        assert high.verdict == "singular"
+        assert high.stratum == 0
+        assert high.fit_residual == pytest.approx(sing)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("offset", [-0.12, 0.0, 0.12])
+    def test_residuals_just_outside_the_margin_decide(self, n, offset):
+        # a gap of 0.06 is decided by the fits, even where W is inconclusive
+        assert self.verdict(n, 0.10, 0.16, offset).verdict == "regular"
+        assert self.verdict(n, 0.16, 0.10, offset).verdict == "singular"
 
 
 @pytest.fixture(scope="module")

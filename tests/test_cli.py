@@ -294,26 +294,28 @@ class TestDiagnoseCommand:
         assert capsys.readouterr().err.startswith("error: problem.boundary: ")
 
     @pytest.mark.parametrize(
-        "key, value",
+        "key, value, message",
         [
-            ("contact_kappa", "abc"),
-            ("eigen_tol", "q"),
-            ("blowup_radius", "z"),
-            ("radii", ["a"]),
-            ("radii", 0.3),
-            ("angular_samples", "x"),
-            ("angular_samples", 16.9),
+            ("contact_kappa", "abc", "must be a JSON number"),
+            # the classifier's eigen_tol and blowup_radius are constants, not keys
+            ("eigen_tol", "q", "is an unknown key; "),
+            ("blowup_radius", "z", "is an unknown key; "),
+            ("radii", ["a"], "must be a JSON list of numbers"),
+            ("radii", 0.3, "must be a JSON list of numbers"),
+            ("angular_samples", "x", "must be a JSON integer"),
+            ("angular_samples", 16.9, "must be a JSON integer"),
         ],
         ids=["kappa", "eigen_tol", "blowup", "radius_text", "radii_scalar", "samples", "samples_16.9"],
     )
-    def test_bad_diagnostics_value_exit_1(self, tmp_path, capsys, key, value):
+    def test_bad_diagnostics_value_exit_1(self, tmp_path, capsys, key, value, message):
         payload = radial_config(tmp_path / "out", ["growth"])
         payload["diagnostics"][key] = value
         cfg = write_config(tmp_path / "c.json", payload)
         assert main(["diagnose", "--config", cfg]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: diagnostics.{key} ")
+        assert err.startswith(f"error: diagnostics.{key} {message}")
         assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "path, value, prefix",

@@ -3,16 +3,17 @@ from pathlib import Path
 
 import pytest
 
-from obslab.analysis import ClassifierConfig
 from obslab.cli import main
 from obslab.config import (
     ConfigError,
+    DiagnosticsConfig,
     build_field,
     build_problem,
     load_config,
     parse_config,
 )
 from obslab.freeboundary import DEFAULT_KAPPA
+from obslab.grid import DEFAULT_ANGULAR_SAMPLES
 from obslab.solver import PROJECTED_GRADIENT, SolverConfig, SolverError
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -65,28 +66,19 @@ class TestParse:
     def test_minimal_config_takes_owner_defaults(self):
         cfg = parse_config({"version": 1, "problem": base_payload()["problem"]})
         assert cfg.solver == SolverConfig()
-        assert cfg.diagnostics.classifier == ClassifierConfig()
+        assert cfg.diagnostics.angular_samples == DEFAULT_ANGULAR_SAMPLES
         assert cfg.diagnostics.contact_kappa == DEFAULT_KAPPA
 
     def test_classifier_settings_parse_once(self):
-        settings = {
-            "blowup_radius": 0.5,
-            "eigen_tol": 0.2,
-            "residual_margin": 0.1,
-            "weiss_margin": 0.3,
-            "angular_samples": 32,
-        }
+        # angular_samples is the classifier's one setting that is a key
         payload = base_payload()
-        payload["diagnostics"].update(settings)
-        assert parse_config(payload).diagnostics.classifier == ClassifierConfig(**settings)
+        payload["diagnostics"]["angular_samples"] = 32
+        assert parse_config(payload).diagnostics.angular_samples == 32
 
     @pytest.mark.parametrize(
         "key, value, message",
         [
             ("contact_kappa", 0.0, "contact_kappa must be positive"),
-            ("eigen_tol", 1.0, r"eigen_tol must lie in \(0, 1\)"),
-            ("weiss_margin", -0.1, "margins must be nonnegative"),
-            ("blowup_radius", -1.0, "blowup_radius must be positive"),
             ("angular_samples", 8, "angular_samples must be >= 16"),
         ],
     )
@@ -94,6 +86,24 @@ class TestParse:
         payload = base_payload()
         payload["diagnostics"][key] = value
         with pytest.raises(ConfigError, match=message):
+            parse_config(payload)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("blowup_radius", 0.5),
+            ("eigen_tol", 0.05),
+            ("residual_margin", 0.05),
+            ("weiss_margin", 0.1),
+        ],
+        ids=["blowup_radius", "eigen_tol", "residual_margin", "weiss_margin"],
+    )
+    def test_deleted_classifier_key_refused(self, key, value):
+        # the classifier's other settings are analysis constants, so a config
+        # that sets one, even to the constant's value, fails loudly
+        payload = base_payload()
+        payload["diagnostics"][key] = value
+        with pytest.raises(ConfigError, match=rf"^diagnostics\.{key} is an unknown key; "):
             parse_config(payload)
 
     def test_unknown_top_level_key_rejected(self):
@@ -199,19 +209,14 @@ class TestOwnerRanges:
 
     @pytest.mark.parametrize(
         "settings",
-        [
-            {"eigen_tol": 5.0},
-            {"eigen_tol": 0.0},
-            {"residual_margin": -0.1},
-            {"blowup_radius": 0.0},
-            {"angular_samples": 8},
-        ],
-        ids=["eigen_tol_5", "eigen_tol_0", "residual_margin", "blowup_radius", "angular_samples"],
+        [{"contact_kappa": 0.0}, {"angular_samples": 8}],
+        ids=["contact_kappa", "angular_samples"],
     )
-    def test_classifier_config_refuses(self, settings):
+    def test_diagnostics_config_refuses(self, settings):
         (key,) = settings
-        with pytest.raises(ValueError, match=f"^{key} "):
-            ClassifierConfig(**settings)
+        defaults = dict(contact_kappa=DEFAULT_KAPPA, angular_samples=DEFAULT_ANGULAR_SAMPLES)
+        with pytest.raises(ConfigError, match=f"^{key} "):
+            DiagnosticsConfig((), (), **{**defaults, **settings}, solution_file=None)
 
     @pytest.mark.parametrize(
         "settings, key",

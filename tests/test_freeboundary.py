@@ -178,6 +178,22 @@ class TestGrowthReport:
             assert rep.nondegenerate
             assert rep.upper_constant <= 1.0
 
+    def test_zero_field_is_bounded(self):
+        # every ratio 0: growth is trivially stable, and degenerate
+        grid = centered_box(2, 1.0, 129)
+        field = ScalarField(grid, np.zeros(grid.shape))
+        (rep,) = growth_report(field, [(0.0, 0.0)], [[0.1, 0.2]])
+        assert (rep.ratios == 0.0).all()
+        assert rep.bounded and not rep.nondegenerate
+
+    def test_zero_ratio_below_a_positive_one_is_unbounded(self):
+        # one_d(0.3) at 0: balls inside the contact interval give ratio 0,
+        # the ball of radius 0.5 reaches u > 0
+        grid = centered_box(1, 1.0, 257)
+        (rep,) = growth_report(one_d(0.3).sample(grid), [(0.0,)], [[0.1, 0.2, 0.5]])
+        assert rep.lower_constant == 0.0 < rep.upper_constant
+        assert not rep.bounded and not rep.nondegenerate
+
     def test_radius_floor(self):
         grid = centered_box(2, 1.0, 65)
         field = radial(0.4).sample(grid)
