@@ -95,12 +95,28 @@ class TestParse:
             ("eigen_tol", 0.05),
             ("residual_margin", 0.05),
             ("weiss_margin", 0.1),
+            ("blowup_radius", 0.0),
+            ("blowup_radius", -1.0),
+            ("eigen_tol", 0.0),
+            ("eigen_tol", 1.0),
+            ("eigen_tol", 5.0),
         ],
-        ids=["blowup_radius", "eigen_tol", "residual_margin", "weiss_margin"],
+        ids=[
+            "blowup_radius",
+            "eigen_tol",
+            "residual_margin",
+            "weiss_margin",
+            "blowup_radius_0",
+            "blowup_radius_neg",
+            "eigen_tol_0",
+            "eigen_tol_1",
+            "eigen_tol_5",
+        ],
     )
     def test_deleted_classifier_key_refused(self, key, value):
         # the classifier's other settings are analysis constants, so a config
-        # that sets one, even to the constant's value, fails loudly
+        # that sets one fails loudly, at the constant's value or at a value
+        # the old range rule refused
         payload = base_payload()
         payload["diagnostics"][key] = value
         with pytest.raises(ConfigError, match=rf"^diagnostics\.{key} is an unknown key; "):
