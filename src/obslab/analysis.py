@@ -78,6 +78,9 @@ WEISS_CONSTANTS = {1: 1.0 / 3.0, 2: math.pi / 8.0, 3: C3_CALIBRATED}
 # seeded random forms among Monneau's probes.
 REF_NODES = 33
 BLOWUP_RADIUS_FACTOR = 8.0
+# A singular point's contact strip is measured in the ball of
+# STRIP_RADIUS_FACTOR times its blow-up radius.
+STRIP_RADIUS_FACTOR = 4.0
 DIRECTION_STARTS = 64
 GOLDEN_ITERATIONS = 40
 NEWTON_STEPS = 6
@@ -632,9 +635,10 @@ def contact_strip_halfwidth(
     Max distance (relative to r) of contact nodes in B_r(x0) from the kernel
     of the form's matrix, cut at ``eigen_tol`` as the stratum is; no decay
     rate in r is asserted. None when no contact node lies in the ball. The
-    contact nodes' coordinates are formed once for all points.
+    contact nodes' coordinates are formed once for all points, by
+    :meth:`GridSpec.coordinates` as the free boundary's are.
     """
-    nodes, widths = np.argwhere(contact_mask) * grid.h + grid.lower, []
+    nodes, widths = grid.coordinates(np.argwhere(contact_mask)), []
     for x0, form, r in zip(points, forms, radii):
         pts = nodes - np.asarray(x0, dtype=float)
         pts = pts[np.linalg.norm(pts, axis=1) <= r]

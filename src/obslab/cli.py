@@ -4,9 +4,9 @@ Verbs::
 
     obslab solve    --config cfg.json [--out DIR]           solve + write field
     obslab diagnose --config cfg.json [--out DIR] [--seed N]
-    obslab classify --config cfg.json ...                   classification only
     obslab report   REPORT.json [REPORT.json ...]           merge + pass/fail matrix
 
+A classification-only run is ``diagnose`` with ``"selection": ["classify"]``.
 Exit codes: 0 ok, 1 usage/config error, 2 non-convergence, 3 acceptance
 failure. Identical config + seed produce byte-identical CSV/JSON/PGM outputs.
 """
@@ -36,19 +36,12 @@ REPORT_VERSION = 1
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command is None:
-        parser.print_usage(sys.stderr)
-        return EXIT_CONFIG
     try:
-        if args.command == "solve":
-            return _cmd_solve(args)
-        if args.command == "diagnose":
-            return _cmd_diagnose(args, selection_override=None)
-        if args.command == "classify":
-            return _cmd_diagnose(args, selection_override=("classify",))
-        return _cmd_report(args)  # the parser admits no other command
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2, the code of non-convergence
+        return EXIT_CONFIG if exc.code else EXIT_OK
+    try:
+        return args.run(args)
     except (ConfigError, GridError, SolverError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE if isinstance(exc, IterationLimitError) else EXIT_CONFIG
@@ -56,25 +49,23 @@ def main(argv=None) -> int:
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="obslab", description=__doc__)
-    sub = parser.add_subparsers(dest="command")
-
-    def add_common(p):
-        p.add_argument("--config", required=True, help="JSON run configuration")
-        p.add_argument("--out", default=None, help="output directory (overrides config)")
-        p.add_argument("--seed", type=int, default=None, help="probe-form seed (overrides config)")
-
-    add_common(sub.add_parser("solve", help="solve the configured problem"))
-    add_common(sub.add_parser("diagnose", help="run the configured diagnostics"))
-    add_common(sub.add_parser("classify", help="run classification diagnostics only"))
+    sub = parser.add_subparsers(dest="command", required=True)
+    solve_verb = sub.add_parser("solve", help="solve the configured problem")
+    diagnose = sub.add_parser("diagnose", help="run the configured diagnostics")
+    for verb in (solve_verb, diagnose):
+        verb.add_argument("--config", required=True, help="JSON run configuration")
+        verb.add_argument("--out", help="output directory (overrides config)")
+    diagnose.add_argument("--seed", type=int, help="probe-form seed (overrides config)")
     rep = sub.add_parser("report", help="merge reports into a pass/fail matrix")
     rep.add_argument("reports", nargs="*", help="report JSON files")
+    solve_verb.set_defaults(run=_cmd_solve)
+    diagnose.set_defaults(run=_cmd_diagnose)
+    rep.set_defaults(run=_cmd_report)
     return parser
 
 
 def _load(args) -> tuple[RunConfig, Path]:
     config = load_config(args.config)
-    if args.seed is not None:  # RunConfig's rule checks the override too
-        config = dataclasses.replace(config, seed=args.seed)
     return config, Path(args.out if args.out is not None else config.output_directory)
 
 
@@ -116,7 +107,8 @@ def _write_residuals(out_dir: Path, iterations, history) -> None:
 
 def _obtain_field(config: RunConfig, out_dir: Path):
     """The field to diagnose, its contact set, and a solver summary when it
-    was solved. A field file refused for its values is named in the error."""
+    was solved. A field file must lie on the problem's grid; one refused for
+    its grid or its values is named in the error."""
     diag = config.diagnostics
     if diag.solution_file is None:
         if config.problem.form == "fixture":
@@ -124,11 +116,13 @@ def _obtain_field(config: RunConfig, out_dir: Path):
         else:
             field, solver_summary = _solved(config, out_dir)
         return field, freeboundary.extract_contact_set(field, diag.contact_kappa), solver_summary
-    path = Path(diag.solution_file)
+    path, grid = Path(diag.solution_file), config.problem.grid()
     if not path.exists():
         raise ConfigError(f"solution file {path} does not exist")
     try:
         field = io.read_field(path)
+        if field.grid != grid:
+            raise ConfigError(f"solution file {path} holds {field.grid}, not the problem's {grid}")
         return field, freeboundary.extract_contact_set(field, diag.contact_kappa), None
     except io.FieldFormatError:
         raise  # its message names the file
@@ -136,11 +130,12 @@ def _obtain_field(config: RunConfig, out_dir: Path):
         raise type(exc)(f"{exc} (solution file {path})") from exc
 
 
-def _cmd_diagnose(args, selection_override) -> int:
+def _cmd_diagnose(args) -> int:
     config, out_dir = _load(args)
+    if args.seed is not None:  # RunConfig's rule checks the override too
+        config = dataclasses.replace(config, seed=args.seed)
     field, contact, solver_summary = _obtain_field(config, out_dir)
     diag = config.diagnostics
-    selection = selection_override if selection_override is not None else diag.selection
 
     fb = freeboundary.extract_free_boundary(contact)
     grid = field.grid
@@ -166,7 +161,7 @@ def _cmd_diagnose(args, selection_override) -> int:
     point_columns = [f"x{a}" for a in range(grid.dimension)]
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, filename, columns, diagnostic in DIAGNOSTICS:
-        if name in selection:
+        if name in diag.selection:
             blocks, rows, checks = diagnostic(run)
             io.write_csv(out_dir / filename, [*point_columns, *columns.split()], rows)
             report["diagnostics"].update(blocks)
@@ -260,7 +255,7 @@ def _classify(run: _Run):
     run.classifications, census = analysis.stratify(run.field, run.fb, run.angular_samples)
     singular = [c for c in run.classifications if c.verdict == analysis.SINGULAR]
     points, forms = [c.point for c in singular], [c.form for c in singular]
-    radii = [4.0 * c.blowup_radius for c in singular]
+    radii = [analysis.STRIP_RADIUS_FACTOR * c.blowup_radius for c in singular]
     strips = analysis.contact_strip_halfwidth(
         run.contact.mask, run.field.grid, points, forms, radii
     )

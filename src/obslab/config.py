@@ -2,9 +2,11 @@
 
 Unknown keys are rejected at every level so that a config reruns
 identically or fails loudly. Every value is read by one type rule
-(:func:`_typed`). Each range rule belongs to the dataclass that holds the
-setting, or to ``grid``, and its message starts with the setting's key.
-An example:
+(:func:`_typed`), which JSON null never fits: an optional key takes its
+default only when it is left out. Each range rule belongs to the dataclass
+that holds the setting, or to ``grid``, and its message starts with the
+setting's key. ``problem.lower`` and ``problem.upper`` are lists with one
+number per axis. An example:
 
 .. code-block:: json
 
@@ -95,9 +97,6 @@ class ProblemConfig:
             raise ConfigError(f"form must be {'|'.join(FORMS)}, got {self.form!r}")
         if self.dimension not in (1, 2, 3):
             raise ConfigError(f"dimension must be 1, 2 or 3, got {self.dimension!r}")
-        for name in ("lower", "upper"):
-            if type(getattr(self, name)) is float:  # one number for every axis
-                object.__setattr__(self, name, (getattr(self, name),) * self.dimension)
         if (self.obstacle is None) == (self.form == "general"):
             raise ConfigError(f"obstacle is given for the general form only (form {self.form!r})")
         self.grid()  # GridSpec owns the box and node-count rules
@@ -150,8 +149,6 @@ _TYPE_NAMES = {float: "number", int: "integer", bool: "boolean", str: "string", 
 
 def _type_name(kind) -> str:
     """``number``, ``list of numbers``, ``list of lists of numbers``, ..."""
-    if isinstance(kind, tuple):
-        return " or ".join(map(_type_name, kind))
     if isinstance(kind, list):
         head, _, rest = _type_name(kind[0]).partition(" ")
         return f"list of {head}s {rest}".rstrip()
@@ -162,14 +159,9 @@ def _typed(value, kind):
     """``value`` read as ``kind`` by the one type rule, or None if it does
     not fit: a float is a JSON number that a float holds finitely (NaN,
     Infinity and 1e400 do not fit; an integer becomes a float) and an int a
-    JSON integer, neither a boolean; other kinds match exactly. ``[k]`` is
-    a list of ``k``, read as a tuple; a tuple of kinds takes the first that
-    fits."""
-    if isinstance(kind, tuple):
-        for alternative in kind:
-            if (typed := _typed(value, alternative)) is not None:
-                return typed
-    elif isinstance(kind, list) and type(value) is list:
+    JSON integer, neither a boolean; other kinds match exactly, so JSON null
+    fits none. ``[k]`` is a list of ``k``, read as a tuple."""
+    if isinstance(kind, list) and type(value) is list:
         items = tuple(_typed(item, kind[0]) for item in value)
         return None if None in items else items
     elif kind is float:
@@ -183,20 +175,19 @@ def _typed(value, kind):
 def _read(section: dict, where: str, kinds: dict) -> dict:
     """Each key of ``kinds`` (key: ``(kind, default)``, ``...`` for none)
     read from the JSON object ``section`` by :func:`_typed`, and no other
-    key; JSON null reads as an absent key whose default is None. ``where``
-    prefixes the key in messages."""
+    key; an absent key takes its default. ``where`` prefixes the key in
+    messages."""
     unknown = sorted(set(section) - set(kinds))
     if unknown:
         raise ConfigError(f"{where}{unknown[0]} is an unknown key; valid: {', '.join(kinds)}")
     values = {}
     for key, (kind, default) in kinds.items():
-        value = section.get(key)
-        if value is None and (key not in section or default is None):
+        if key not in section:
             if default is ...:
                 raise ConfigError(f"{where}{key} is required")
             values[key] = default
-        elif (typed := _typed(value, kind)) is None:
-            got = reprlib.repr(value)
+        elif (typed := _typed(section[key], kind)) is None:
+            got = reprlib.repr(section[key])
             raise ConfigError(f"{where}{key} must be a JSON {_type_name(kind)}, got {got}")
         else:
             values[key] = typed
@@ -256,8 +247,8 @@ def _parse_problem(section: dict) -> ProblemConfig:
         dict(
             form=(str, ...),
             dimension=(int, ...),
-            lower=((float, [float]), ...),
-            upper=((float, [float]), ...),
+            lower=([float], ...),
+            upper=([float], ...),
             nodes_per_axis=(int, ...),
             boundary=(dict, ...),
             obstacle=(dict, None),

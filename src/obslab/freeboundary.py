@@ -96,14 +96,11 @@ def extract_contact_set(field: ScalarField, kappa: float = DEFAULT_KAPPA) -> Con
 def extract_free_boundary(contact: ContactSet) -> FreeBoundarySet:
     """Nodes with at least one face neighbor in each phase: counted on the
     zero-padded mask, 0 < contact neighbours < neighbours."""
-    nd = contact.mask.ndim
     in_contact = neighbor_sum(np.pad(contact.mask.astype(int), 1))
     neighbours = neighbor_sum(np.pad(np.ones(contact.mask.shape, int), 1))
     on_interface = (0 < in_contact) & (in_contact < neighbours)
     indices = np.argwhere(on_interface)
-    axes = [contact.grid.axis(a) for a in range(nd)]
-    points = np.stack([axes[a][indices[:, a]] for a in range(nd)], axis=-1)
-    return FreeBoundarySet(grid=contact.grid, indices=indices, points=points)
+    return FreeBoundarySet(contact.grid, indices, contact.grid.coordinates(indices))
 
 
 def growth_report(field: ScalarField, points, radii) -> list[GrowthReport]:

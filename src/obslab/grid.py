@@ -111,6 +111,10 @@ class GridSpec:
         """Node coordinates along axis ``a``."""
         return np.linspace(self.lower[a], self.upper[a], self.nodes_per_axis[a])
 
+    def coordinates(self, indices: np.ndarray) -> np.ndarray:
+        """Node coordinates, from :meth:`axis`, of the ``(k, dimension)`` node indices."""
+        return np.stack([self.axis(a)[indices[:, a]] for a in range(self.dimension)], axis=-1)
+
     def node_positions(self) -> np.ndarray:
         """All node positions as an ``(node_count, dimension)`` array."""
         mesh = np.meshgrid(*(self.axis(a) for a in range(self.dimension)), indexing="ij")

@@ -1,6 +1,11 @@
+import argparse
 import csv
 import json
+import os
+import re
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +17,7 @@ from obslab.fixtures import QuadraticForm, polynomial
 from obslab.grid import GridSpec, ScalarField, centered_box
 from obslab.io import read_field, write_field
 
+ROOT = Path(__file__).resolve().parents[1]
 
 def write_config(path, payload):
     path.write_text(json.dumps(payload, indent=1))
@@ -59,8 +65,8 @@ def isotropic_3d_config(out_dir):
         "problem": {
             "form": "normalized",
             "dimension": 3,
-            "lower": -1.0,
-            "upper": 1.0,
+            "lower": [-1.0, -1.0, -1.0],
+            "upper": [1.0, 1.0, 1.0],
             "nodes_per_axis": 21,
             "boundary": {
                 "fixture": "polynomial",
@@ -142,8 +148,7 @@ class TestSolveCommand:
         assert main(["solve", "--config", cfg]) == 1
 
     def test_missing_config_flag_usage_error(self):
-        with pytest.raises(SystemExit):
-            main(["solve"])
+        assert main(["solve"]) == 1
 
 
 class TestDiagnoseCommand:
@@ -235,7 +240,7 @@ class TestDiagnoseCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "damage", ["short_header", "overflowing_count", "trailing_bytes"]
+        "damage", ["short_header", "overflowing_count", "trailing_bytes", "dimension_4"]
     )
     def test_malformed_solution_file_exit_1(self, tmp_path, capsys, damage):
         path = tmp_path / "bad.field"
@@ -245,6 +250,8 @@ class TestDiagnoseCommand:
             data = data[:20]
         elif damage == "overflowing_count":
             struct.pack_into("<2I", data, 12, 2**31, 2**31)
+        elif damage == "dimension_4":
+            struct.pack_into("<I", data, 8, 4)  # the dimension, after the magic
         else:
             data += b"\x00" * 8
         path.write_bytes(bytes(data))
@@ -332,6 +339,10 @@ class TestDiagnoseCommand:
             (("problem", "boundary", "a"), True, "problem.boundary: "),
             (("problem", "boundary", "a"), "0.5", "problem.boundary: "),
             (("problem", "boundary"), {"constant": True}, "problem.boundary: "),
+            # one spelling per setting: bounds are lists, and null is no value
+            (("problem", "lower"), -1.0, "problem.lower must be a JSON list of numbers, "),
+            (("problem", "obstacle"), None, "problem.obstacle must be a JSON object, "),
+            (("diagnostics", "solution_file"), None, "diagnostics.solution_file must be a "),
         ],
         ids=[
             "iterations_2.5",
@@ -346,6 +357,9 @@ class TestDiagnoseCommand:
             "a_true",
             "a_text",
             "constant_true",
+            "scalar_lower",
+            "obstacle_null",
+            "solution_file_null",
         ],
     )
     def test_wrong_json_type_exit_1(self, tmp_path, capsys, monkeypatch, path, value, prefix):
@@ -362,6 +376,7 @@ class TestDiagnoseCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {prefix}")
         assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "path, text, prefix",
@@ -493,14 +508,12 @@ class TestDiagnoseCommand:
         r2 = json.loads((out2 / "report.json").read_text())
         assert r1["diagnostics"]["growth"] == r2["diagnostics"]["growth"]
 
-    def test_classify_verb_runs_classification_only(self, tmp_path):
+    def test_classify_selection_runs_classification_only(self, tmp_path):
         out = tmp_path / "out"
-        payload = radial_config(out, ["growth", "weiss"])  # selection overridden by verb
-        cfg = write_config(tmp_path / "c.json", payload)
-        assert main(["classify", "--config", cfg]) == 0
+        cfg = write_config(tmp_path / "c.json", radial_config(out, ["classify"]))
+        assert main(["diagnose", "--config", cfg]) == 0
         report = json.loads((out / "report.json").read_text())
-        assert "census" in report["diagnostics"]
-        assert "growth" not in report["diagnostics"]
+        assert set(report["diagnostics"]) == {"classification", "census"}
 
     def test_determinism_byte_identical(self, tmp_path):
         outputs = []
@@ -841,3 +854,145 @@ class TestReportCommand:
         assert captured.out == ""
         assert captured.err.startswith(f"error: report {bad} must be a JSON object")
         assert captured.err.count("\n") == 1
+
+
+def refused_diagnose(tmp_path, capsys, payload, prefix):
+    """Assert that ``diagnose`` on ``payload``, whose output directory is
+    ``tmp_path / "out"``, exits 1 with one error line starting with
+    ``prefix`` and creates no output directory."""
+    assert main(["diagnose", "--config", write_config(tmp_path / "c.json", payload)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(prefix), err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+class TestUsageErrors:
+    """argparse's usage errors exit 1, like every refused input: exit 2
+    means the iteration limit."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["bogus"], ["diagnose"], ["diagnose", "--config", "c.json", "--seed", "abc"], []],
+        ids=["unknown_verb", "no_config", "seed_not_integer", "no_verb"],
+    )
+    def test_usage_error_exit_1(self, capsys, argv):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: obslab") and "error: " in err
+
+    def test_help_exit_0(self, capsys):
+        assert main(["diagnose", "-h"]) == 0
+        assert "--seed" in capsys.readouterr().out
+
+    def test_usage_error_exit_code_of_the_process(self):
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        done = subprocess.run(
+            [sys.executable, "-m", "obslab.cli", "bogus"], env=env, capture_output=True,
+            text=True, timeout=120,
+        )
+        assert done.returncode == 1
+        assert "invalid choice: 'bogus'" in done.stderr
+
+
+class TestDeletedSpellings:
+    """Each run has one spelling; the others are refused before any output."""
+
+    def test_classify_verb_refused(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "c.json", radial_config(out, ["classify"], nodes=33))
+        assert main(["classify", "--config", cfg]) == 1
+        assert "invalid choice: 'classify'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_solve_seed_flag_refused(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "c.json", one_d_config(out))
+        assert main(["solve", "--config", cfg, "--seed", "3"]) == 1
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestRefusals:
+    """Refused inputs: one error line, exit 1, and no output directory."""
+
+    @pytest.mark.parametrize(
+        "path, message",
+        [
+            (("version",), "version is required"),
+            (("problem", "nodes_per_axis"), "problem.nodes_per_axis is required"),
+            (("problem", "boundary", "a"), "problem.boundary: a is required"),
+        ],
+        ids=["version", "nodes_per_axis", "fixture_parameter"],
+    )
+    def test_missing_required_key(self, tmp_path, capsys, path, message):
+        payload = radial_config(tmp_path / "out", ["growth"], nodes=33)
+        *sections, key = path
+        target = payload
+        for name in sections:
+            target = target[name]
+        del target[key]
+        refused_diagnose(tmp_path, capsys, payload, f"error: {message}")
+
+    @pytest.mark.parametrize(
+        "problem, diagnostics, message",
+        [
+            ({"form": "solved"}, {}, "problem.form must be normalized|general|fixture, "),
+            ({"dimension": 4}, {}, "problem.dimension must be 1, 2 or 3, got 4"),
+            ({}, {"selection": ["growth", "census"]}, "diagnostics.selection holds 'census'"),
+            ({}, {"radii": []}, "diagnostics.radii is required when diagnostics are selected"),
+            (
+                {"boundary": {"fixture": "halfspace", "direction": [0.0, 0.0]}},
+                {},
+                "problem.boundary: halfspace direction must be nonzero",
+            ),
+        ],
+        ids=["form", "dimension", "selection_name", "selection_without_radii", "zero_direction"],
+    )
+    def test_refused_setting(self, tmp_path, capsys, problem, diagnostics, message):
+        payload = radial_config(tmp_path / "out", ["growth"], nodes=33)
+        payload["problem"].update(problem)
+        payload["diagnostics"].update(diagnostics)
+        refused_diagnose(tmp_path, capsys, payload, f"error: {message}")
+
+    @pytest.mark.parametrize("content", [None, "{not json"], ids=["unreadable", "not_json"])
+    def test_report_file_refused(self, tmp_path, capsys, content):
+        path = tmp_path / "report.json"
+        if content is not None:
+            path.write_text(content)
+        assert main(["report", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot read report {path}: ")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            GridSpec((-1.0, -1.0), (1.0, 1.0), (65, 65)),
+            GridSpec((-1.0, -0.5), (1.0, 1.5), (33, 33)),
+            GridSpec((-1.0,) * 3, (1.0,) * 3, (33, 33, 33)),
+        ],
+        ids=["nodes", "box", "dimension"],
+    )
+    def test_solution_file_off_the_problem_grid_refused(self, tmp_path, capsys, grid):
+        # the configured problem grid is [-1, 1]^2 at 33 nodes per axis
+        path = tmp_path / "u.field"
+        write_field(path, ScalarField(grid, np.zeros(grid.shape)))
+        payload = radial_config(tmp_path / "out", ["growth"], nodes=33)
+        payload["diagnostics"]["solution_file"] = str(path)
+        refused_diagnose(tmp_path, capsys, payload, f"error: solution file {path} holds ")
+
+
+def test_readme_command_block_names_the_parser_verbs_and_flags():
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## Command line")[1].split("```sh")[1].split("```")[0]
+    lines = block.strip().splitlines()
+    documented = {line.split()[1]: set(re.findall(r"--[a-z]+", line)) for line in lines}
+    parser = cli._build_parser()
+    (verbs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {
+        verb: {s for a in sub._actions for s in a.option_strings if s.startswith("--")} - {"--help"}
+        for verb, sub in verbs.choices.items()
+    }
+    assert documented == flags

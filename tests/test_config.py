@@ -142,7 +142,7 @@ class TestParse:
 
     def test_integers_read_as_numbers(self):
         payload = base_payload()
-        payload["problem"].update(lower=-1, upper=1)
+        payload["problem"].update(lower=[-1], upper=[1])
         payload["solver"]["omega"] = 1
         cfg = parse_config(payload)
         assert cfg.problem.lower == (-1.0,) and type(cfg.problem.lower[0]) is float
