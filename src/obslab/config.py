@@ -32,9 +32,10 @@ number per axis. An example:
 
 ``solver.omega`` is read by PSOR only; a config that sets it together with
 ``method: projected_gradient`` is refused. ``problem.form`` is
-``normalized``, ``general`` (needs ``obstacle``), or
-``fixture`` (the field *is* the sampled fixture; diagnostics only).
-Fixture specs: ``{"fixture": "one_d"|"radial", "a": ...}``,
+``normalized`` (obstacle 0, boundary data ``>= 0``) or ``fixture`` (the
+field *is* the sampled fixture; diagnostics only). There is no obstacle key:
+by the maximum principle, no constant or convex obstacle below the ring data
+is ever active. Boundary specs: ``{"fixture": "one_d"|"radial", "a": ...}``,
 ``{"fixture": "halfspace", "direction": [...]}``,
 ``{"fixture": "polynomial", "matrix": [[...], ...]}``, or
 ``{"constant": value}``. The optional ``diagnostics`` keys ``contact_kappa``
@@ -67,7 +68,6 @@ from .solver import (
     ObstacleProblemSpec,
     SolverConfig,
     SolverError,
-    general_problem,
     normalized_problem,
 )
 
@@ -75,7 +75,7 @@ CONFIG_VERSION = 1
 
 # The diagnostics in the order a diagnose run performs them.
 DIAGNOSTIC_NAMES = ("growth", "weiss", "classify", "monneau", "frequency")
-FORMS = ("normalized", "general", "fixture")
+FORMS = ("normalized", "fixture")
 
 
 class ConfigError(ValueError):
@@ -84,21 +84,18 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ProblemConfig:
-    form: str  # "normalized" | "general" | "fixture"
+    form: str  # "normalized" | "fixture"
     dimension: int
     lower: tuple[float, ...]
     upper: tuple[float, ...]
     nodes_per_axis: int
     boundary: fixtures.ReferenceSolution | float
-    obstacle: fixtures.ReferenceSolution | float | None
 
     def __post_init__(self) -> None:
         if self.form not in FORMS:
             raise ConfigError(f"form must be {'|'.join(FORMS)}, got {self.form!r}")
         if self.dimension not in (1, 2, 3):
             raise ConfigError(f"dimension must be 1, 2 or 3, got {self.dimension!r}")
-        if (self.obstacle is None) == (self.form == "general"):
-            raise ConfigError(f"obstacle is given for the general form only (form {self.form!r})")
         self.grid()  # GridSpec owns the box and node-count rules
 
     def grid(self) -> GridSpec:
@@ -251,12 +248,9 @@ def _parse_problem(section: dict) -> ProblemConfig:
             upper=([float], ...),
             nodes_per_axis=(int, ...),
             boundary=(dict, ...),
-            obstacle=(dict, None),
         ),
     )
-    for name in ("boundary", "obstacle"):
-        if values[name] is not None:
-            values[name] = _parse_source(values[name], f"problem.{name}: ")
+    values["boundary"] = _parse_source(values["boundary"], "problem.boundary: ")
     return _owned(ProblemConfig, "problem.", **values)
 
 
@@ -281,9 +275,9 @@ _FIXTURES = dict(
 
 
 def _parse_source(spec: dict, where: str) -> fixtures.ReferenceSolution | float:
-    """A boundary or obstacle spec, checked and built: a constant as a
-    float, a fixture as its reference solution. Its messages read
-    ``<where><key> ...``, ``where`` ending in a colon."""
+    """A boundary spec, checked and built: a constant as a float, a fixture
+    as its reference solution. Its messages read ``<where><key> ...``,
+    ``where`` ending in a colon."""
     if "constant" in spec:
         return _read(spec, where, dict(constant=(float, ...)))["constant"]
     name = spec.get("fixture")
@@ -327,24 +321,18 @@ def _parse_diagnostics(section: dict) -> DiagnosticsConfig:
     return _owned(DiagnosticsConfig, "diagnostics.", **values)
 
 
-def _sampled(problem: ProblemConfig, name: str) -> ScalarField:
-    """The boundary or obstacle source ``name`` on the problem grid; sampling
-    a fixture checks its dimension and that its contact region fits the box."""
-    source, grid = getattr(problem, name), problem.grid()
+def build_field(config: RunConfig) -> ScalarField:
+    """The boundary source on the problem grid: the field of a fixture-form
+    run, the ring data of a normalized one. Sampling a fixture checks its
+    dimension and that its contact region fits the box."""
+    source, grid = config.problem.boundary, config.problem.grid()
     if isinstance(source, float):
         return ScalarField(grid, np.full(grid.shape, source))
-    return _owned(source.sample, f"problem.{name}: ", grid)
-
-
-def build_field(config: RunConfig) -> ScalarField:
-    """The sampled fixture field, for form == 'fixture' runs."""
-    return _sampled(config.problem, "boundary")
+    return _owned(source.sample, "problem.boundary: ", grid)
 
 
 def build_problem(config: RunConfig) -> ObstacleProblemSpec:
     if config.problem.form == "fixture":
         raise ConfigError("fixture-form configs carry a field, not a solvable problem")
-    boundary = _sampled(config.problem, "boundary")
-    if config.problem.form == "normalized":
-        return normalized_problem(boundary.grid, boundary.values)
-    return general_problem(boundary.grid, _sampled(config.problem, "obstacle"), boundary.values)
+    boundary = build_field(config)
+    return _owned(normalized_problem, "problem.boundary: ", boundary.grid, boundary.values)

@@ -339,9 +339,10 @@ class TestDiagnoseCommand:
             (("problem", "boundary", "a"), True, "problem.boundary: "),
             (("problem", "boundary", "a"), "0.5", "problem.boundary: "),
             (("problem", "boundary"), {"constant": True}, "problem.boundary: "),
-            # one spelling per setting: bounds are lists, and null is no value
+            # one spelling per setting: bounds are lists, null is no value, and
+            # no key names an obstacle
             (("problem", "lower"), -1.0, "problem.lower must be a JSON list of numbers, "),
-            (("problem", "obstacle"), None, "problem.obstacle must be a JSON object, "),
+            (("problem", "obstacle"), None, "problem.obstacle is an unknown key; "),
             (("diagnostics", "solution_file"), None, "diagnostics.solution_file must be a "),
         ],
         ids=[
@@ -937,7 +938,14 @@ class TestRefusals:
     @pytest.mark.parametrize(
         "problem, diagnostics, message",
         [
-            ({"form": "solved"}, {}, "problem.form must be normalized|general|fixture, "),
+            ({"form": "solved"}, {}, "problem.form must be normalized|fixture, "),
+            ({"form": "general"}, {}, "problem.form must be normalized|fixture, got 'general'"),
+            ({"obstacle": {"constant": 0.0}}, {}, "problem.obstacle is an unknown key; "),
+            (
+                {"boundary": {"constant": -0.5}},
+                {},
+                "problem.boundary: boundary data must satisfy f >= phi on boundary nodes",
+            ),
             ({"dimension": 4}, {}, "problem.dimension must be 1, 2 or 3, got 4"),
             ({}, {"selection": ["growth", "census"]}, "diagnostics.selection holds 'census'"),
             ({}, {"radii": []}, "diagnostics.radii is required when diagnostics are selected"),
@@ -947,7 +955,16 @@ class TestRefusals:
                 "problem.boundary: halfspace direction must be nonzero",
             ),
         ],
-        ids=["form", "dimension", "selection_name", "selection_without_radii", "zero_direction"],
+        ids=[
+            "form",
+            "general_form",
+            "obstacle",
+            "negative_boundary",
+            "dimension",
+            "selection_name",
+            "selection_without_radii",
+            "zero_direction",
+        ],
     )
     def test_refused_setting(self, tmp_path, capsys, problem, diagnostics, message):
         payload = radial_config(tmp_path / "out", ["growth"], nodes=33)

@@ -188,12 +188,6 @@ class TestParse:
         with pytest.raises(ConfigError):
             parse_config(payload)
 
-    def test_general_needs_obstacle(self):
-        payload = base_payload()
-        payload["problem"]["form"] = "general"
-        with pytest.raises(ConfigError, match="obstacle"):
-            parse_config(payload)
-
     def test_load_config_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(tmp_path / "absent.json")
@@ -255,15 +249,6 @@ class TestBuild:
         assert problem.source == 1.0
         assert (problem.obstacle == 0.0).all()
         assert problem.grid.nodes_per_axis == (65,)
-
-    def test_general_problem(self):
-        payload = base_payload()
-        payload["problem"]["form"] = "general"
-        payload["problem"]["boundary"] = {"constant": 0.0}
-        payload["problem"]["obstacle"] = {"constant": -1.0}
-        problem = build_problem(parse_config(payload))
-        assert problem.source == 0.0
-        assert (problem.obstacle == -1.0).all()
 
     def test_fixture_field(self):
         payload = base_payload()

@@ -131,7 +131,7 @@ class TestProjectedGradientConfig:
         assert derived == config
 
     def test_solver_section_added_when_absent(self):
-        config = {"version": 1, "problem": {"form": "general"}}
+        config = {"version": 1, "problem": {"form": "normalized"}}
         derived = same_outputs.projected_gradient_config(config)
         assert derived == {**config, "solver": {"method": "projected_gradient"}}
         assert "solver" not in config
